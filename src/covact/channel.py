@@ -13,13 +13,13 @@ trials can run in parallel without changing any result.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, _read_complex_csv, _write_complex_csv
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix, as_hermitian, as_hpd, hpd_sqrt, operator_norm
 
@@ -96,7 +96,7 @@ def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
     if K < 1:
         raise InvalidInput("K must be positive")
     spd = as_hpd(Sigma)
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     M = spd.dim
     g = (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / np.sqrt(2)
     return hpd_sqrt(spd).values @ g
@@ -162,7 +162,7 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     """
     if not 1 <= S <= N:
         raise InvalidInput(f"sparsity {S} outside [1, {N}]")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     support = rng.choice(N, size=S, replace=False)
     vals = np.abs(rng.standard_normal(S))
     norm = np.linalg.norm(vals)
@@ -174,50 +174,15 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     return FadingVector(x=x, sparsity=S)
 
 
-def _write_complex_csv(matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        rows, cols = matrix.shape
-        for c in range(cols):
-            for r in range(rows):
-                v = matrix[r, c]
-                writer.writerow([r + 1, c + 1, f"{v.real:.17g}", f"{v.imag:.17g}"])
-
-
 def save_realization_csv(realization: ChannelRealization, directory) -> None:
     """Persist Y, H and E as CSV triplet files with header row,col,re,im."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_complex_csv(realization.Y, directory / "Y.csv")
-    _write_complex_csv(realization.H, directory / "H.csv")
-    _write_complex_csv(realization.E, directory / "E.csv")
-
-
-def _read_complex_csv(path) -> np.ndarray:
-    entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entries[(int(row["row"]) - 1, int(row["col"]) - 1)] = float(row["re"]) + 1j * float(row["im"])
-    if not entries:
-        raise InvalidInput(f"no entries in {path}")
-    rows = max(r for r, _ in entries) + 1
-    cols = max(c for _, c in entries) + 1
-    out = np.zeros((rows, cols), dtype=complex)
-    for (r, c), v in entries.items():
-        out[r, c] = v
-    return out
+    for name in ("Y", "H", "E"):
+        _write_complex_csv(getattr(realization, name), directory / f"{name}.csv")
 
 
 def load_realization_csv(directory) -> ChannelRealization:
     """Read a CSV triplet written by save_realization_csv."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    Y = _read_complex_csv(directory / "Y.csv")
-    H = _read_complex_csv(directory / "H.csv")
-    E = _read_complex_csv(directory / "E.csv")
+    Y, H, E = (_read_complex_csv(Path(directory) / f"{name}.csv") for name in ("Y", "H", "E"))
     return ChannelRealization(Y=Y, H=H, E=E, antennas=Y.shape[1])

@@ -197,31 +197,39 @@ def vectorize_hermitian(H, M: int) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
-def save_codebook_csv(codebook: Codebook, path) -> None:
-    """Write a codebook as CSV rows ``m,n,re,im`` (1-based indices)."""
+def _write_complex_csv(matrix, path, index=("row", "col")) -> None:
+    """Write a complex matrix as CSV rows ``<row>,<col>,re,im``, 1-based, column-major."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "n", "re", "im"])
-        cols = codebook.columns
-        for n in range(cols.shape[1]):
-            for m in range(cols.shape[0]):
-                a = cols[m, n]
-                writer.writerow([m + 1, n + 1, f"{a.real:.17g}", f"{a.imag:.17g}"])
+        writer.writerow([*index, "re", "im"])
+        rows, cols = matrix.shape
+        for c in range(cols):
+            for r in range(rows):
+                v = matrix[r, c]
+                writer.writerow([r + 1, c + 1, f"{v.real:.17g}", f"{v.imag:.17g}"])
+
+
+def _read_complex_csv(path, index=("row", "col")) -> np.ndarray:
+    """Read a matrix written by _write_complex_csv with the same index names."""
+    entries = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            entries[(int(row[index[0]]) - 1, int(row[index[1]]) - 1)] = float(row["re"]) + 1j * float(row["im"])
+    if not entries:
+        raise InvalidInput(f"no entries in {path}")
+    rows = max(r for r, _ in entries) + 1
+    cols = max(c for _, c in entries) + 1
+    out = np.zeros((rows, cols), dtype=complex)
+    for (r, c), v in entries.items():
+        out[r, c] = v
+    return out
+
+
+def save_codebook_csv(codebook: Codebook, path) -> None:
+    """Write a codebook as CSV rows ``m,n,re,im`` (1-based indices)."""
+    _write_complex_csv(codebook.columns, path, ("m", "n"))
 
 
 def load_codebook_csv(path) -> Codebook:
     """Read a codebook written by save_codebook_csv."""
-    entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            m, n = int(row["m"]) - 1, int(row["n"]) - 1
-            entries[(m, n)] = float(row["re"]) + 1j * float(row["im"])
-    if not entries:
-        raise InvalidInput(f"no codebook entries in {path}")
-    M = max(m for m, _ in entries) + 1
-    N = max(n for _, n in entries) + 1
-    cols = np.zeros((M, N), dtype=complex)
-    for (m, n), val in entries.items():
-        cols[m, n] = val
-    return Codebook(cols)
+    return Codebook(_read_complex_csv(path, ("m", "n")))

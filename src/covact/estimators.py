@@ -117,16 +117,13 @@ class DetectionResult:
         return self.largest == self.true_support
 
 
-def _nnls_kkt(gram, lin, z, tol_zero=1e-12):
-    # Gradient of 0.5 ||E z - d||^2 is gram @ z - lin.
-    g = gram @ z - lin
-    active = z <= tol_zero
-    worst = 0.0
-    if active.any():
-        worst = max(worst, float(np.maximum(-g[active], 0.0).max()))
-    if (~active).any():
-        worst = max(worst, float(np.abs(g[~active]).max()))
-    return worst
+def _kkt_violation(g, z) -> float:
+    """Worst KKT violation of the gradient g at z >= 0.
+
+    Active coordinates (z_n <= 1e-12) contribute the negative part of the
+    gradient, free ones its magnitude.
+    """
+    return float(np.where(z <= 1e-12, np.maximum(-g, 0.0), np.abs(g)).max(initial=0.0))
 
 
 def _nnls_active_set(E, d, opts: NnlsOptions):
@@ -176,7 +173,8 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
             best = (resid, z.copy())
             banned[:] = False
     residual = float(np.linalg.norm(d - E @ z))
-    return z, residual, _nnls_kkt(gram, lin, z), outer
+    # The gradient of 0.5 ||E z - d||^2 is gram @ z - lin.
+    return z, residual, _kkt_violation(gram @ z - lin, z), outer
 
 
 def _nnls_projected_gradient(E, d, opts: NnlsOptions):
@@ -199,7 +197,7 @@ def _nnls_projected_gradient(E, d, opts: NnlsOptions):
         sy = float(s @ y)
         if sy > 0:
             step = min(max(float(s @ s) / sy, 1e-6 / lipschitz), 1e6 / lipschitz)
-        if it % 10 == 0 and _nnls_kkt(gram, lin, z) <= opts.kkt_tol:
+        if it % 10 == 0 and _kkt_violation(g, z) <= opts.kkt_tol:
             break
     else:
         raise NotConverged(
@@ -208,7 +206,7 @@ def _nnls_projected_gradient(E, d, opts: NnlsOptions):
             residual=float(np.linalg.norm(d - E @ z)),
         )
     residual = float(np.linalg.norm(d - E @ z))
-    return z, residual, _nnls_kkt(gram, lin, z), it
+    return z, residual, _kkt_violation(g, z), it
 
 
 def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = None) -> NnlsResult:
@@ -259,6 +257,27 @@ def _ml_objective_raw(Z, Wv) -> float:
     return trace_term + logdet
 
 
+def _step(a, S, Wv, x_n):
+    """Optimal step t for one coordinate, with u = S a and q = a^H S a.
+
+    Works on raw arrays: S is the tracked inverse, Wv the observation.
+    """
+    u = S @ a
+    q = float(np.real(np.vdot(a, u)))
+    if q <= 0:
+        raise StepRejected("a^H S a <= 0: the tracked inverse is corrupted")
+    r = float(np.real(np.vdot(u, Wv @ u)))
+    return max(-x_n, (r - q) / (q * q)), u, q
+
+
+def _rank_one(S, u, q, t):
+    """(S^-1 + t a a^H)^-1 from S, given u = S a and q = a^H S a."""
+    denom = 1.0 + t * q
+    if denom <= 1e-12:
+        raise StepRejected(f"rank-one update denominator {denom:.3e} is not positive")
+    return S - (t / denom) * np.outer(u, u.conj())
+
+
 def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     """Optimal step for one coordinate of the relaxed ML objective.
 
@@ -266,14 +285,7 @@ def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     S the tracked inverse of the current fit; the step keeps x_n + t >= 0.
     """
     a = np.asarray(a_n, dtype=complex)
-    spd = as_hpd(SigmaPrime)
-    wherm = as_hermitian(W)
-    u = spd.values @ a
-    q = float(np.real(np.vdot(a, u)))
-    if q <= 0:
-        raise StepRejected("a^H S a <= 0: the tracked inverse is corrupted")
-    r = float(np.real(np.vdot(u, wherm.values @ u)))
-    return max(-float(x_n), (r - q) / (q * q))
+    return _step(a, as_hpd(SigmaPrime).values, as_hermitian(W).values, float(x_n))[0]
 
 
 def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
@@ -283,14 +295,10 @@ def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
     the updated fit stays positive definite; a nonpositive denominator is
     treated as corruption.
     """
-    spd = as_hpd(SigmaPrime)
+    S = as_hpd(SigmaPrime).values
     a = np.asarray(a_n, dtype=complex)
-    u = spd.values @ a
-    q = float(np.real(np.vdot(a, u)))
-    denom = 1.0 + t * q
-    if denom <= 1e-12:
-        raise StepRejected(f"rank-one update denominator {denom:.3e} is not positive")
-    return HpdMatrix(spd.values - (t / denom) * np.outer(u, u.conj()))
+    u = S @ a
+    return HpdMatrix(_rank_one(S, u, float(np.real(np.vdot(a, u))), t))
 
 
 def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | None = None) -> MlTrace:
@@ -330,18 +338,9 @@ def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | N
     for sweep in range(opts.while_iterations):
         f_prev = objectives[-1]
         for n in perm:
-            a = A[:, n]
-            u = sig @ a
-            q = float(np.real(np.vdot(a, u)))
-            if q <= 0:
-                raise StepRejected("a^H S a <= 0 inside the sweep: inverse corrupted")
-            r = float(np.real(np.vdot(u, Wv @ u)))
-            t = max(-z[n], (r - q) / (q * q))
-            denom = 1.0 + t * q
-            if denom <= 1e-12:
-                raise StepRejected(f"rank-one update denominator {denom:.3e} is not positive")
+            t, u, q = _step(A[:, n], sig, Wv, z[n])
+            sig = _rank_one(sig, u, q, t)
             z[n] += t
-            sig = sig - (t / denom) * np.outer(u, u.conj())
             if opts.track == "update":
                 objectives.append(_ml_objective_raw(Sv + op.apply_raw(z), Wv))
         sig = (sig + sig.conj().T) / 2
@@ -383,14 +382,7 @@ def kkt_residual(op: MeasurementOperator, Sigma, W, z) -> float:
     U = np.linalg.solve(L.conj().T, np.linalg.solve(L, A))  # S @ A
     q = np.real(np.einsum("mn,mn->n", A.conj(), U))
     r = np.real(np.einsum("mn,mn->n", U.conj(), wherm.values @ U))
-    g = q - r
-    active = z <= 1e-12
-    residual = 0.0
-    if active.any():
-        residual = max(residual, float(np.maximum(-g[active], 0.0).max()))
-    if (~active).any():
-        residual = max(residual, float(np.abs(g[~active]).max()))
-    return residual
+    return _kkt_violation(q - r, z)
 
 
 def threshold_detect(z, eps: float, true_support) -> DetectionResult:

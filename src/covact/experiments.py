@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import FadingVector, draw_sparse_fading, perturb_hermitian, sample_covariance, simulate_measurements, stream
+from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, simulate_measurements, stream
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
 from .config import ExperimentConfig
 from .errors import SetupFailed
-from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent, nnls_estimate, threshold_detect
+from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent, nnls_estimate
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
@@ -29,16 +29,6 @@ from .skc import SkcReport, adversarial_fading, tau_prime, tau_prime_curve
 
 SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    experiment: str
-    parameters: dict
-    errors: dict
-    threshold_exact: bool
-    largest_exact: bool
-    runtime_ms: float
 
 
 @dataclass(frozen=True)
@@ -117,21 +107,18 @@ def _noise_covariance(cfg: ExperimentConfig) -> HpdMatrix:
 def _run_estimators(op, Sigma, W, x, names, cfg, rng_perm) -> dict:
     """Errors ||x - z||_2 of the requested estimators on one observation."""
     errors = {}
-    estimates = {}
     z_nnls = None
     if "nnls" in names or "ml_nnls" in names:
         res = nnls_estimate(op, Sigma, W, NnlsOptions())
         z_nnls = res.z
     if "nnls" in names:
         errors["nnls"] = float(np.linalg.norm(x - z_nnls))
-        estimates["nnls"] = z_nnls
     perm = rng_perm.permutation(op.num_users)
     if "ml" in names:
         trace = ml_coordinate_descent(
             op, Sigma, W, MlOptions(permutation=perm, while_iterations=cfg.while_iterations)
         )
         errors["ml"] = float(np.linalg.norm(x - trace.z))
-        estimates["ml"] = trace.z
     if "ml_nnls" in names:
         trace = ml_coordinate_descent(
             op,
@@ -140,18 +127,7 @@ def _run_estimators(op, Sigma, W, x, names, cfg, rng_perm) -> dict:
             MlOptions(permutation=perm, z0=z_nnls, while_iterations=cfg.while_iterations),
         )
         errors["ml_nnls"] = float(np.linalg.norm(x - trace.z))
-        estimates["ml_nnls"] = trace.z
-    return errors, estimates
-
-
-def _detection_flags(z, fading: FadingVector):
-    support = fading.support
-    nz = fading.x[fading.x > 0]
-    if nz.size == 0 or z is None:
-        return False, False
-    eps = float(nz.min()) / 4.0
-    det = threshold_detect(z, eps, support)
-    return det.threshold_exact, det.largest_exact
+    return errors
 
 
 def _format_row(values) -> str:
@@ -191,7 +167,7 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
         report = verified.report(order)
         fading = adversarial_fading(report)
         W = HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
-        errors, _ = _run_estimators(
+        errors = _run_estimators(
             op, Sigma, W, fading.x, ("nnls", "ml", "ml_nnls"), cfg,
             stream(cfg.seed, "figure-a", order, "perm"),
         )
@@ -199,26 +175,41 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     return _emit(cfg, "figure_a", ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
 
-def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
-    """Mean estimation error per sparsity for random fading, exact covariance."""
+def _panel(cfg, verified, name, grid, trials, names, header, observe, statistic=lambda err: err) -> str:
+    """Mean of ``statistic(error)`` per estimator at each grid point.
+
+    ``observe(op, Sigma, point, trial)`` returns the (fading, W) pair of one
+    trial; its coordinate order comes from the stream (seed, "figure-x",
+    point, trial, "perm") of panel ``name`` "figure_x".
+    """
     verified = verified or verified_codebook(cfg)
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
-    names = tuple(cfg.estimators)
+    label = name.replace("_", "-")
     rows = []
-    for order in cfg.s_values:
-        sums = {name: 0.0 for name in names}
-        for trial in range(cfg.trials_fig_b):
-            fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-b", order, trial, "fading"))
-            W = HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
-            errors, _ = _run_estimators(
-                op, Sigma, W, fading.x, names, cfg,
-                stream(cfg.seed, "figure-b", order, trial, "perm"),
+    for point in grid:
+        sums = dict.fromkeys(names, 0.0)
+        for trial in range(trials):
+            fading, W = observe(op, Sigma, point, trial)
+            errors = _run_estimators(
+                op, Sigma, W, fading.x, names, cfg, stream(cfg.seed, label, point, trial, "perm")
             )
-            for name in names:
-                sums[name] += errors[name]
-        rows.append((order, *(sums[name] / cfg.trials_fig_b for name in names)))
-    return _emit(cfg, "figure_b", ["S", *(f"err_{n}" for n in names)], rows)
+            for n in names:
+                sums[n] += statistic(errors[n])
+        rows.append((point, *(sums[n] / trials for n in names)))
+    return _emit(cfg, name, header, rows)
+
+
+def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
+    """Mean estimation error per sparsity for random fading, exact covariance."""
+
+    def observe(op, Sigma, order, trial):
+        fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-b", order, trial, "fading"))
+        return fading, HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
+
+    names = tuple(cfg.estimators)
+    header = ["S", *(f"err_{n}" for n in names)]
+    return _panel(cfg, verified, "figure_b", cfg.s_values, cfg.trials_fig_b, names, header, observe)
 
 
 def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
@@ -229,61 +220,36 @@ def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     (the robustness statements only cover HPD observations, and the relaxed
     ML estimator rejects indefinite ones).
     """
-    verified = verified or verified_codebook(cfg)
-    op = MeasurementOperator(verified.codebook)
-    Sigma = _noise_covariance(cfg)
-    order = cfg.skc_order
     rho_budget = 1.05 * max(cfg.rho_grid)
-    rows = []
-    for rho in cfg.rho_grid:
-        sums = {"nnls": 0.0, "ml_nnls": 0.0}
-        for trial in range(cfg.trials_fig_c):
-            fading = None
-            for attempt in range(100):
-                candidate = draw_sparse_fading(
-                    cfg.N, order, stream(cfg.seed, "figure-c", rho, trial, "fading", attempt)
-                )
-                lam_min = float(np.linalg.eigvalsh(op.apply_raw(candidate.x) + Sigma.values)[0])
-                if lam_min > rho_budget:
-                    fading = candidate
-                    break
-            if fading is None:
-                raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
-            exact = HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
-            W = perturb_hermitian(exact, rho, stream(cfg.seed, "figure-c", rho, trial, "noise")).W
-            errors, _ = _run_estimators(
-                op, Sigma, W, fading.x, ("nnls", "ml_nnls"), cfg,
-                stream(cfg.seed, "figure-c", rho, trial, "perm"),
+
+    def observe(op, Sigma, rho, trial):
+        for attempt in range(100):
+            fading = draw_sparse_fading(
+                cfg.N, cfg.skc_order, stream(cfg.seed, "figure-c", rho, trial, "fading", attempt)
             )
-            sums["nnls"] += errors["nnls"]
-            sums["ml_nnls"] += errors["ml_nnls"]
-        rows.append((rho, sums["nnls"] / cfg.trials_fig_c, sums["ml_nnls"] / cfg.trials_fig_c))
-    return _emit(cfg, "figure_c", ["rho", "err_nnls", "err_ml_nnls"], rows)
+            exact = op.apply_raw(fading.x) + Sigma.values
+            if float(np.linalg.eigvalsh(exact)[0]) > rho_budget:
+                noise = stream(cfg.seed, "figure-c", rho, trial, "noise")
+                return fading, perturb_hermitian(HermitianMatrix(exact), rho, noise).W
+        raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
+
+    names = ("nnls", "ml_nnls")
+    header = ["rho", "err_nnls", "err_ml_nnls"]
+    return _panel(cfg, verified, "figure_c", cfg.rho_grid, cfg.trials_fig_c, names, header, observe)
 
 
 def run_figure_d(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
     """Mean inverse squared error against the number of receive antennas."""
-    verified = verified or verified_codebook(cfg)
-    op = MeasurementOperator(verified.codebook)
-    Sigma = _noise_covariance(cfg)
-    order = cfg.skc_order
-    rows = []
-    for K in cfg.k_grid:
-        sums = {"nnls": 0.0, "ml_nnls": 0.0}
-        for trial in range(cfg.trials_fig_d):
-            fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-d", K, trial, "fading"))
-            sample = simulate_measurements(
-                verified.codebook, fading, Sigma, K, stream(cfg.seed, "figure-d", K, trial, "channel")
-            )
-            W = sample_covariance(sample.Y)
-            errors, _ = _run_estimators(
-                op, Sigma, W, fading.x, ("nnls", "ml_nnls"), cfg,
-                stream(cfg.seed, "figure-d", K, trial, "perm"),
-            )
-            sums["nnls"] += errors["nnls"] ** -2
-            sums["ml_nnls"] += errors["ml_nnls"] ** -2
-        rows.append((K, sums["nnls"] / cfg.trials_fig_d, sums["ml_nnls"] / cfg.trials_fig_d))
-    return _emit(cfg, "figure_d", ["K", "inv_sq_err_nnls", "inv_sq_err_ml_nnls"], rows)
+
+    def observe(op, Sigma, K, trial):
+        fading = draw_sparse_fading(cfg.N, cfg.skc_order, stream(cfg.seed, "figure-d", K, trial, "fading"))
+        channel = stream(cfg.seed, "figure-d", K, trial, "channel")
+        sample = simulate_measurements(op.codebook, fading, Sigma, K, channel)
+        return fading, sample_covariance(sample.Y)
+
+    names = ("nnls", "ml_nnls")
+    header = ["K", "inv_sq_err_nnls", "inv_sq_err_ml_nnls"]
+    return _panel(cfg, verified, "figure_d", cfg.k_grid, cfg.trials_fig_d, names, header, observe, lambda e: e**-2)
 
 
 def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
@@ -329,23 +295,6 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = 
         )
     header = ["eps", "delta_nice", "delta_c", "delta_tld", "delta_skc", "k0_nnls", "k0_ml"]
     return _emit(cfg, "bounds", header, rows)
-
-
-def run_trial(cfg: ExperimentConfig, experiment: str, parameters: dict, op, Sigma, W, fading, names, rng_perm) -> TrialRecord:
-    """One recorded estimator trial (used by the CLI estimate command)."""
-    start = time.perf_counter()
-    errors, estimates = _run_estimators(op, Sigma, W, fading.x, names, cfg, rng_perm)
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    z_any = next(iter(estimates.values()), None)
-    thr, top = _detection_flags(z_any, fading)
-    return TrialRecord(
-        experiment=experiment,
-        parameters=parameters,
-        errors=errors,
-        threshold_exact=thr,
-        largest_exact=top,
-        runtime_ms=runtime_ms,
-    )
 
 
 def loglog_slope(x, y) -> float:

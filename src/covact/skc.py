@@ -211,6 +211,25 @@ def _heuristic_candidates(B, S, seed, n_starts=48, iters=200):
     return patterns
 
 
+def _report(order, val, v, method) -> SkcReport:
+    witness_z, witness_x = _split_witness(v)
+    return SkcReport(
+        order=order,
+        tau_prime=float(math.sqrt(max(val, 0.0))),
+        witness_z=witness_z,
+        witness_x=witness_x,
+        method=method,
+    )
+
+
+def _check(stacked: StackedRealMatrix, order: int, method: str) -> None:
+    n = stacked.num_users
+    if not 1 <= order <= n:
+        raise InvalidInput(f"order {order} outside [1, {n}]")
+    if method not in ("exact", "heuristic"):
+        raise InvalidInput(f"unknown method {method!r}")
+
+
 def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> SkcReport:
     """Robustness constant of the given order with its adversarial witnesses.
 
@@ -219,64 +238,33 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     ``method="heuristic"`` polishes multi-start projected-gradient patterns
     and upper-bounds the constant.
     """
-    B = stacked.values
-    n = stacked.num_users
-    if not 1 <= order <= n:
-        raise InvalidInput(f"order {order} outside [1, {n}]")
-    if method not in ("exact", "heuristic"):
-        raise InvalidInput(f"unknown method {method!r}")
+    _check(stacked, order, method)
     if method == "exact":
-        if math.comb(n, order) * 2**order > EXACT_BUDGET:
-            raise TooLarge(
-                f"exact enumeration needs C({n},{order}) * 2^{order} subproblems; use the heuristic"
-            )
-        by_size = _exact_minima_by_size(B, order)
-        val, v = min(by_size, key=lambda item: item[0])
-        label = "exact-enumeration"
-    else:
-        G = B.T @ B
-        best = (math.inf, None)
-        for J in sorted(_heuristic_candidates(B, order, seed=order)):
-            pat_val, pat_v = _pattern_minimum(G, J)
-            if pat_val < best[0]:
-                best = (pat_val, pat_v)
-        val, v = best
-        label = "heuristic"
-    witness_z, witness_x = _split_witness(v)
-    return SkcReport(
-        order=order,
-        tau_prime=float(math.sqrt(max(val, 0.0))),
-        witness_z=witness_z,
-        witness_x=witness_x,
-        method=label,
-    )
+        return tau_prime_curve(stacked, order)[-1]
+    G = stacked.values.T @ stacked.values
+    best = (math.inf, None)
+    for J in sorted(_heuristic_candidates(stacked.values, order, seed=order)):
+        pat_val, pat_v = _pattern_minimum(G, J)
+        if pat_val < best[0]:
+            best = (pat_val, pat_v)
+    return _report(order, *best, "heuristic")
 
 
 def tau_prime_curve(stacked: StackedRealMatrix, max_order: int, method: str = "exact") -> list[SkcReport]:
     """Reports for every order 1..max_order, sharing one enumeration pass."""
-    B = stacked.values
-    n = stacked.num_users
-    if not 1 <= max_order <= n:
-        raise InvalidInput(f"max_order {max_order} outside [1, {n}]")
+    _check(stacked, max_order, method)
     if method == "heuristic":
         return [tau_prime(stacked, s, method="heuristic") for s in range(1, max_order + 1)]
+    n = stacked.num_users
     if math.comb(n, max_order) * 2**max_order > EXACT_BUDGET:
-        raise TooLarge("exact enumeration exceeds the combinatorial budget; use the heuristic")
-    by_size = _exact_minima_by_size(B, max_order)
-    reports = []
-    for s in range(1, max_order + 1):
-        val, v = min(by_size[: s + 1], key=lambda item: item[0])
-        witness_z, witness_x = _split_witness(v)
-        reports.append(
-            SkcReport(
-                order=s,
-                tau_prime=float(math.sqrt(max(val, 0.0))),
-                witness_z=witness_z,
-                witness_x=witness_x,
-                method="exact-enumeration",
-            )
+        raise TooLarge(
+            f"exact enumeration needs C({n},{max_order}) * 2^{max_order} subproblems; use the heuristic"
         )
-    return reports
+    by_size = _exact_minima_by_size(stacked.values, max_order)
+    return [
+        _report(s, *min(by_size[: s + 1], key=lambda item: item[0]), "exact-enumeration")
+        for s in range(1, max_order + 1)
+    ]
 
 
 def skc_holds(stacked: StackedRealMatrix, order: int, tol: float = 1e-6, method: str = "exact") -> bool:

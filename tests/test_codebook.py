@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from covact import (
     Codebook,
@@ -14,7 +15,7 @@ from covact import (
 from covact.codebook import load_codebook_csv, save_codebook_csv, vectorize_hermitian
 from covact.hermitian import HermitianMatrix
 
-from conftest import random_hermitian
+from conftest import hermitian_matrices, real_vectors
 
 
 def sieve_oracle(limit):
@@ -141,14 +142,14 @@ class TestMeasurementOperator:
         expected = np.abs(A.conj().T @ A[:, m]) ** 2
         np.testing.assert_allclose(adj, expected, atol=1e-12)
 
-    def test_adjoint_inner_product_identity(self, op):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            z = rng.standard_normal(6)
-            H = random_hermitian(rng, 3)
-            lhs = np.real(np.trace(op.apply(z).values.conj().T @ H.values))
-            rhs = float(z @ op.adjoint(H))
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    @given(z=real_vectors(6), H=hermitian_matrices(3, bound=10.0))
+    def test_adjoint_inner_product_identity(self, z, H):
+        op = MeasurementOperator(build_gaussian_codebook(3, 6, 5))
+        lhs = np.real(np.trace(op.apply(z).values.conj().T @ H.values))
+        rhs = float(z @ op.adjoint(H))
+        # Both sides sum the terms z_n a_n^H H a_n; bound rounding by their magnitudes.
+        scale = float(np.abs(z) @ np.linalg.norm(op.codebook.columns, axis=0) ** 2) * H.frobenius_norm()
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestStackedReal:
@@ -157,15 +158,13 @@ class TestStackedReal:
         stacked = op.stacked_real()
         np.testing.assert_allclose(stacked.values, [[1.0], [0.0]])
 
-    def test_norm_bridge(self):
+    @given(z=real_vectors(9))
+    def test_norm_bridge(self, z):
         op = MeasurementOperator(build_gaussian_codebook(4, 9, 17))
-        stacked = op.stacked_real().values
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            z = rng.standard_normal(9)
-            lhs = np.linalg.norm(stacked @ z)
-            rhs = np.linalg.norm(op.apply(z).values)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
+        lhs = np.linalg.norm(op.stacked_real().values @ z)
+        rhs = np.linalg.norm(op.apply(z).values)
+        scale = float(np.abs(z) @ np.linalg.norm(op.codebook.columns, axis=0) ** 2)
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_column_norms(self):
         op = MeasurementOperator(build_gaussian_codebook(4, 9, 18))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covact import (
     Codebook,
@@ -28,7 +30,7 @@ from covact import (
 from covact.codebook import vectorize_hermitian
 from covact.estimators import save_estimate_csv, save_trace_csv
 
-from conftest import random_hermitian, random_hpd
+from conftest import complex_arrays, hermitian_matrices, hpd_matrices, random_hermitian, random_hpd
 
 
 def scalar_setup():
@@ -95,14 +97,21 @@ class TestNnls:
         pg = nnls_estimate(op, Sigma, W, NnlsOptions(method="projected-gradient", kkt_tol=1e-10))
         assert np.linalg.norm(active.z - pg.z) <= 1e-6
 
-    def test_kkt_certificate(self):
-        rng = np.random.default_rng(7)
-        op = MeasurementOperator(build_gaussian_codebook(3, 10, 8))
+    @given(W=hermitian_matrices(3, bound=3.0), seed=st.integers(0, 2**16))
+    def test_kkt_certificate(self, W, seed):
+        op = MeasurementOperator(build_gaussian_codebook(3, 10, seed))
         Sigma = HpdMatrix(np.eye(3))
-        W = random_hermitian(rng, 3, scale=3.0)
         opts = NnlsOptions(kkt_tol=1e-9)
         res = nnls_estimate(op, Sigma, W, opts)
-        assert res.kkt_residual <= opts.kkt_tol * 10
+        assert np.all(res.z >= 0)
+        # Recompute the certificate from the stacked problem, independently of the solver.
+        E = op.stacked_real().values
+        d = vectorize_hermitian(HermitianMatrix(W.values - Sigma.values), 3)
+        g = E.T @ (E @ res.z - d)
+        free = res.z > 1e-12
+        worst = max([0.0, *(-g[~free]), *np.abs(g[free])])
+        assert worst <= opts.kkt_tol * 10
+        assert res.kkt_residual == pytest.approx(worst, abs=1e-12)
 
     def test_residual_matches_stacked_objective(self):
         rng = np.random.default_rng(9)
@@ -181,15 +190,11 @@ class TestShermanMorrison:
         out = sherman_morrison_update(S, np.array([1.0 + 0j, 0.0]), 1.0)
         np.testing.assert_allclose(out.values, np.diag([0.5, 1.0]), atol=1e-13)
 
-    def test_matches_direct_inverse(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            S = random_hpd(rng, 4)
-            a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            t = float(rng.uniform(0.1, 2.0))
-            out = sherman_morrison_update(S, a, t).values
-            direct = np.linalg.inv(np.linalg.inv(S.values) + t * np.outer(a, a.conj()))
-            assert np.linalg.norm(out - direct) <= 1e-9 * np.linalg.norm(direct)
+    @given(S=hpd_matrices(4), a=complex_arrays(4), t=st.floats(0.1, 2.0))
+    def test_matches_direct_inverse(self, S, a, t):
+        out = sherman_morrison_update(S, a, t).values
+        direct = np.linalg.inv(np.linalg.inv(S.values) + t * np.outer(a, a.conj()))
+        assert np.linalg.norm(out - direct) <= 1e-9 * np.linalg.norm(direct)
 
 
 class TestCoordinateDescent:
@@ -230,6 +235,26 @@ class TestCoordinateDescent:
             diffs = np.diff(trace.objectives)
             slack = 1e-10 * np.abs(trace.objectives[:-1])
             assert np.all(diffs <= slack)
+
+    @given(seed=st.integers(0, 2**16), noise=st.floats(0.0, 0.5))
+    def test_public_step_and_update_replay_a_sweep(self, seed, noise):
+        # coordinate_step followed by sherman_morrison_update, coordinate by
+        # coordinate, must reproduce one sweep of the descent loop.
+        op = MeasurementOperator(build_gaussian_codebook(3, 6, seed))
+        Sigma = HpdMatrix(np.eye(3))
+        rng = np.random.default_rng(seed)
+        W = HermitianMatrix(Sigma.values + op.apply_raw(draw_sparse_fading(6, 2, rng).x) + noise * np.eye(3))
+        perm = rng.permutation(6)
+        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(permutation=perm, while_iterations=1))
+        z = np.zeros(6)
+        S = HpdMatrix(np.linalg.inv(Sigma.values))
+        for n in perm:
+            a = op.codebook.columns[:, n]
+            t = coordinate_step(a, S, W, z[n])
+            S = sherman_morrison_update(S, a, t)
+            z[n] += t
+        np.testing.assert_allclose(z, trace.z, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(S.values, trace.sigma_prime.values, rtol=1e-10, atol=1e-12)
 
     def test_inverse_drift_bounded(self):
         op = MeasurementOperator(build_gaussian_codebook(4, 9, 29))
@@ -284,6 +309,7 @@ class TestKktResidual:
         Z = Sigma.values + op.apply_raw(z)
         S = np.linalg.inv(Z)
         A = op.codebook.columns
+        grads = []
         for n in range(5):
             up = z.copy()
             up[n] += h
@@ -293,6 +319,19 @@ class TestKktResidual:
             a = A[:, n]
             grad = float(np.real(a.conj() @ S @ a) - np.real(a.conj() @ S @ W.values @ S @ a))
             assert fd == pytest.approx(grad, rel=1e-4, abs=1e-8)
+            grads.append(grad)
+        # Every coordinate is free, so the residual is the largest |derivative|.
+        assert kkt_residual(op, Sigma, W, z) == pytest.approx(max(np.abs(grads)), rel=1e-10)
+
+    def test_active_coordinates_count_only_descent(self):
+        # At z = 0 with Sigma = I and W = w I the derivative is (1 - w) ||a_n||^2:
+        # a violated bound for w > 1, a satisfied one for w <= 1.
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 38))
+        Sigma = HpdMatrix(np.eye(3))
+        z = np.zeros(5)
+        norms = np.linalg.norm(op.codebook.columns, axis=0) ** 2
+        assert kkt_residual(op, Sigma, HermitianMatrix(4.0 * np.eye(3)), z) == pytest.approx(3.0 * norms.max(), rel=1e-12)
+        assert kkt_residual(op, Sigma, HermitianMatrix(0.25 * np.eye(3)), z) == 0.0
 
 
 class TestThresholdDetect:

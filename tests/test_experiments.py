@@ -1,5 +1,7 @@
 """Experiment harness: configs, panel runs, bounds table and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from covact.experiments import (
     run_figure_d,
     verified_codebook,
 )
+
+# CSVs of tiny_config recorded before the estimator, tau' and panel-loop
+# kernels were merged; the refactors must reproduce them.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +132,26 @@ class TestPanels:
         cfg = replace(tiny_config, out_dir=str(tmp_path))
         text = run_figure_a(cfg, tiny_verified)
         assert (tmp_path / "figure_a.csv").read_text() == text
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("figure_a", run_figure_a),
+            ("figure_b", run_figure_b),
+            ("figure_c", run_figure_c),
+            ("figure_d", run_figure_d),
+            ("bounds", run_bounds_table),
+        ],
+    )
+    def test_matches_recorded_csv(self, tiny_config, tiny_verified, name, run):
+        meta, header, rows = parse_csv(run(tiny_config, tiny_verified))
+        gold_meta, gold_header, gold_rows = parse_csv((GOLDEN / f"{name}.csv").read_text())
+        assert meta == gold_meta
+        assert header == gold_header
+        # atol only admits rounding-level values (exact recoveries near 1e-16).
+        np.testing.assert_allclose(rows, gold_rows, rtol=1e-12, atol=1e-14)
 
 
 class TestBoundsTable:

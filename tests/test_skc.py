@@ -97,6 +97,11 @@ class TestCurve:
             single = tau_prime(stacked, order)
             assert report.tau_prime == pytest.approx(single.tau_prime, rel=1e-12, abs=1e-15)
 
+    def test_unknown_method_rejected(self):
+        stacked = stacked_for(build_gaussian_codebook(3, 5, 10).columns)
+        with pytest.raises(InvalidInput):
+            tau_prime_curve(stacked, 2, method="annealing")
+
 
 class TestAdversarial:
     def test_unit_norm_sparse_output(self):
