@@ -166,7 +166,7 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     support = rng.choice(N, size=S, replace=False)
     vals = np.abs(rng.standard_normal(S))
     norm = np.linalg.norm(vals)
-    if norm == 0.0:  # probability zero; retry deterministically off the same stream
+    if norm == 0.0:  # probability zero; fall back to equal weights
         vals = np.ones(S)
         norm = np.sqrt(S)
     x = np.zeros(N)

@@ -1,13 +1,15 @@
 """Command-line interface for codebooks, estimators, bounds and experiments.
 
-Outputs are CSV files; exit code 0 on success, 2 when ``--assert`` is given
-and an acceptance-style check fails.
+Outputs are CSV files; exit code 0 on success, 1 on invalid input or a
+failed computation, 2 when ``--assert`` is given and an acceptance-style
+check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,121 +30,109 @@ from .experiments import (
     run_figure_b,
     run_figure_c,
     run_figure_d,
-    verified_codebook,
 )
 from .hermitian import HermitianMatrix, HpdMatrix
 from .skc import tau_prime
 
+# Output name and runner of each panel and of the bound table.
+_RUNS = {
+    "a": ("figure_a", run_figure_a),
+    "b": ("figure_b", run_figure_b),
+    "c": ("figure_c", run_figure_c),
+    "d": ("figure_d", run_figure_d),
+    "bounds": ("bounds", run_bounds_table),
+}
+
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = parse_config(args.config, cfg)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
 
 
-def _build_codebook(args, cfg):
-    if getattr(args, "file", None):
-        return load_codebook_csv(args.file)
-    if args.kind == "deterministic":
+def _out_path(cfg, name: str) -> Path:
+    """Path of output file ``name`` in the output directory (default: here)."""
+    out = Path(cfg.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _build_codebook(cfg, kind: str = "gaussian", file: str | None = None):
+    if file:
+        return load_codebook_csv(file)
+    if kind == "deterministic":
         return build_deterministic_codebook(cfg.M, cfg.N)
     return build_gaussian_codebook(cfg.M, cfg.N, stream(cfg.seed, "codebook", 0))
 
 
-def _cmd_codebook(args) -> int:
-    cfg = _load_config(args)
+def _tau_report(args, cfg):
+    """Order asked for (the config's ``skc_order`` by default) and its tau' report."""
+    order = cfg.skc_order if args.order is None else args.order
+    stacked = MeasurementOperator(_build_codebook(cfg, args.kind, args.file)).stacked_real()
+    return order, tau_prime(stacked, order, method=args.method)
+
+
+def _cmd_codebook(args, cfg) -> list:
     if args.action == "build":
-        cb = _build_codebook(args, cfg)
-        out = Path(cfg.out_dir or ".") / "codebook.csv"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_codebook_csv(cb, out)
+        out = _out_path(cfg, "codebook.csv")
+        save_codebook_csv(_build_codebook(cfg, args.kind, args.file), out)
         print(f"wrote {out}")
-        return 0
-    cb = _build_codebook(args, cfg)
-    stacked = MeasurementOperator(cb).stacked_real()
-    report = tau_prime(stacked, args.order, method=args.method)
+        return []
+    order, report = _tau_report(args, cfg)
     holds = report.tau_prime > args.tol
-    print(f"order = {args.order}  tau_prime = {report.tau_prime:.6e}  holds = {holds}")
-    if args.check_assert and not holds:
-        return 2
-    return 0
+    print(f"order = {order}  tau_prime = {report.tau_prime:.6e}  holds = {holds}")
+    return [] if holds else [f"tau_prime at order {order} is {report.tau_prime:.3e}, not above {args.tol}"]
 
 
-def _cmd_tau(args) -> int:
-    cfg = _load_config(args)
-    cb = _build_codebook(args, cfg)
-    stacked = MeasurementOperator(cb).stacked_real()
-    report = tau_prime(stacked, args.order, method=args.method)
+def _cmd_tau(args, cfg) -> list:
+    order, report = _tau_report(args, cfg)
     text = report.as_text()
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"tau_order{args.order}.txt").write_text(text)
+        _out_path(cfg, f"tau_order{order}.txt").write_text(text)
     print(text, end="")
-    return 0
+    return []
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _load_config(args)
-    cb = build_gaussian_codebook(cfg.M, cfg.N, stream(cfg.seed, "codebook", 0))
-    op = MeasurementOperator(cb)
+def _cmd_estimate(args, cfg) -> list:
+    op = MeasurementOperator(_build_codebook(cfg))
     Sigma = HpdMatrix(cfg.sigma_scale * np.eye(cfg.M))
-    fading = draw_sparse_fading(cfg.N, args.sparsity, stream(cfg.seed, "estimate", "fading"))
+    sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
+    fading = draw_sparse_fading(cfg.N, sparsity, stream(cfg.seed, "estimate", "fading"))
     if args.antennas > 0:
-        sample = simulate_measurements(cb, fading, Sigma, args.antennas, stream(cfg.seed, "estimate", "channel"))
-        W = sample_covariance(sample.Y)
+        channel = stream(cfg.seed, "estimate", "channel")
+        W = sample_covariance(simulate_measurements(op.codebook, fading, Sigma, args.antennas, channel).Y)
     else:
         W = HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
     if args.estimator == "nnls":
         result = nnls_estimate(op, Sigma, W)
-        save_estimate_csv(result.z, out / "estimate_nnls.csv")
-        err = float(np.linalg.norm(fading.x - result.z))
-        print(f"nnls residual = {result.residual:.6e}  error = {err:.6e}")
-        return 0
-    z0 = nnls_estimate(op, Sigma, W).z if args.init_nnls else None
-    perm = stream(cfg.seed, "estimate", "perm").permutation(cfg.N)
-    trace = ml_coordinate_descent(
-        op, Sigma, W, MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)
-    )
-    save_estimate_csv(trace.z, out / "estimate_ml.csv")
-    save_trace_csv(trace, out / "trace_ml.csv")
-    err = float(np.linalg.norm(fading.x - trace.z))
-    print(f"ml sweeps = {trace.sweeps}  kkt = {trace.kkt_residual:.6e}  error = {err:.6e}")
-    return 0
+        z, summary = result.z, f"nnls residual = {result.residual:.6e}"
+    else:
+        z0 = nnls_estimate(op, Sigma, W).z if args.init_nnls else None
+        perm = stream(cfg.seed, "estimate", "perm").permutation(cfg.N)
+        trace = ml_coordinate_descent(
+            op, Sigma, W, MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)
+        )
+        save_trace_csv(trace, _out_path(cfg, "trace_ml.csv"))
+        z, summary = trace.z, f"ml sweeps = {trace.sweeps}  kkt = {trace.kkt_residual:.6e}"
+    save_estimate_csv(z, _out_path(cfg, f"estimate_{args.estimator}.csv"))
+    print(f"{summary}  error = {float(np.linalg.norm(fading.x - z)):.6e}")
+    return []
 
 
-def _assert_figure(kind: str, text: str, cfg) -> list:
+def _broken_rules(kind: str, text: str, cfg) -> list:
+    """Acceptance rules that the CSV of panel ``kind`` (or the bound table) breaks."""
     failures = []
     _, header, rows = parse_csv(text)
     cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    if kind == "a":
+    if kind in ("a", "b"):
         for row in rows:
             order = int(row[header.index("S")])
-            tau = row[header.index("tau_prime")]
-            if order <= cfg.skc_order:
-                if tau <= SKC_POSITIVE_TOL:
+            if kind == "a":
+                tau = row[header.index("tau_prime")]
+                if order <= cfg.skc_order and tau <= SKC_POSITIVE_TOL:
                     failures.append(f"tau_prime at S={order} is {tau:.3e}, not above {SKC_POSITIVE_TOL}")
-                if row[header.index("err_nnls")] > 1e-3:
-                    failures.append(f"err_nnls at S={order} exceeds 1e-3")
-                if row[header.index("err_ml_nnls")] > 1e-3:
-                    failures.append(f"err_ml_nnls at S={order} exceeds 1e-3")
-            else:
-                if tau >= SKC_ZERO_TOL:
+                if order > cfg.skc_order and tau >= SKC_ZERO_TOL:
                     failures.append(f"tau_prime at S={order} is {tau:.3e}, not below {SKC_ZERO_TOL}")
-    elif kind == "b":
-        for row in rows:
-            order = int(row[header.index("S")])
             if order <= cfg.skc_order:
                 for name in ("err_nnls", "err_ml_nnls"):
                     if name in header and row[header.index(name)] > 1e-3:
@@ -157,46 +147,22 @@ def _assert_figure(kind: str, text: str, cfg) -> list:
             r2 = linear_fit_r2(cols["K"], cols[name])
             if r2 < 0.9:
                 failures.append(f"R^2 of {name} against K is {r2:.3f}, below 0.9")
+    elif kind == "bounds":
+        for eps, k0_nnls, k0_ml in zip(cols["eps"], cols["k0_nnls"], cols["k0_ml"]):
+            if k0_ml < k0_nnls:
+                failures.append(f"k0_ml < k0_nnls at eps = {eps:.3e}")
     return failures
 
 
-def _cmd_experiment(args) -> int:
-    cfg = _load_config(args)
-    verified = verified_codebook(cfg)
-    runners = {"a": run_figure_a, "b": run_figure_b, "c": run_figure_c, "d": run_figure_d}
-    text = runners[args.panel](cfg, verified)
-    if not cfg.out_dir:
-        print(text, end="")
+def _cmd_run(args, cfg) -> list:
+    """Run one panel or the bound table; print its CSV or where it was written."""
+    name, run = _RUNS[args.panel]
+    text = run(cfg)
+    if cfg.out_dir:
+        print(f"wrote {_out_path(cfg, f'{name}.csv')}")
     else:
-        print(f"wrote {Path(cfg.out_dir) / f'figure_{args.panel}.csv'}")
-    if args.check_assert:
-        failures = _assert_figure(args.panel, text, cfg)
-        for failure in failures:
-            print(f"ASSERT FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 2
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    cfg = _load_config(args)
-    text = run_bounds_table(cfg)
-    if not cfg.out_dir:
         print(text, end="")
-    else:
-        print(f"wrote {Path(cfg.out_dir) / 'bounds.csv'}")
-    if args.check_assert:
-        _, header, rows = parse_csv(text)
-        k_nnls = header.index("k0_nnls")
-        k_ml = header.index("k0_ml")
-        failures = [
-            f"k0_ml < k0_nnls at eps = {row[0]:.3e}" for row in rows if row[k_ml] < row[k_nnls]
-        ]
-        for failure in failures:
-            print(f"ASSERT FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 2
-    return 0
+    return _broken_rules(args.panel, text, cfg) if args.check_assert else []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,47 +176,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cb = sub.add_parser("codebook", help="build or check a codebook")
+    codebook = argparse.ArgumentParser(add_help=False)
+    codebook.add_argument("--kind", choices=["gaussian", "deterministic"], default="gaussian")
+    codebook.add_argument("--file", type=str, default=None, help="read the codebook from CSV")
+    codebook.add_argument("--order", type=int, default=None, help="default: the config's skc_order")
+    codebook.add_argument("--method", choices=["exact", "heuristic"], default="exact")
+
+    p_cb = sub.add_parser("codebook", parents=[codebook], help="build or check a codebook")
     p_cb.add_argument("action", choices=["build", "check"])
-    p_cb.add_argument("--kind", choices=["gaussian", "deterministic"], default="gaussian")
-    p_cb.add_argument("--file", type=str, default=None, help="read the codebook from CSV")
-    p_cb.add_argument("--order", type=int, default=7)
-    p_cb.add_argument("--method", choices=["exact", "heuristic"], default="exact")
-    p_cb.add_argument("--tol", type=float, default=1e-6)
+    p_cb.add_argument("--tol", type=float, default=SKC_ZERO_TOL)
     p_cb.set_defaults(func=_cmd_codebook)
 
-    p_tau = sub.add_parser("tau", help="robustness constant of a codebook")
-    p_tau.add_argument("--kind", choices=["gaussian", "deterministic"], default="gaussian")
-    p_tau.add_argument("--file", type=str, default=None)
-    p_tau.add_argument("--order", type=int, default=7)
-    p_tau.add_argument("--method", choices=["exact", "heuristic"], default="exact")
+    p_tau = sub.add_parser("tau", parents=[codebook], help="robustness constant of a codebook")
     p_tau.set_defaults(func=_cmd_tau)
 
     p_est = sub.add_parser("estimate", help="run one estimator on a synthetic draw")
     p_est.add_argument("estimator", choices=["nnls", "ml"])
-    p_est.add_argument("--sparsity", type=int, default=7)
+    p_est.add_argument("--sparsity", type=int, default=None, help="default: the config's skc_order")
     p_est.add_argument("--antennas", type=int, default=0, help="0 uses the exact covariance")
     p_est.add_argument("--init-nnls", action="store_true", help="initialize ml from the nnls estimate")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_bounds = sub.add_parser("bounds", help="emit the radius / antenna-count table")
-    p_bounds.set_defaults(func=_cmd_bounds)
+    p_bounds.set_defaults(func=_cmd_run, panel="bounds")
 
     p_exp = sub.add_parser("experiment", help="reproduce one simulation panel")
     p_exp.add_argument("panel", choices=["a", "b", "c", "d"])
-    p_exp.set_defaults(func=_cmd_experiment)
+    p_exp.set_defaults(func=_cmd_run)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CovactError as exc:
+        failures = args.func(args, _load_config(args))
+    except (CovactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not args.check_assert:
+        return 0
+    for failure in failures:
+        print(f"ASSERT FAIL: {failure}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 if __name__ == "__main__":

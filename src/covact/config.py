@@ -9,7 +9,7 @@ remain reachable through the file).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ class ExperimentConfig:
     skc_order: int = 7
     s_values: tuple = tuple(range(1, 9))
     k_grid: tuple = (250, 500, 1000, 2000, 4000, 8000)
-    rho_grid: tuple = None
+    rho_grid: tuple = field(default_factory=_rho_default)
     trials_fig_b: int = 100
     trials_fig_c: int = 100
     trials_fig_d: int = 50
@@ -44,7 +44,7 @@ class ExperimentConfig:
     tau_method: str = "exact"
     max_codebook_draws: int = 100
     while_iterations: int = 100
-    bounds_eps_grid: tuple = None
+    bounds_eps_grid: tuple = field(default_factory=_eps_default)
     bernstein_c: float = 1.0
     target_p: float = 0.9
     beta_fraction: float = 0.5
@@ -52,20 +52,25 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.rho_grid is None:
-            object.__setattr__(self, "rho_grid", _rho_default())
-        if self.bounds_eps_grid is None:
-            object.__setattr__(self, "bounds_eps_grid", _eps_default())
         if self.M < 1 or self.N < 1:
             raise InvalidInput("M and N must be positive")
-        if not 1 <= self.skc_order <= self.N:
-            raise InvalidInput("skc_order must lie in [1, N]")
-        for name in ("trials_fig_b", "trials_fig_c", "trials_fig_d"):
+        # The codebook search certifies order skc_order + 1, so that must not exceed N.
+        if not 1 <= self.skc_order < self.N:
+            raise InvalidInput("skc_order must lie in [1, N - 1]")
+        for name in ("trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
             if getattr(self, name) < 1:
                 raise InvalidInput(f"{name} must be at least 1")
-        for name in ("s_values", "k_grid", "rho_grid", "bounds_eps_grid"):
-            if len(getattr(self, name)) == 0:
+        for name, valid, rule in (
+            ("s_values", lambda s: 1 <= s <= self.N, "lie in [1, N]"),
+            ("k_grid", lambda k: k >= 1, "be at least 1"),
+            ("rho_grid", lambda rho: rho >= 0, "be nonnegative"),
+            ("bounds_eps_grid", lambda eps: eps > 0, "be positive"),
+        ):
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise InvalidInput(f"{name} must be nonempty")
+            if not all(valid(v) for v in values):
+                raise InvalidInput(f"{name} entries must {rule}")
         if self.sigma_scale <= 0:
             raise InvalidInput("sigma_scale must be positive")
         if self.tau_method not in ("exact", "heuristic"):
@@ -89,31 +94,28 @@ class ExperimentConfig:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
-                value = ",".join(_format_scalar(v) for v in value)
+                value = _format_row(value)
             out.append(f"# {f.name} = {value}")
         return out
 
 
-def _format_scalar(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _format_row(values) -> str:
+    """Comma-joined values: floats round-trip exactly as ``%.17g``, the rest as ``str``."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values)
 
 
-_INT_FIELDS = {
-    "M", "N", "skc_order", "trials_fig_b", "trials_fig_c", "trials_fig_d",
-    "seed", "max_codebook_draws", "while_iterations",
-}
-_FLOAT_FIELDS = {"sigma_scale", "bernstein_c", "target_p", "beta_fraction", "eta"}
-_INT_LIST_FIELDS = {"s_values", "k_grid"}
-_FLOAT_LIST_FIELDS = {"rho_grid", "bounds_eps_grid"}
-_STR_LIST_FIELDS = {"estimators"}
-_STR_FIELDS = {"tau_method", "out_dir"}
+def _converter(default):
+    """Parser of a value: the default's type, or for a tuple comma-separated entries of its entry type."""
+    if isinstance(default, tuple):
+        entry = type(default[0])
+        return lambda text: tuple(entry(v.strip()) for v in text.split(",") if v.strip())
+    return type(default)
 
 
 def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Read overrides from a ``key = value`` file on top of the defaults."""
-    base = base or ExperimentConfig()
+    defaults = ExperimentConfig()
+    keys = {f.name for f in fields(defaults)}
     overrides = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,18 +125,10 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
         if "=" not in line:
             raise InvalidInput(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_FIELDS:
-            overrides[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            overrides[key] = float(value)
-        elif key in _INT_LIST_FIELDS:
-            overrides[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key in _FLOAT_LIST_FIELDS:
-            overrides[key] = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key in _STR_LIST_FIELDS:
-            overrides[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in _STR_FIELDS:
-            overrides[key] = value
-        else:
+        if key not in keys:
             raise InvalidInput(f"{path}:{lineno}: unknown configuration key {key!r}")
-    return replace(base, **overrides)
+        try:
+            overrides[key] = _converter(getattr(defaults, key))(value)
+        except ValueError:
+            raise InvalidInput(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+    return replace(base or defaults, **overrides)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, simulate_measurements, stream
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _format_row
 from .errors import SetupFailed
 from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent, nnls_estimate
 from .gtuple import trace_logdet_tuple
@@ -128,16 +128,6 @@ def _run_estimators(op, Sigma, W, x, names, cfg, rng_perm) -> dict:
         )
         errors["ml_nnls"] = float(np.linalg.norm(x - trace.z))
     return errors
-
-
-def _format_row(values) -> str:
-    parts = []
-    for v in values:
-        if isinstance(v, float):
-            parts.append(f"{v:.17g}")
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
 
 
 def _emit(cfg: ExperimentConfig, name: str, header, rows) -> str:

@@ -221,20 +221,19 @@ class TestCoordinateDescent:
         # After the first (only) coordinate update the fit equals W.
         assert trace.objectives[1] == pytest.approx(3.0 / 3.0 + math.log(3.0), rel=1e-12)
 
-    def test_monotone_objectives_random(self):
-        rng = np.random.default_rng(26)
-        op = MeasurementOperator(build_gaussian_codebook(4, 9, 27))
+    @given(seed=st.integers(0, 2**16), perm=st.permutations(range(9)), noise=st.floats(0.0, 0.5))
+    def test_monotone_objectives_random(self, seed, perm, noise):
+        op = MeasurementOperator(build_gaussian_codebook(4, 9, seed))
         Sigma = HpdMatrix(0.5 * np.eye(4))
-        for trial in range(5):
-            x = draw_sparse_fading(9, 3, 28 + trial).x
-            real_w = Sigma.values + op.apply_raw(x) + 0.05 * np.eye(4)
-            trace = ml_coordinate_descent(
-                op, Sigma, HermitianMatrix(real_w),
-                MlOptions(permutation=rng.permutation(9), track="update", while_iterations=30),
-            )
-            diffs = np.diff(trace.objectives)
-            slack = 1e-10 * np.abs(trace.objectives[:-1])
-            assert np.all(diffs <= slack)
+        x = draw_sparse_fading(9, 3, seed + 1).x
+        real_w = Sigma.values + op.apply_raw(x) + noise * np.eye(4)
+        trace = ml_coordinate_descent(
+            op, Sigma, HermitianMatrix(real_w),
+            MlOptions(permutation=perm, track="update", while_iterations=30),
+        )
+        diffs = np.diff(trace.objectives)
+        slack = 1e-10 * np.abs(trace.objectives[:-1])
+        assert np.all(diffs <= slack)
 
     @given(seed=st.integers(0, 2**16), noise=st.floats(0.0, 0.5))
     def test_public_step_and_update_replay_a_sweep(self, seed, noise):

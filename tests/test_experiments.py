@@ -57,14 +57,23 @@ class TestConfig:
         assert cfg.while_iterations == 100
 
     def test_validation(self):
-        with pytest.raises(InvalidInput):
-            ExperimentConfig(trials_fig_b=0)
-        with pytest.raises(InvalidInput):
-            ExperimentConfig(sigma_scale=0.0)
-        with pytest.raises(InvalidInput):
-            ExperimentConfig(k_grid=())
-        with pytest.raises(InvalidInput):
-            ExperimentConfig(estimators=("magic",))
+        for bad in (
+            {"trials_fig_b": 0},
+            {"sigma_scale": 0.0},
+            {"k_grid": ()},
+            {"estimators": ("magic",)},
+            {"s_values": (0, 1)},
+            {"s_values": (1, 18)},
+            {"skc_order": 17},
+            {"k_grid": (0, 250)},
+            {"rho_grid": (-1e-4, 1e-3)},
+            {"bounds_eps_grid": (0.0, 1e-6)},
+            {"while_iterations": 0},
+            {"max_codebook_draws": 0},
+        ):
+            (name,) = bad
+            with pytest.raises(InvalidInput, match=name):
+                ExperimentConfig(**bad)
 
     def test_parse_file_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -89,6 +98,12 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("mystery = 2\n")
         with pytest.raises(InvalidInput):
+            parse_config(path)
+
+    def test_parse_rejects_bad_value(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("N = 17\nM = four\n")
+        with pytest.raises(InvalidInput, match=r"bad.cfg:2: bad value 'four' for 'M'"):
             parse_config(path)
 
     def test_metadata_lines_cover_fields(self):
@@ -235,6 +250,23 @@ class TestCli:
     def test_error_exit_code(self, tmp_path):
         code = main(["--out", str(tmp_path), "codebook", "check", "--order", "40"])
         assert code == 1
+
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("M = four\n")
+        assert main(["--config", str(bad), "bounds"]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert main(["--config", str(tmp_path / "missing.cfg"), "bounds"]) == 1
+
+    def test_order_follows_config(self, tmp_path, config_file_tiny):
+        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "tau"])
+        assert code == 0
+        assert (tmp_path / "tau_order1.txt").exists()
+
+    def test_failed_check_exits_two(self, capsys):
+        code = main(["--assert", "codebook", "check", "--kind", "deterministic", "--order", "2", "--tol", "1e9"])
+        assert code == 2
+        assert "ASSERT FAIL: " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
