@@ -18,10 +18,13 @@ from .channel import draw_sparse_fading, sample_covariance, simulate_measurement
 from .codebook import MeasurementOperator, build_deterministic_codebook, build_gaussian_codebook, load_codebook_csv, save_codebook_csv
 from .config import ExperimentConfig, parse_config
 from .errors import CovactError
-from .estimators import MlOptions, ml_coordinate_descent, nnls_estimate, save_estimate_csv, save_trace_csv
+from .estimators import save_estimate_csv, save_trace_csv
 from .experiments import (
     SKC_POSITIVE_TOL,
     SKC_ZERO_TOL,
+    _exact_covariance,
+    _noise_covariance,
+    _run_estimators,
     linear_fit_r2,
     loglog_slope,
     parse_csv,
@@ -31,7 +34,6 @@ from .experiments import (
     run_figure_c,
     run_figure_d,
 )
-from .hermitian import HermitianMatrix, HpdMatrix
 from .skc import tau_prime
 
 # Output name and runner of each panel and of the bound table.
@@ -95,27 +97,23 @@ def _cmd_tau(args, cfg) -> list:
 
 def _cmd_estimate(args, cfg) -> list:
     op = MeasurementOperator(_build_codebook(cfg))
-    Sigma = HpdMatrix(cfg.sigma_scale * np.eye(cfg.M))
+    Sigma = _noise_covariance(cfg)
     sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
     fading = draw_sparse_fading(cfg.N, sparsity, stream(cfg.seed, "estimate", "fading"))
     if args.antennas > 0:
         channel = stream(cfg.seed, "estimate", "channel")
         W = sample_covariance(simulate_measurements(op.codebook, fading, Sigma, args.antennas, channel).Y)
     else:
-        W = HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
+        W = _exact_covariance(op, Sigma, fading.x)
+    name = "ml_nnls" if args.estimator == "ml" and args.init_nnls else args.estimator
+    result = _run_estimators(op, Sigma, W, (name,), cfg, stream(cfg.seed, "estimate", "perm"))[name]
     if args.estimator == "nnls":
-        result = nnls_estimate(op, Sigma, W)
-        z, summary = result.z, f"nnls residual = {result.residual:.6e}"
+        summary = f"nnls residual = {result.residual:.6e}"
     else:
-        z0 = nnls_estimate(op, Sigma, W).z if args.init_nnls else None
-        perm = stream(cfg.seed, "estimate", "perm").permutation(cfg.N)
-        trace = ml_coordinate_descent(
-            op, Sigma, W, MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)
-        )
-        save_trace_csv(trace, _out_path(cfg, "trace_ml.csv"))
-        z, summary = trace.z, f"ml sweeps = {trace.sweeps}  kkt = {trace.kkt_residual:.6e}"
-    save_estimate_csv(z, _out_path(cfg, f"estimate_{args.estimator}.csv"))
-    print(f"{summary}  error = {float(np.linalg.norm(fading.x - z)):.6e}")
+        save_trace_csv(result, _out_path(cfg, "trace_ml.csv"))
+        summary = f"ml sweeps = {result.sweeps}  kkt = {result.kkt_residual:.6e}"
+    save_estimate_csv(result.z, _out_path(cfg, f"estimate_{args.estimator}.csv"))
+    print(f"{summary}  error = {float(np.linalg.norm(fading.x - result.z)):.6e}")
     return []
 
 

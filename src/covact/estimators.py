@@ -1,12 +1,11 @@
 """The two fading estimators and thresholding-based activity detection.
 
-Non-negative least squares runs on the stacked-real form of the operator, by
-default through a Lawson-Hanson active-set loop that terminates on explicit
-KKT tolerances (a projected-gradient method with Barzilai-Borwein steps is
-available for larger user counts).  The relaxed maximum-likelihood estimator
-minimizes trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma) over z >= 0 by
-cyclic coordinate descent with exact per-coordinate steps, tracking the
-inverse via rank-one updates and refreshing it periodically to bound drift.
+Non-negative least squares runs on the stacked-real form of the operator
+through a Lawson-Hanson active-set loop that terminates on explicit KKT
+tolerances.  The relaxed maximum-likelihood estimator minimizes
+trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma) over z >= 0 by cyclic
+coordinate descent with exact per-coordinate steps, tracking the inverse via
+rank-one updates and refreshing it periodically to bound drift.
 """
 
 from __future__ import annotations
@@ -20,20 +19,18 @@ from .codebook import MeasurementOperator, vectorize_hermitian
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
 from .hermitian import HpdMatrix, as_hermitian, as_hpd
 
-NNLS_METHODS = ("active-set", "projected-gradient")
+# Sweeps between from-scratch recomputations of the tracked ML inverse.
+_REFRESH_EVERY = 25
 
 
 @dataclass(frozen=True)
 class NnlsOptions:
     max_iterations: int = 300
     kkt_tol: float = 1e-9
-    method: str = "active-set"
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
             raise InvalidInput("kkt_tol must be positive")
-        if self.method not in NNLS_METHODS:
-            raise InvalidInput(f"method must be one of {NNLS_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -55,16 +52,14 @@ class MlOptions:
     A sweep visits all N coordinates once; the loop stops after
     ``while_iterations`` sweeps or when a full sweep improves the objective
     by less than ``objective_tol``.  The tracked inverse is recomputed from
-    scratch every ``refresh_every`` sweeps.  With ``track="update"`` the
-    trace records the objective after every coordinate update instead of
-    once per sweep.
+    scratch every 25 sweeps.  With ``track="update"`` the trace records the
+    objective after every coordinate update instead of once per sweep.
     """
 
     permutation: np.ndarray | None = None
     z0: np.ndarray | None = None
     while_iterations: int = 100
     objective_tol: float = 1e-10
-    refresh_every: int = 25
     track: str = "sweep"
 
     def __post_init__(self):
@@ -72,8 +67,6 @@ class MlOptions:
             raise InvalidInput("while_iterations must be at least 1")
         if self.objective_tol < 0:
             raise InvalidInput("objective_tol must be nonnegative")
-        if self.refresh_every < 1:
-            raise InvalidInput("refresh_every must be at least 1")
         if self.track not in ("sweep", "update"):
             raise InvalidInput("track must be 'sweep' or 'update'")
         if self.permutation is not None:
@@ -115,6 +108,26 @@ class DetectionResult:
     @property
     def largest_exact(self) -> bool:
         return self.largest == self.true_support
+
+
+def _boundary(op: MeasurementOperator, Sigma, W, z=None):
+    """Checked inputs of one estimator call: (HpdMatrix, HermitianMatrix, z).
+
+    Sigma and W must be pilot_len square; a given z must be a finite,
+    nonnegative vector of length num_users and comes back as a fresh float
+    copy (None stays None).
+    """
+    spd = as_hpd(Sigma)
+    wherm = as_hermitian(W)
+    if spd.dim != op.pilot_len or wherm.dim != op.pilot_len:
+        raise InvalidInput("Sigma and W must match the pilot length")
+    if z is not None:
+        z = np.array(z, dtype=float)
+        if z.shape != (op.num_users,):
+            raise InvalidInput(f"coefficients have shape {z.shape}, expected ({op.num_users},)")
+        if not np.all(np.isfinite(z)) or np.any(z < 0):
+            raise InvalidInput("coefficients must be finite and nonnegative")
+    return spd, wherm, z
 
 
 def _kkt_violation(g, z) -> float:
@@ -177,38 +190,6 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
     return z, residual, _kkt_violation(gram @ z - lin, z), outer
 
 
-def _nnls_projected_gradient(E, d, opts: NnlsOptions):
-    n = E.shape[1]
-    gram = E.T @ E
-    lin = E.T @ d
-    lipschitz = float(np.linalg.eigvalsh(gram)[-1])
-    if lipschitz <= 0:
-        return np.zeros(n), float(np.linalg.norm(d)), 0.0, 0
-    step = 1.0 / lipschitz
-    z = np.zeros(n)
-    g = gram @ z - lin
-    max_iter = max(opts.max_iterations, 50) * 100
-    for it in range(1, max_iter + 1):
-        z_new = np.maximum(z - step * g, 0.0)
-        g_new = gram @ z_new - lin
-        s = z_new - z
-        y = g_new - g
-        z, g = z_new, g_new
-        sy = float(s @ y)
-        if sy > 0:
-            step = min(max(float(s @ s) / sy, 1e-6 / lipschitz), 1e6 / lipschitz)
-        if it % 10 == 0 and _kkt_violation(g, z) <= opts.kkt_tol:
-            break
-    else:
-        raise NotConverged(
-            "projected gradient iteration budget exhausted",
-            z=z,
-            residual=float(np.linalg.norm(d - E @ z)),
-        )
-    residual = float(np.linalg.norm(d - E @ z))
-    return z, residual, _kkt_violation(g, z), it
-
-
 def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = None) -> NnlsResult:
     """Minimize ||A(z) + Sigma - W||_F over z >= 0.
 
@@ -218,16 +199,10 @@ def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = 
     (z_n = 0) coordinates and has magnitude <= kkt_tol on the free ones.
     """
     opts = opts or NnlsOptions()
-    spd = as_hpd(Sigma)
-    wherm = as_hermitian(W)
-    if spd.dim != op.pilot_len or wherm.dim != op.pilot_len:
-        raise InvalidInput("Sigma and W must match the pilot length")
+    spd, wherm, _ = _boundary(op, Sigma, W)
     E = op.stacked_real().values
     d = vectorize_hermitian(as_hermitian(wherm.values - spd.values), op.pilot_len)
-    if opts.method == "active-set":
-        z, residual, kkt, iters = _nnls_active_set(E, d, opts)
-    else:
-        z, residual, kkt, iters = _nnls_projected_gradient(E, d, opts)
+    z, residual, kkt, iters = _nnls_active_set(E, d, opts)
     return NnlsResult(z=z, residual=residual, kkt_residual=kkt, iterations=iters)
 
 
@@ -240,11 +215,7 @@ def _chol_or_raise(Z):
 
 def ml_objective(op: MeasurementOperator, Sigma, W, z) -> float:
     """Evaluate trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma)."""
-    spd = as_hpd(Sigma)
-    wherm = as_hermitian(W)
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise InvalidInput("coefficients must be nonnegative")
+    spd, wherm, z = _boundary(op, Sigma, W, z)
     Z = spd.values + op.apply_raw(z)
     return _ml_objective_raw(Z, wherm.values)
 
@@ -270,6 +241,14 @@ def _step(a, S, Wv, x_n):
     return max(-x_n, (r - q) / (q * q)), u, q
 
 
+def _checked_column(a_n, S):
+    """a_n as a complex vector of S's dimension."""
+    a = np.asarray(a_n, dtype=complex)
+    if a.shape != (S.shape[0],):
+        raise InvalidInput(f"a_n has shape {a.shape}, expected ({S.shape[0]},)")
+    return a
+
+
 def _rank_one(S, u, q, t):
     """(S^-1 + t a a^H)^-1 from S, given u = S a and q = a^H S a."""
     denom = 1.0 + t * q
@@ -284,8 +263,8 @@ def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     Returns ``max(-x_n, (a^H S W S a - a^H S a) / (a^H S a)^2)`` with
     S the tracked inverse of the current fit; the step keeps x_n + t >= 0.
     """
-    a = np.asarray(a_n, dtype=complex)
-    return _step(a, as_hpd(SigmaPrime).values, as_hermitian(W).values, float(x_n))[0]
+    S = as_hpd(SigmaPrime).values
+    return _step(_checked_column(a_n, S), S, as_hermitian(W).values, float(x_n))[0]
 
 
 def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
@@ -296,7 +275,7 @@ def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
     treated as corruption.
     """
     S = as_hpd(SigmaPrime).values
-    a = np.asarray(a_n, dtype=complex)
+    a = _checked_column(a_n, S)
     u = S @ a
     return HpdMatrix(_rank_one(S, u, float(np.real(np.vdot(a, u))), t))
 
@@ -310,21 +289,15 @@ def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | N
     inverse is refreshed periodically and its drift is re-measured at exit.
     """
     opts = opts or MlOptions()
-    spd = as_hpd(Sigma)
-    wherm = as_hermitian(W)
-    if spd.dim != op.pilot_len or wherm.dim != op.pilot_len:
-        raise InvalidInput("Sigma and W must match the pilot length")
+    N = op.num_users
+    spd, wherm, z = _boundary(op, Sigma, W, np.zeros(N) if opts.z0 is None else opts.z0)
     lam_w = np.linalg.eigvalsh(wherm.values)
     if lam_w[0] < -1e-10:
         raise InvalidInput(f"W has a negative eigenvalue {lam_w[0]:.3e}")
     A = op.codebook.columns
-    N = op.num_users
     perm = opts.permutation if opts.permutation is not None else np.arange(N)
     if perm.size != N:
         raise InvalidInput("permutation length does not match the number of users")
-    z = opts.z0.copy() if opts.z0 is not None else np.zeros(N)
-    if z.size != N:
-        raise InvalidInput("z0 length does not match the number of users")
     Wv = wherm.values
     Sv = spd.values
 
@@ -345,7 +318,7 @@ def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | N
                 objectives.append(_ml_objective_raw(Sv + op.apply_raw(z), Wv))
         sig = (sig + sig.conj().T) / 2
         sweeps_done = sweep + 1
-        if sweeps_done % opts.refresh_every == 0:
+        if sweeps_done % _REFRESH_EVERY == 0:
             sig = fresh_inverse()
         f_new = _ml_objective_raw(Sv + op.apply_raw(z), Wv)
         if opts.track == "sweep":
@@ -373,9 +346,7 @@ def kkt_residual(op: MeasurementOperator, Sigma, W, z) -> float:
     within 1e-12) contribute the negative part of the derivative, free ones
     its magnitude; the residual is the maximum over all coordinates.
     """
-    spd = as_hpd(Sigma)
-    wherm = as_hermitian(W)
-    z = np.asarray(z, dtype=float)
+    spd, wherm, z = _boundary(op, Sigma, W, z)
     Z = spd.values + op.apply_raw(z)
     L = _chol_or_raise(Z)
     A = op.codebook.columns

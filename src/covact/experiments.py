@@ -25,10 +25,7 @@ from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent, nnls_esti
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
-from .skc import SkcReport, adversarial_fading, tau_prime, tau_prime_curve
-
-SKC_POSITIVE_TOL = 1e-3
-SKC_ZERO_TOL = 1e-6
+from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, tau_prime, tau_prime_curve
 
 
 @dataclass(frozen=True)
@@ -104,30 +101,29 @@ def _noise_covariance(cfg: ExperimentConfig) -> HpdMatrix:
     return HpdMatrix(cfg.sigma_scale * np.eye(cfg.M))
 
 
-def _run_estimators(op, Sigma, W, x, names, cfg, rng_perm) -> dict:
-    """Errors ||x - z||_2 of the requested estimators on one observation."""
-    errors = {}
-    z_nnls = None
+def _exact_covariance(op, Sigma, x) -> HermitianMatrix:
+    """The infinite-antenna observation A(x) + Sigma."""
+    return HermitianMatrix(op.apply_raw(x) + Sigma.values)
+
+
+def _run_estimators(op, Sigma, W, names, cfg, rng_perm) -> dict:
+    """Result of each requested estimator on one observation.
+
+    Keys follow the order of ``names``.  "nnls" gives an NnlsResult; "ml"
+    (cold start) and "ml_nnls" (started at the NNLS estimate) give an
+    MlTrace.  Both ML runs visit the coordinates in one permutation drawn
+    from ``rng_perm``.
+    """
+    results = {}
     if "nnls" in names or "ml_nnls" in names:
-        res = nnls_estimate(op, Sigma, W, NnlsOptions())
-        z_nnls = res.z
-    if "nnls" in names:
-        errors["nnls"] = float(np.linalg.norm(x - z_nnls))
+        results["nnls"] = nnls_estimate(op, Sigma, W, NnlsOptions())
     perm = rng_perm.permutation(op.num_users)
-    if "ml" in names:
-        trace = ml_coordinate_descent(
-            op, Sigma, W, MlOptions(permutation=perm, while_iterations=cfg.while_iterations)
-        )
-        errors["ml"] = float(np.linalg.norm(x - trace.z))
-    if "ml_nnls" in names:
-        trace = ml_coordinate_descent(
-            op,
-            Sigma,
-            W,
-            MlOptions(permutation=perm, z0=z_nnls, while_iterations=cfg.while_iterations),
-        )
-        errors["ml_nnls"] = float(np.linalg.norm(x - trace.z))
-    return errors
+    for name in ("ml", "ml_nnls"):
+        if name in names:
+            z0 = results["nnls"].z if name == "ml_nnls" else None
+            opts = MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)
+            results[name] = ml_coordinate_descent(op, Sigma, W, opts)
+    return {name: results[name] for name in names}
 
 
 def _emit(cfg: ExperimentConfig, name: str, header, rows) -> str:
@@ -155,13 +151,12 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     rows = []
     for order in range(1, cfg.skc_order + 2):
         report = verified.report(order)
-        fading = adversarial_fading(report)
-        W = HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
-        errors = _run_estimators(
-            op, Sigma, W, fading.x, ("nnls", "ml", "ml_nnls"), cfg,
+        x = adversarial_fading(report).x
+        results = _run_estimators(
+            op, Sigma, _exact_covariance(op, Sigma, x), ("nnls", "ml", "ml_nnls"), cfg,
             stream(cfg.seed, "figure-a", order, "perm"),
         )
-        rows.append((order, report.tau_prime, errors["nnls"], errors["ml"], errors["ml_nnls"]))
+        rows.append((order, report.tau_prime, *(float(np.linalg.norm(x - r.z)) for r in results.values())))
     return _emit(cfg, "figure_a", ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
 
@@ -181,11 +176,9 @@ def _panel(cfg, verified, name, grid, trials, names, header, observe, statistic=
         sums = dict.fromkeys(names, 0.0)
         for trial in range(trials):
             fading, W = observe(op, Sigma, point, trial)
-            errors = _run_estimators(
-                op, Sigma, W, fading.x, names, cfg, stream(cfg.seed, label, point, trial, "perm")
-            )
+            results = _run_estimators(op, Sigma, W, names, cfg, stream(cfg.seed, label, point, trial, "perm"))
             for n in names:
-                sums[n] += statistic(errors[n])
+                sums[n] += statistic(float(np.linalg.norm(fading.x - results[n].z)))
         rows.append((point, *(sums[n] / trials for n in names)))
     return _emit(cfg, name, header, rows)
 
@@ -195,7 +188,7 @@ def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
 
     def observe(op, Sigma, order, trial):
         fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-b", order, trial, "fading"))
-        return fading, HermitianMatrix(op.apply_raw(fading.x) + Sigma.values)
+        return fading, _exact_covariance(op, Sigma, fading.x)
 
     names = tuple(cfg.estimators)
     header = ["S", *(f"err_{n}" for n in names)]
@@ -255,8 +248,8 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = 
     Sigma = _noise_covariance(cfg)
     order = cfg.skc_order
     fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "bounds", "fading"))
-    X = op.apply_raw(fading.x) + Sigma.values
-    lam = np.linalg.eigvalsh((X + X.conj().T) / 2)
+    X = _exact_covariance(op, Sigma, fading.x).values
+    lam = np.linalg.eigvalsh(X)
     tau = verified.report(order).tau_prime
     inputs = BoundInputs(
         lambda_min=float(lam[0]),

@@ -27,10 +27,14 @@ import numpy as np
 
 from .channel import FadingVector, stream
 from .codebook import StackedRealMatrix
-from .errors import InvalidInput, NoAdversary, TooLarge
+from .errors import InvalidInput, NoAdversary, NotConverged, TooLarge
 
 EXACT_BUDGET = 10**7
 WITNESS_ZERO_TOL = 1e-10
+# A certified order needs tau' above SKC_POSITIVE_TOL; tau' below
+# SKC_ZERO_TOL counts as zero (the condition fails).
+SKC_POSITIVE_TOL = 1e-3
+SKC_ZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ def _simplex_qp(Q, max_iter=400):
     problem on the free coordinates through its bordered KKT system, take
     ratio-test steps toward that solution, and release the bound coordinate
     with the most negative multiplier once feasible-optimal on the face.
+    Raises NotConverged, carrying the best iterate, when ``max_iter``
+    iterations pass without meeting an exit test.
     """
     n = Q.shape[0]
     scale = max(float(np.abs(Q).max()), 1e-30)
@@ -127,6 +133,8 @@ def _simplex_qp(Q, max_iter=400):
             val = float(u @ Q @ u)
             if val < best_val:
                 best_val, best_u = val, u.copy()
+    else:
+        raise NotConverged(f"simplex QP did not finish in {max_iter} iterations", z=best_u, residual=best_val)
     return best_val, best_u
 
 
@@ -267,7 +275,7 @@ def tau_prime_curve(stacked: StackedRealMatrix, max_order: int, method: str = "e
     ]
 
 
-def skc_holds(stacked: StackedRealMatrix, order: int, tol: float = 1e-6, method: str = "exact") -> bool:
+def skc_holds(stacked: StackedRealMatrix, order: int, tol: float = SKC_ZERO_TOL, method: str = "exact") -> bool:
     """Whether the operator has the signed kernel condition of the given order."""
     return tau_prime(stacked, order, method=method).tau_prime > tol
 

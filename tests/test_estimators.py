@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from covact import (
     Codebook,
@@ -88,14 +89,17 @@ class TestNnls:
             oracle = brute_force_nnls(E, d)
             assert np.linalg.norm(res.z - oracle) <= 1e-6
 
-    def test_projected_gradient_agrees(self):
+    def test_agrees_with_scipy_nnls(self):
         rng = np.random.default_rng(5)
-        op = MeasurementOperator(build_gaussian_codebook(3, 8, 6))
-        Sigma = HpdMatrix(np.eye(3))
-        W = random_hermitian(rng, 3, scale=2.0)
-        active = nnls_estimate(op, Sigma, W, NnlsOptions(method="active-set"))
-        pg = nnls_estimate(op, Sigma, W, NnlsOptions(method="projected-gradient", kkt_tol=1e-10))
-        assert np.linalg.norm(active.z - pg.z) <= 1e-6
+        for trial in range(10):
+            op = MeasurementOperator(build_gaussian_codebook(3, 8, 6 + trial))
+            Sigma = HpdMatrix(np.eye(3))
+            W = random_hermitian(rng, 3, scale=2.0)
+            res = nnls_estimate(op, Sigma, W)
+            d = vectorize_hermitian(HermitianMatrix(W.values - Sigma.values), 3)
+            reference, rnorm = scipy_nnls(op.stacked_real().values, d)
+            assert np.linalg.norm(res.z - reference) <= 1e-10
+            assert res.residual == pytest.approx(rnorm, rel=1e-10, abs=1e-12)
 
     @given(W=hermitian_matrices(3, bound=3.0), seed=st.integers(0, 2**16))
     def test_kkt_certificate(self, W, seed):
@@ -155,6 +159,46 @@ class TestMlObjective:
             ml_objective(op, HpdMatrix(np.eye(2)), HermitianMatrix(np.eye(2)), np.array([-0.1, 0, 0, 0]))
 
 
+class TestBoundary:
+    """Every estimator entry point checks (op, Sigma, W[, z]) the same way."""
+
+    ENTRY_POINTS = {
+        "nnls_estimate": lambda op, Sigma, W, z: nnls_estimate(op, Sigma, W),
+        "ml_coordinate_descent": lambda op, Sigma, W, z: ml_coordinate_descent(op, Sigma, W, MlOptions(z0=z)),
+        "ml_objective": ml_objective,
+        "kkt_residual": kkt_residual,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("sigma_dim, w_dim", [(2, 3), (3, 2)])
+    def test_dimension_mismatch(self, entry, sigma_dim, w_dim):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
+        with pytest.raises(InvalidInput, match="pilot length"):
+            self.ENTRY_POINTS[entry](op, HpdMatrix(np.eye(sigma_dim)), HermitianMatrix(np.eye(w_dim)), np.zeros(5))
+
+    @pytest.mark.parametrize("entry", ["ml_objective", "kkt_residual", "ml_coordinate_descent"])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.array([0.1, 0, 0, 0, -0.1]),
+            np.array([0, 0, np.nan, 0, 0]),
+            np.array([0, np.inf, 0, 0, 0]),
+            np.zeros(4),
+            np.zeros((1, 5)),
+        ],
+    )
+    def test_bad_coefficients(self, entry, z):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
+        with pytest.raises(InvalidInput):
+            self.ENTRY_POINTS[entry](op, HpdMatrix(np.eye(3)), HermitianMatrix(np.eye(3)), z)
+
+    def test_caller_coefficients_untouched(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
+        z0 = np.zeros(5)
+        ml_coordinate_descent(op, HpdMatrix(np.eye(3)), HermitianMatrix(2.0 * np.eye(3)), MlOptions(z0=z0))
+        assert np.all(z0 == 0)
+
+
 class TestCoordinateStep:
     def test_scalar_from_zero(self):
         _, Sigma, W = scalar_setup()
@@ -177,6 +221,10 @@ class TestCoordinateStep:
             t = coordinate_step(op.codebook.columns[:, n], SigmaPrime, W, x[n])
             assert abs(t) <= 1e-10
 
+    def test_rejects_column_of_wrong_length(self):
+        with pytest.raises(InvalidInput, match="a_n"):
+            coordinate_step(np.ones(2, dtype=complex), HpdMatrix(np.eye(3)), HermitianMatrix(np.eye(3)), 0.0)
+
 
 class TestShermanMorrison:
     def test_zero_step_identity(self):
@@ -189,6 +237,10 @@ class TestShermanMorrison:
         S = HpdMatrix(np.eye(2))
         out = sherman_morrison_update(S, np.array([1.0 + 0j, 0.0]), 1.0)
         np.testing.assert_allclose(out.values, np.diag([0.5, 1.0]), atol=1e-13)
+
+    def test_rejects_column_of_wrong_length(self):
+        with pytest.raises(InvalidInput, match="a_n"):
+            sherman_morrison_update(HpdMatrix(np.eye(3)), np.ones(4, dtype=complex), 1.0)
 
     @given(S=hpd_matrices(4), a=complex_arrays(4), t=st.floats(0.1, 2.0))
     def test_matches_direct_inverse(self, S, a, t):

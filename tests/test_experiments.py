@@ -237,6 +237,26 @@ class TestCli:
         assert (tmp_path / "estimate_ml.csv").exists()
         assert (tmp_path / "trace_ml.csv").exists()
 
+    @pytest.mark.parametrize(
+        "case, args",
+        [
+            (f"{name}_k{antennas}", [*estimator, "--antennas", str(antennas)])
+            for name, estimator in (("nnls", ["nnls"]), ("ml", ["ml"]), ("ml_init_nnls", ["ml", "--init-nnls"]))
+            for antennas in (0, 100)
+        ],
+    )
+    def test_estimate_matches_golden(self, tmp_path, config_file_tiny, capsys, case, args):
+        # stdout and every written file, byte for byte, as recorded before
+        # `estimate` ran through the harness's estimator runner.
+        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", *args])
+        assert code == 0
+        gold = GOLDEN / "cli" / case
+        assert capsys.readouterr().out == (gold / "stdout.txt").read_text()
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name for p in gold.iterdir() if p.name != "stdout.txt")
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (gold / name).read_bytes()
+
     def test_experiment_panel_a_with_assert(self, tmp_path, config_file_tiny):
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "--assert", "experiment", "a"])
         assert code == 0

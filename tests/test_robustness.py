@@ -1,6 +1,7 @@
 """Robustness radii, antenna thresholds and empirical concentration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ class TestDeltaRadius:
         for kind in DELTA_KINDS:
             values = [delta_radius(kind, float(e), inputs, tld) for e in grid]
             assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("beta", [0.25, 0.05])
+    def test_obj_cont_formula(self, inputs, tld, beta):
+        # README's delta_3: min(lam1 sqrt(ratio) width(eps / M), beta); the
+        # smaller beta is reached by the grid, the larger one is not.
+        inputs = replace(inputs, beta=beta)
+        sq = math.sqrt((inputs.lambda_min - beta) / (inputs.lambda_max + beta))
+        grid = np.logspace(-6, 2, 60)
+        values = [delta_radius("obj_cont", float(eps), inputs, tld) for eps in grid]
+        for eps, value in zip(grid, values):
+            expected = min(inputs.lambda_min * sq * tld.width(float(eps) / inputs.dim), beta)
+            assert value == pytest.approx(expected, rel=1e-12)
+        assert np.all(np.diff(values) >= 0)
+        assert values[0] < beta
+        assert (values[-1] == beta) == (beta < inputs.lambda_min * sq)
 
     def test_skc_is_tld_at_half_tau_eps(self, inputs, tld):
         for eps in np.logspace(-5, 2, 40):

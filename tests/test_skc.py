@@ -8,6 +8,7 @@ from covact import (
     InvalidInput,
     MeasurementOperator,
     NoAdversary,
+    NotConverged,
     TooLarge,
     adversarial_fading,
     build_deterministic_codebook,
@@ -16,6 +17,7 @@ from covact import (
     tau_prime,
     tau_prime_curve,
 )
+from covact.skc import _simplex_qp
 
 
 def stacked_for(columns):
@@ -52,6 +54,20 @@ class TestSmallCases:
         v = report.witness_z - report.witness_x
         ratio = float(np.linalg.norm(stacked.values @ v) / np.abs(v).sum())
         assert ratio == pytest.approx(report.tau_prime, abs=1e-6)
+
+
+class TestSimplexQp:
+    def test_iteration_cap_raises(self):
+        # The equality-constrained solution (1.5, -0.5) is infeasible: the
+        # first iteration steps to the vertex (1, 0), the second certifies it.
+        Q = np.array([[1.0, 2.0], [2.0, 5.0]])
+        val, u = _simplex_qp(Q, max_iter=2)
+        assert val == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-15)
+        with pytest.raises(NotConverged) as err:
+            _simplex_qp(Q, max_iter=1)
+        np.testing.assert_allclose(err.value.z, [1.0, 0.0], atol=1e-15)
+        assert err.value.residual == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDeterministicCodebook:
