@@ -131,10 +131,11 @@ class StackedRealMatrix:
 class MeasurementOperator:
     """The linear map z -> sum_n z_n a_n a_n^H and its adjoint."""
 
-    __slots__ = ("codebook",)
+    __slots__ = ("codebook", "_stacked")
 
     def __init__(self, codebook: Codebook):
         self.codebook = codebook
+        self._stacked = None
 
     @property
     def pilot_len(self) -> int:
@@ -155,8 +156,11 @@ class MeasurementOperator:
         return z
 
     def apply_raw(self, z) -> np.ndarray:
-        """Like apply() but returns a bare ndarray (hot path for solvers)."""
-        z = self._check_coefficients(z)
+        """Like apply() but returns a bare ndarray."""
+        return self._apply(self._check_coefficients(z))
+
+    def _apply(self, z) -> np.ndarray:
+        """apply_raw without the check of z, for solver loops that checked it on entry."""
         A = self.codebook.columns
         return (A * z) @ A.conj().T
 
@@ -179,13 +183,14 @@ class MeasurementOperator:
         return np.einsum("mn,mk,kn->n", A.conj(), herm.values, A).real
 
     def stacked_real(self) -> StackedRealMatrix:
-        """Real vectorization of the operator as a 2M^2 x N matrix."""
-        A = self.codebook.columns
-        M, N = A.shape
-        rank_ones = np.einsum("mn,kn->mkn", A, A.conj())
-        flat = rank_ones.reshape(M * M, N, order="F")
-        stacked = np.vstack([flat.real, flat.imag])
-        return StackedRealMatrix(values=stacked, pilot_len=M)
+        """Real vectorization of the operator as a 2M^2 x N matrix (built once, read-only)."""
+        if self._stacked is None:
+            A = self.codebook.columns
+            M, N = A.shape
+            rank_ones = np.einsum("mn,kn->mkn", A, A.conj())
+            flat = rank_ones.reshape(M * M, N, order="F")
+            self._stacked = StackedRealMatrix(values=np.vstack([flat.real, flat.imag]), pilot_len=M)
+        return self._stacked
 
 
 def vectorize_hermitian(H, M: int) -> np.ndarray:

@@ -216,7 +216,7 @@ def _chol_or_raise(Z):
 def ml_objective(op: MeasurementOperator, Sigma, W, z) -> float:
     """Evaluate trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma)."""
     spd, wherm, z = _boundary(op, Sigma, W, z)
-    Z = spd.values + op.apply_raw(z)
+    Z = spd.values + op._apply(z)
     return _ml_objective_raw(Z, wherm.values)
 
 
@@ -302,11 +302,11 @@ def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | N
     Sv = spd.values
 
     def fresh_inverse():
-        Z = Sv + op.apply_raw(z)
+        Z = Sv + op._apply(z)
         return np.linalg.inv((Z + Z.conj().T) / 2)
 
     sig = fresh_inverse()
-    objectives = [_ml_objective_raw(Sv + op.apply_raw(z), Wv)]
+    objectives = [_ml_objective_raw(Sv + op._apply(z), Wv)]
     sweeps_done = 0
     for sweep in range(opts.while_iterations):
         f_prev = objectives[-1]
@@ -315,17 +315,17 @@ def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | N
             sig = _rank_one(sig, u, q, t)
             z[n] += t
             if opts.track == "update":
-                objectives.append(_ml_objective_raw(Sv + op.apply_raw(z), Wv))
+                objectives.append(_ml_objective_raw(Sv + op._apply(z), Wv))
         sig = (sig + sig.conj().T) / 2
         sweeps_done = sweep + 1
         if sweeps_done % _REFRESH_EVERY == 0:
             sig = fresh_inverse()
-        f_new = _ml_objective_raw(Sv + op.apply_raw(z), Wv)
+        f_new = _ml_objective_raw(Sv + op._apply(z), Wv)
         if opts.track == "sweep":
             objectives.append(f_new)
         if f_prev - f_new < opts.objective_tol:
             break
-    Z_final = Sv + op.apply_raw(z)
+    Z_final = Sv + op._apply(z)
     drift = float(np.linalg.norm(sig @ Z_final - np.eye(op.pilot_len)))
     kkt = kkt_residual(op, spd, wherm, z)
     return MlTrace(
@@ -347,7 +347,7 @@ def kkt_residual(op: MeasurementOperator, Sigma, W, z) -> float:
     its magnitude; the residual is the maximum over all coordinates.
     """
     spd, wherm, z = _boundary(op, Sigma, W, z)
-    Z = spd.values + op.apply_raw(z)
+    Z = spd.values + op._apply(z)
     L = _chol_or_raise(Z)
     A = op.codebook.columns
     U = np.linalg.solve(L.conj().T, np.linalg.solve(L, A))  # S @ A

@@ -25,7 +25,7 @@ from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent, nnls_esti
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
-from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, tau_prime, tau_prime_curve
+from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, _kernel_vector, adversarial_fading, tau_prime, tau_prime_curve
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,9 @@ def _kernel_screen(stacked, order: int) -> bool:
     with the smallest kernel entry.  Returns True when the draw is worth
     verifying (or when the screen does not apply).
     """
-    B = stacked.values
-    s = np.linalg.svd(B, compute_uv=False)
-    scale = s[0] if s.size else 1.0
-    if s.size < 2 or s[-1] > 1e-10 * scale or s[-2] <= 1e-10 * scale:
+    v = _kernel_vector(stacked.values)
+    if v is None:
         return True
-    _, _, vt = np.linalg.svd(B, full_matrices=False)
-    v = vt[-1]
-    v = v / np.abs(v).sum()
     neg, pos = int((v < -1e-12).sum()), int((v > 1e-12).sum())
     if min(neg, pos) != order + 1:
         return False

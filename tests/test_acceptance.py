@@ -341,8 +341,9 @@ def test_criterion_10_robustness_bound_honored(verified, operator, noise):
 
 
 def test_plain_ml_degrades_without_warm_start(default_config, verified):
-    # Plain coordinate descent from zero stalls in stationary points once
-    # the sparsity passes 4, while the NNLS-initialized run keeps recovering.
+    # Plain coordinate descent from zero hits the sweep cap (while_iterations,
+    # 100 sweeps) before it converges once the sparsity passes 4, so its error
+    # grows; the NNLS-initialized run keeps recovering.
     from dataclasses import replace
 
     from covact.experiments import run_figure_b

@@ -222,7 +222,7 @@ class TestCli:
     def test_tau_command_writes_report(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "--seed", "5", "tau", "--kind", "deterministic", "--order", "1"])
         assert code == 0
-        assert (tmp_path / "tau_order1.txt").exists()
+        assert "lower_bound = " in (tmp_path / "tau_order1.txt").read_text()
 
     def test_estimate_nnls(self, tmp_path, config_file_tiny, capsys):
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", "nnls", "--sparsity", "1"])
@@ -281,7 +281,7 @@ class TestCli:
     def test_order_follows_config(self, tmp_path, config_file_tiny):
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "tau"])
         assert code == 0
-        assert (tmp_path / "tau_order1.txt").exists()
+        assert "lower_bound = " in (tmp_path / "tau_order1.txt").read_text()
 
     def test_failed_check_exits_two(self, capsys):
         code = main(["--assert", "codebook", "check", "--kind", "deterministic", "--order", "2", "--tol", "1e9"])

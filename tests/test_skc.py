@@ -1,7 +1,11 @@
 """Robustness constant, signed kernel condition and adversarial witnesses."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from covact import (
     Codebook,
@@ -17,7 +21,10 @@ from covact import (
     tau_prime,
     tau_prime_curve,
 )
-from covact.skc import _simplex_qp
+from covact import skc
+from covact.skc import _kernel_vector, _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
+
+from conftest import real_vectors
 
 
 def stacked_for(columns):
@@ -68,6 +75,81 @@ class TestSimplexQp:
             _simplex_qp(Q, max_iter=1)
         np.testing.assert_allclose(err.value.z, [1.0, 0.0], atol=1e-15)
         assert err.value.residual == pytest.approx(1.0, rel=1e-12)
+
+
+def full_enumeration(stacked, max_order):
+    """Reference curve: every sign pattern solved exactly, in (size, combinations) order.
+
+    Entry s - 1 is the (value, v) of the first pattern of size <= s that
+    attains the minimum, as the exhaustive enumeration reports it.
+    """
+    G = stacked.values.T @ stacked.values
+    best, curve = (math.inf, None), []
+    for size in range(max_order + 1):
+        for J in itertools.combinations(range(stacked.num_users), size):
+            val, v = _pattern_minimum(G, J)
+            if val < best[0]:
+                best = (val, v)
+        curve.append(best)
+    return curve[1:]
+
+
+class TestBoundAndPrune:
+    # (M, N, max_order, seed); N = M^2 + 1 gives a one-dimensional kernel.
+    CASES = [(2, 5, 4, 1), (2, 5, 4, 2), (3, 10, 5, 3), (3, 10, 5, 4), (2, 6, 4, 5), (3, 8, 4, 6), (4, 12, 4, 7)]
+
+    @staticmethod
+    def assert_matches_full_enumeration(stacked, max_order):
+        reference = full_enumeration(stacked, max_order)
+        for report, (val, v) in zip(tau_prime_curve(stacked, max_order), reference, strict=True):
+            witness_z, witness_x = _split_witness(v)
+            assert report.tau_prime == math.sqrt(max(val, 0.0))
+            assert np.array_equal(report.witness_z, witness_z)
+            assert np.array_equal(report.witness_x, witness_x)
+            assert 0.0 <= report.lower_bound <= report.tau_prime
+
+    @pytest.mark.parametrize("M,N,max_order,seed", CASES)
+    def test_matches_full_enumeration(self, M, N, max_order, seed):
+        stacked = stacked_for(build_gaussian_codebook(M, N, seed).columns)
+        assert (_kernel_vector(stacked.values) is not None) == (N == M * M + 1)
+        self.assert_matches_full_enumeration(stacked, max_order)
+
+    def test_ties_keep_enumeration_order(self):
+        # Columns 0 and 2 are parallel, so patterns (0,) and (2,) both reach
+        # the same rounding-level minimum to the last bit; the first in
+        # (size, combinations) order must win, as in the full enumeration.
+        cols = np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex)
+        self.assert_matches_full_enumeration(stacked_for(cols), 3)
+
+    def test_prunes_most_patterns(self, monkeypatch):
+        stacked = stacked_for(build_gaussian_codebook(3, 10, 3).columns)
+        calls = []
+
+        def counted(G, flip_idx):
+            calls.append(tuple(flip_idx))
+            return _pattern_minimum(G, flip_idx)
+
+        monkeypatch.setattr(skc, "_pattern_minimum", counted)
+        tau_prime_curve(stacked, 5)
+        patterns = sum(math.comb(10, j) for j in range(6))
+        assert 0 < len(calls) < patterns / 10
+
+    def test_verified_bracket_is_tight(self, verified):
+        for report in verified.reports:
+            assert 0.0 <= report.lower_bound <= report.tau_prime
+        for order in range(1, 8):
+            report = verified.report(order)
+            assert report.lower_bound >= 0.999 * report.tau_prime
+
+    @given(real_vectors(6))
+    def test_simplex_projection(self, v):
+        u = _project_simplex(v[None, :])[0]
+        assert u.min() >= 0.0
+        assert u.sum() == pytest.approx(1.0, abs=1e-12)
+        # u = max(v - theta, 0) with one threshold theta for every coordinate.
+        theta = v[u > 0] - u[u > 0]
+        np.testing.assert_allclose(theta, theta[0], atol=1e-12)
+        assert np.all(v[u == 0] <= theta[0] + 1e-12)
 
 
 class TestDeterministicCodebook:
@@ -143,3 +225,8 @@ class TestAdversarial:
         assert "order = 1" in text
         assert "tau_prime =" in text
         assert "method = exact-enumeration" in text
+        assert f"lower_bound = {report.lower_bound:.17g}" in text
+
+    def test_heuristic_lower_bound_is_zero(self):
+        stacked = stacked_for(build_gaussian_codebook(3, 5, 13).columns)
+        assert tau_prime(stacked, 2, method="heuristic").lower_bound == 0.0
