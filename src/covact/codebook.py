@@ -215,15 +215,36 @@ def _write_complex_csv(matrix, path, index=("row", "col")) -> None:
 
 
 def _read_complex_csv(path, index=("row", "col")) -> np.ndarray:
-    """Read a matrix written by _write_complex_csv with the same index names."""
+    """Read a matrix written by _write_complex_csv with the same index names.
+
+    Raises InvalidInput, naming the file, unless the header matches and every
+    entry of the matrix appears exactly once, with 1-based indices and
+    numeric parts.
+    """
+    header = [*index, "re", "im"]
     entries = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries[(int(row[index[0]]) - 1, int(row[index[1]]) - 1)] = float(row["re"]) + 1j * float(row["im"])
+        reader = csv.reader(fh)
+        if (found := next(reader, None)) != header:
+            raise InvalidInput(f"{path}: expected the header {','.join(header)}, got {found}")
+        for line, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            try:
+                r, c, re, im = fields
+                key, value = (int(r) - 1, int(c) - 1), float(re) + 1j * float(im)
+            except ValueError:
+                raise InvalidInput(f"{path}, line {line}: expected {','.join(header)} numbers, got {fields}") from None
+            if min(key) < 0 or key in entries:
+                raise InvalidInput(f"{path}, line {line}: {'repeated' if key in entries else 'index below 1 in'} entry {r},{c}")
+            entries[key] = value
     if not entries:
         raise InvalidInput(f"no entries in {path}")
     rows = max(r for r, _ in entries) + 1
     cols = max(c for _, c in entries) + 1
+    if len(entries) < rows * cols:
+        r, c = next((r, c) for c in range(cols) for r in range(rows) if (r, c) not in entries)
+        raise InvalidInput(f"{path}: entry {r + 1},{c + 1} of the {rows} x {cols} matrix is missing")
     out = np.zeros((rows, cols), dtype=complex)
     for (r, c), v in entries.items():
         out[r, c] = v

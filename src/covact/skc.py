@@ -19,8 +19,9 @@ its witness are those of the full enumeration, and the smallest bound over
 all patterns certifies the bracket lower_bound <= tau'.  When B has a
 one-dimensional kernel, the kernel vector seeds the pruning at the size of
 its smaller sign class, where the constant is zero.  The heuristic runs
-multi-start projected gradient over the same program and polishes the sign
-pattern of each final iterate with the exact subproblem solver.
+multi-start projected gradient over the same program and passes only the
+sign patterns of its final iterates to the same bound-and-solve step, so
+its value is an upper bound on the constant (its lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -227,18 +228,48 @@ def _fista_bounds(G, lam, signs, incumbent, margin):
     return lower, upper
 
 
-def _pattern_bounds(G, lam, size, incumbent, margin):
-    """FISTA lower bounds of all patterns of one size, in itertools.combinations order."""
+def _pattern_search(G, patterns, best, incumbent):
+    """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
+
+    FISTA bounds them in blocks of _BLOCK, pruning against ``incumbent`` (a
+    value some pattern attains, or inf); they are then solved in ascending
+    bound order until the next bound passes the best exact value plus the
+    rounding margin.  Returns the (value, v) pair that a scan solving every
+    pattern in the given order keeps, starting from ``best``, and a lower
+    bound on every pattern's minimum that holds despite rounding.
+    """
     n = G.shape[0]
-    patterns = itertools.combinations(range(n), size)
-    bounds = []
+    # Covers the rounding of the computed bounds and QP values (u^T Q u and
+    # 2 Q u at ||u||_1 = 1): each is a few length-n dot products of entries
+    # up to max |G|, off by at most about n * eps * max |G| (Higham's gamma_n).
+    margin = 16 * n * np.finfo(float).eps * float(np.abs(G).max())
+    lam = max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
+    patterns, bounds, flips = iter(patterns), [], {}
     while block := list(itertools.islice(patterns, _BLOCK)):
         signs = np.ones((len(block), n))
-        signs[np.arange(len(block))[:, None], np.array(block, dtype=np.intp).reshape(len(block), size)] = -1.0
+        rows = np.repeat(np.arange(len(block)), [len(J) for J in block])
+        signs[rows, np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp, count=rows.size)] = -1.0
         lower, upper = _fista_bounds(G, lam, signs, incumbent, margin)
         incumbent = min(incumbent, float(upper.min()))
+        # Only patterns within the margin of the best value so far can be
+        # solved below, since that value only falls.
+        flips.update((_BLOCK * len(bounds) + i, block[i]) for i in np.flatnonzero(lower <= best[0] + margin))
         bounds.append(lower)
-    return np.concatenate(bounds)
+    bounds = np.concatenate(bounds)
+    solved, top = {}, best[0]
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] > top + margin:
+            break
+        val, v = _pattern_minimum(G, flips[i])
+        sig = np.ones(n)
+        sig[list(flips[i])] = -1.0
+        bounds[i] = max(bounds[i], 2.0 * float((sig * (G @ v)).min()) - val)
+        solved[i] = (val, v)
+        top = min(top, val)
+    for i in sorted(solved):
+        if solved[i][0] < best[0]:
+            best = solved[i]
+    return best, float(bounds.min()) - margin
 
 
 def _exact_curve(B, max_size):
@@ -250,11 +281,6 @@ def _exact_curve(B, max_size):
     """
     G = B.T @ B
     n = B.shape[1]
-    # Covers the rounding of the computed bounds and QP values (u^T Q u and
-    # 2 Q u at ||u||_1 = 1): each is a few length-n dot products of entries
-    # up to max |G|, off by at most about n * eps * max |G| (Higham's gamma_n).
-    margin = 16 * n * np.finfo(float).eps * float(np.abs(G).max())
-    lam = max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
     kernel = _kernel_vector(B)
     seed_size, seed_val = n + 1, math.inf
     if kernel is not None:
@@ -264,78 +290,50 @@ def _exact_curve(B, max_size):
     best, lower, curve = (math.inf, None), math.inf, []
     for size in range(max_size + 1):
         incumbent = min(best[0], seed_val) if size >= seed_size else best[0]
-        bounds = _pattern_bounds(G, lam, size, incumbent, margin)
-        # Only patterns within the margin of the best value so far can be
-        # solved below, since that value only falls.
-        in_reach = bounds <= best[0] + margin
-        flips = {i: J for i, J in enumerate(itertools.combinations(range(n), size)) if in_reach[i]}
-        solved, top = {}, best[0]
-        for i in np.argsort(bounds, kind="stable"):
-            if bounds[i] > top + margin:
-                break
-            val, v = _pattern_minimum(G, flips[i])
-            sig = np.ones(n)
-            sig[list(flips[i])] = -1.0
-            bounds[i] = max(bounds[i], 2.0 * float((sig * (G @ v)).min()) - val)
-            solved[i] = (val, v)
-            top = min(top, val)
-        for i in sorted(solved):
-            if solved[i][0] < best[0]:
-                best = solved[i]
-        lower = min(lower, float(bounds.min()))
-        curve.append((*best, max(lower - margin, 0.0)))
+        best, size_lower = _pattern_search(G, itertools.combinations(range(n), size), best, incumbent)
+        lower = min(lower, size_lower)
+        curve.append((*best, max(lower, 0.0)))
     return curve
 
 
-def _heuristic_candidates(B, S, seed, n_starts=48, iters=200):
-    """Sign patterns suggested by projected gradient on the ratio program."""
-    G = B.T @ B
-    n = B.shape[1]
+def _project_sparse(V, S):
+    """Rows of V with all but their S most negative entries clipped at 0, rescaled to unit l1 norm; and the nonzero rows."""
+    rank = np.argsort(np.argsort(V, axis=1), axis=1)
+    V = np.where((V < 0) & (rank < S), V, np.maximum(V, 0.0))
+    nrm = np.abs(V).sum(axis=1)
+    return V / np.where(nrm > 0, nrm, 1.0)[:, None], nrm > 0
+
+
+def _heuristic_candidates(B, G, S, seed, n_starts=48, iters=200):
+    """Sorted sign patterns of multi-start projected gradient on the ratio program.
+
+    The starts iterate as the rows of one array.  A start stops once a step
+    moves it by at most 1e-14, or projects to zero (it then keeps its last
+    iterate); a start that itself projects to zero is dropped.
+    """
+    n = G.shape[0]
     lam_max = float(np.linalg.eigvalsh(G)[-1])
     step = 1.0 / max(lam_max, 1e-30)
     rng = stream(seed, "skc-heuristic")
 
-    starts = []
     _, _, vt = np.linalg.svd(B, full_matrices=False)
-    for row in vt[-min(3, vt.shape[0]) :]:
-        starts.append(row.copy())
-        starts.append(-row.copy())
+    starts = [sign * row for row in vt[-min(3, vt.shape[0]) :] for sign in (1.0, -1.0)]
     while len(starts) < n_starts:
-        v = rng.standard_normal(n)
-        flips = rng.choice(n, size=min(S, n), replace=False)
-        v = np.abs(v)
-        v[flips] *= -1.0
+        v = np.abs(rng.standard_normal(n))
+        v[rng.choice(n, size=min(S, n), replace=False)] *= -1.0
         starts.append(v)
 
-    def project(v):
-        neg = np.flatnonzero(v < 0)
-        if neg.size > S:
-            keep = neg[np.argsort(v[neg])[:S]]
-            clipped = np.maximum(v, 0.0)
-            clipped[keep] = v[keep]
-            v = clipped
-        nrm = float(np.abs(v).sum())
-        if nrm <= 0:
-            return None
-        return v / nrm
-
-    patterns = set()
-    for v in starts:
-        v = project(np.asarray(v, dtype=float))
-        if v is None:
-            continue
-        for _ in range(iters):
-            v_new = project(v - step * 2.0 * (G @ v))
-            if v_new is None:
-                break
-            if np.abs(v_new - v).max() <= 1e-14:
-                v = v_new
-                break
-            v = v_new
-        if v is not None:
-            patterns.add(tuple(sorted(np.flatnonzero(v < 0).tolist())))
-    patterns.add(())
-    return patterns
+    V, nonzero = _project_sparse(np.array(starts), S)
+    V = V[nonzero]
+    live = np.arange(len(V))
+    for _ in range(iters):
+        X = V[live]
+        X_new, nonzero = _project_sparse(X - step * 2.0 * (X @ G), S)
+        V[live[nonzero]] = X_new[nonzero]
+        live = live[nonzero & (np.abs(X_new - X).max(axis=1) > 1e-14)]
+        if not live.size:
+            break
+    return sorted({(), *(tuple(np.flatnonzero(v < 0).tolist()) for v in V)})
 
 
 def _report(order, val, v, method, lower=0.0) -> SkcReport:
@@ -364,19 +362,16 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     ``method="exact"`` bounds every pattern of at most ``order`` negative
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
-    past the combinatorial budget.  ``method="heuristic"`` polishes
-    multi-start projected-gradient patterns and upper-bounds the constant
-    (its ``lower_bound`` is 0).
+    when C(n, order) * 2^order exceeds EXACT_BUDGET.  ``method="heuristic"``
+    bounds and solves only multi-start projected-gradient patterns and
+    upper-bounds the constant (its ``lower_bound`` is 0).
     """
     _check(stacked, order, method)
     if method == "exact":
         return tau_prime_curve(stacked, order)[-1]
     G = stacked.values.T @ stacked.values
-    best = (math.inf, None)
-    for J in sorted(_heuristic_candidates(stacked.values, order, seed=order)):
-        pat_val, pat_v = _pattern_minimum(G, J)
-        if pat_val < best[0]:
-            best = (pat_val, pat_v)
+    candidates = _heuristic_candidates(stacked.values, G, order, seed=order)
+    best, _ = _pattern_search(G, candidates, (math.inf, None), math.inf)
     return _report(order, *best, "heuristic")
 
 
@@ -387,9 +382,7 @@ def tau_prime_curve(stacked: StackedRealMatrix, max_order: int, method: str = "e
         return [tau_prime(stacked, s, method="heuristic") for s in range(1, max_order + 1)]
     n = stacked.num_users
     if math.comb(n, max_order) * 2**max_order > EXACT_BUDGET:
-        raise TooLarge(
-            f"exact enumeration needs C({n},{max_order}) * 2^{max_order} subproblems; use the heuristic"
-        )
+        raise TooLarge(f"the exact method is refused when C({n},{max_order}) * 2^{max_order} > {EXACT_BUDGET}; use the heuristic")
     curve = _exact_curve(stacked.values, max_order)
     return [_report(s, val, v, "exact-enumeration", lower) for s, (val, v, lower) in enumerate(curve[1:], start=1)]
 

@@ -189,3 +189,13 @@ class TestRealizationCsv:
         np.testing.assert_allclose(loaded.H, real.H)
         np.testing.assert_allclose(loaded.E, real.E)
         assert loaded.antennas == 6
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat"])
+    def test_rejects_missing_or_repeated_entry(self, tmp_path, edit):
+        cb = build_gaussian_codebook(3, 5, 4)
+        save_realization_csv(simulate_measurements(cb, draw_sparse_fading(5, 2, 5), HpdMatrix(np.eye(3)), 6, 6), tmp_path)
+        path = tmp_path / "H.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1] if edit == "drop" else lines + lines[-1:]))
+        with pytest.raises(InvalidInput, match="H.csv"):
+            load_realization_csv(tmp_path)

@@ -107,6 +107,32 @@ class TestCodebookType:
         np.testing.assert_allclose(loaded.columns, cb.columns, rtol=0, atol=0)
 
 
+class TestCodebookCsv:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("m,n,re,im\n1,1,1,0\n2,1,1,0\n1,2,1,0\n", ": entry 2,2 of the 2 x 2 matrix is missing"),
+            ("m,n,re,im\n1,1,1,0\n1,1,2,0\n", ", line 3: repeated entry 1,1"),
+            ("m,n,re,im\n0,1,1,0\n", ", line 2: index below 1 in entry 0,1"),
+            ("row,col,re,im\n1,1,1,0\n", ": expected the header m,n,re,im"),
+            ("m,n,re,im\n1,1,one,0\n", ", line 2: expected m,n,re,im numbers"),
+            ("m,n,re,im\n1,1,1\n", ", line 2: expected m,n,re,im numbers"),
+        ],
+        ids=["missing", "repeated", "zero-index", "header", "not-a-number", "short-row"],
+    )
+    def test_rejects_malformed_file(self, tmp_path, body, message):
+        path = tmp_path / "codebook.csv"
+        path.write_text(body)
+        with pytest.raises(InvalidInput) as err:
+            load_codebook_csv(path)
+        assert str(err.value).startswith(str(path) + message)
+
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "codebook.csv"
+        path.write_text("m,n,re,im\n1,1,1,0\n\n1,2,0,1\n")
+        np.testing.assert_array_equal(load_codebook_csv(path).columns, [[1.0, 1j]])
+
+
 class TestMeasurementOperator:
     @pytest.fixture()
     def op(self):

@@ -271,6 +271,12 @@ class TestCli:
         code = main(["--out", str(tmp_path), "codebook", "check", "--order", "40"])
         assert code == 1
 
+    def test_malformed_codebook_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "codebook.csv"
+        path.write_text("m,n,re,im\n1,1,1,0\n2,1,1,0\n1,2,1,0\n")
+        assert main(["--out", str(tmp_path), "tau", "--file", str(path), "--order", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: entry 2,2 of the 2 x 2 matrix is missing\n"
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("M = four\n")

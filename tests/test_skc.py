@@ -22,6 +22,7 @@ from covact import (
     tau_prime_curve,
 )
 from covact import skc
+from covact.channel import stream
 from covact.skc import _kernel_vector, _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
 
 from conftest import real_vectors
@@ -77,6 +78,19 @@ class TestSimplexQp:
         assert err.value.residual == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.fixture
+def qp_calls(monkeypatch):
+    """The flip-index tuple of every exact pattern solve, in call order."""
+    calls = []
+
+    def counted(G, flip_idx):
+        calls.append(tuple(flip_idx))
+        return _pattern_minimum(G, flip_idx)
+
+    monkeypatch.setattr(skc, "_pattern_minimum", counted)
+    return calls
+
+
 def full_enumeration(stacked, max_order):
     """Reference curve: every sign pattern solved exactly, in (size, combinations) order.
 
@@ -121,18 +135,11 @@ class TestBoundAndPrune:
         cols = np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex)
         self.assert_matches_full_enumeration(stacked_for(cols), 3)
 
-    def test_prunes_most_patterns(self, monkeypatch):
+    def test_prunes_most_patterns(self, qp_calls):
         stacked = stacked_for(build_gaussian_codebook(3, 10, 3).columns)
-        calls = []
-
-        def counted(G, flip_idx):
-            calls.append(tuple(flip_idx))
-            return _pattern_minimum(G, flip_idx)
-
-        monkeypatch.setattr(skc, "_pattern_minimum", counted)
         tau_prime_curve(stacked, 5)
         patterns = sum(math.comb(10, j) for j in range(6))
-        assert 0 < len(calls) < patterns / 10
+        assert 0 < len(qp_calls) < patterns / 10
 
     def test_verified_bracket_is_tight(self, verified):
         for report in verified.reports:
@@ -150,6 +157,92 @@ class TestBoundAndPrune:
         theta = v[u > 0] - u[u > 0]
         np.testing.assert_allclose(theta, theta[0], atol=1e-12)
         assert np.all(v[u == 0] <= theta[0] + 1e-12)
+
+
+def serial_candidates(B, S, seed, n_starts=48, iters=200):
+    """Reference explorer: the heuristic's projected-gradient starts, run one at a time."""
+    G = B.T @ B
+    n = B.shape[1]
+    step = 1.0 / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
+    rng = stream(seed, "skc-heuristic")
+    _, _, vt = np.linalg.svd(B, full_matrices=False)
+    starts = [sign * row for row in vt[-min(3, vt.shape[0]) :] for sign in (1.0, -1.0)]
+    while len(starts) < n_starts:
+        v = np.abs(rng.standard_normal(n))
+        v[rng.choice(n, size=min(S, n), replace=False)] *= -1.0
+        starts.append(v)
+
+    def project(v):
+        neg = np.flatnonzero(v < 0)
+        if neg.size > S:
+            keep = neg[np.argsort(v[neg])[:S]]
+            clipped = np.maximum(v, 0.0)
+            clipped[keep] = v[keep]
+            v = clipped
+        nrm = float(np.abs(v).sum())
+        return None if nrm <= 0 else v / nrm
+
+    patterns = {()}
+    for v in starts:
+        v = project(v)
+        if v is None:
+            continue
+        for _ in range(iters):
+            v_new = project(v - step * 2.0 * (G @ v))
+            if v_new is None:
+                break
+            moved, v = np.abs(v_new - v).max(), v_new
+            if moved <= 1e-14:
+                break
+        patterns.add(tuple(np.flatnonzero(v < 0).tolist()))
+    return patterns
+
+
+def polished(G, candidates):
+    """Reference heuristic: every candidate solved exactly; the first strict minimum in sorted order wins."""
+    best = (math.inf, None)
+    for J in sorted(candidates):
+        val, v = _pattern_minimum(G, J)
+        if val < best[0]:
+            best = (val, v)
+    return best
+
+
+def simulation_size_draw(seed):
+    """First codebook draw of the simulation's size (M=4, N=17) at a seed."""
+    return build_gaussian_codebook(4, 17, stream(seed, "codebook", 0)).columns
+
+
+class TestHeuristic:
+    # The ties case is the parallel-column codebook of test_ties_keep_enumeration_order.
+    CASES = [
+        pytest.param(lambda: simulation_size_draw(1), range(1, 9), id="M4N17-seed1"),
+        pytest.param(lambda: simulation_size_draw(3), (2, 5, 8), id="M4N17-seed3"),
+        pytest.param(lambda: np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex), (1, 2, 3), id="ties"),
+    ] + [
+        pytest.param(lambda seed=seed: build_gaussian_codebook(3, 5 + seed % 4, 50 + seed).columns, (1, 3), id=f"small{seed}")
+        for seed in range(6)
+    ]
+
+    @pytest.mark.parametrize("columns, orders", CASES)
+    def test_matches_serial_explorer_and_full_polish(self, columns, orders):
+        stacked = stacked_for(columns())
+        G = stacked.values.T @ stacked.values
+        for order in orders:
+            serial = serial_candidates(stacked.values, order, seed=order)
+            assert skc._heuristic_candidates(stacked.values, G, order, seed=order) == sorted(serial)
+            report = tau_prime(stacked, order, method="heuristic")
+            val, v = polished(G, serial)
+            witness_z, witness_x = _split_witness(v)
+            assert report.tau_prime == math.sqrt(max(val, 0.0))
+            assert np.array_equal(report.witness_z, witness_z)
+            assert np.array_equal(report.witness_x, witness_x)
+
+    def test_prunes_most_candidates(self, qp_calls):
+        stacked = stacked_for(simulation_size_draw(1))
+        candidates = skc._heuristic_candidates(stacked.values, stacked.values.T @ stacked.values, 7, seed=7)
+        tau_prime(stacked, 7, method="heuristic")
+        assert 0 < len(qp_calls) < len(candidates) / 4
 
 
 class TestDeterministicCodebook:
