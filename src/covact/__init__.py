@@ -49,6 +49,7 @@ from .estimators import (
     coordinate_step,
     kkt_residual,
     ml_coordinate_descent,
+    ml_coordinate_descent_batch,
     ml_objective,
     nnls_estimate,
     sherman_morrison_update,
@@ -124,6 +125,7 @@ __all__ = [
     "lambert_w",
     "level_set_bound_check",
     "ml_coordinate_descent",
+    "ml_coordinate_descent_batch",
     "ml_objective",
     "nnls_estimate",
     "nth_prime",

@@ -183,6 +183,18 @@ def save_realization_csv(realization: ChannelRealization, directory) -> None:
 
 
 def load_realization_csv(directory) -> ChannelRealization:
-    """Read a CSV triplet written by save_realization_csv."""
-    Y, H, E = (_read_complex_csv(Path(directory) / f"{name}.csv") for name in ("Y", "H", "E"))
+    """Read a CSV triplet written by save_realization_csv.
+
+    Raises InvalidInput, naming the file, when an entry is not finite, when
+    E does not have the M x K shape of Y, or when H does not have K columns.
+    """
+    paths = [Path(directory) / f"{name}.csv" for name in ("Y", "H", "E")]
+    Y, H, E = matrices = [_read_complex_csv(path) for path in paths]
+    for path, matrix in zip(paths, matrices):
+        if not np.all(np.isfinite(matrix)):
+            raise InvalidInput(f"{path}: entries must be finite")
+    if H.shape[1] != Y.shape[1]:
+        raise InvalidInput(f"{paths[1]}: {H.shape[1]} columns, but Y has {Y.shape[1]} antennas")
+    if E.shape != Y.shape:
+        raise InvalidInput(f"{paths[2]}: shape {E.shape} differs from the shape {Y.shape} of Y")
     return ChannelRealization(Y=Y, H=H, E=E, antennas=Y.shape[1])

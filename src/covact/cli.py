@@ -106,7 +106,7 @@ def _cmd_estimate(args, cfg) -> list:
     else:
         W = _exact_covariance(op, Sigma, fading.x)
     name = "ml_nnls" if args.estimator == "ml" and args.init_nnls else args.estimator
-    result = _run_estimators(op, Sigma, W, (name,), cfg, stream(cfg.seed, "estimate", "perm"))[name]
+    result = _run_estimators(op, Sigma, [W], (name,), cfg, [stream(cfg.seed, "estimate", "perm")])[0][name]
     if args.estimator == "nnls":
         summary = f"nnls residual = {result.residual:.6e}"
     else:

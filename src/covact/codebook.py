@@ -160,9 +160,12 @@ class MeasurementOperator:
         return self._apply(self._check_coefficients(z))
 
     def _apply(self, z) -> np.ndarray:
-        """apply_raw without the check of z, for solver loops that checked it on entry."""
+        """apply_raw without the check of z, for solver loops that checked it on entry.
+
+        A stack of coefficient vectors (T, N) maps to a stack of matrices (T, M, M).
+        """
         A = self.codebook.columns
-        return (A * z) @ A.conj().T
+        return (A * z[..., None, :]) @ A.conj().T
 
     def apply(self, z) -> HermitianMatrix:
         """Evaluate sum_n z_n a_n a_n^H for real z."""

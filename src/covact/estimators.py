@@ -6,6 +6,16 @@ tolerances.  The relaxed maximum-likelihood estimator minimizes
 trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma) over z >= 0 by cyclic
 coordinate descent with exact per-coordinate steps, tracking the inverse via
 rank-one updates and refreshing it periodically to bound drift.
+
+The descent has one loop, which runs a batch of trials at once: the
+coefficients are a (T, N) array and the tracked inverses a (T, M, M) stack.
+Every operation on a trial's 4 x 4 matrices is a stacked NumPy call that
+computes each slice with the same arithmetic as the unstacked call, so a
+trial's result does not depend on the batch it runs in.  The public
+single-trial functions (ml_objective, coordinate_step,
+sherman_morrison_update, ml_coordinate_descent, kkt_residual) are batches of
+one of the same kernels.  Inputs are checked once per observation at the
+public entry, never inside the sweep loop.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ from .hermitian import HpdMatrix, as_hermitian, as_hpd
 
 # Sweeps between from-scratch recomputations of the tracked ML inverse.
 _REFRESH_EVERY = 25
+# Trial indices of a batch of one.
+_ONE = np.zeros(1, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -130,13 +142,13 @@ def _boundary(op: MeasurementOperator, Sigma, W, z=None):
     return spd, wherm, z
 
 
-def _kkt_violation(g, z) -> float:
-    """Worst KKT violation of the gradient g at z >= 0.
+def _kkt_violation(g, z):
+    """Worst KKT violation of the gradient g at z >= 0 (per row of a stack).
 
     Active coordinates (z_n <= 1e-12) contribute the negative part of the
     gradient, free ones its magnitude.
     """
-    return float(np.where(z <= 1e-12, np.maximum(-g, 0.0), np.abs(g)).max(initial=0.0))
+    return np.where(z <= 1e-12, np.maximum(-g, 0.0), np.abs(g)).max(axis=-1, initial=0.0)
 
 
 def _nnls_active_set(E, d, opts: NnlsOptions):
@@ -187,7 +199,7 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
             banned[:] = False
     residual = float(np.linalg.norm(d - E @ z))
     # The gradient of 0.5 ||E z - d||^2 is gram @ z - lin.
-    return z, residual, _kkt_violation(gram @ z - lin, z), outer
+    return z, residual, float(_kkt_violation(gram @ z - lin, z)), outer
 
 
 def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = None) -> NnlsResult:
@@ -206,55 +218,80 @@ def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = 
     return NnlsResult(z=z, residual=residual, kkt_residual=kkt, iterations=iters)
 
 
-def _chol_or_raise(Z):
+def _ht(X):
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(X.conj(), -1, -2)
+
+
+def _cholesky(Z, ids):
+    """Cholesky factors of stacked Z; NotPositiveDefinite names the first failing trial."""
     try:
         return np.linalg.cholesky(Z)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
+    except np.linalg.LinAlgError:
+        for i, Zi in zip(ids, Z):
+            try:
+                np.linalg.cholesky(Zi)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(f"trial {i}: matrix is not positive definite") from None
+        raise
+
+
+def _objectives(Z, Wv, ids):
+    """trace(Z^-1 W) + ln det Z for each trial of a stack."""
+    L = _cholesky(Z, ids)
+    trace_term = np.trace(np.linalg.solve(_ht(L), np.linalg.solve(L, Wv)), axis1=-2, axis2=-1).real
+    return trace_term + 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(axis=-1)
+
+
+def _kkt(A, Z, Wv, z, ids):
+    """ML stationarity residual of each trial at z (see kkt_residual)."""
+    L = _cholesky(Z, ids)
+    U = np.linalg.solve(_ht(L), np.linalg.solve(L, np.broadcast_to(A, L.shape[:-1] + A.shape[-1:])))  # S @ A
+    q = np.einsum("mn,...mn->...n", A.conj(), U).real
+    r = np.einsum("...mn,...mn->...n", U.conj(), Wv @ U).real
+    return _kkt_violation(q - r, z)
+
+
+def _fresh_inverse(Z):
+    return np.linalg.inv((Z + _ht(Z)) / 2)
+
+
+def _project(S, a, ah):
+    """u = S a, u^H and q = a^H S a for stacked S (T, M, M), a (T, M, 1), ah = a^H."""
+    u = S @ a
+    return u, _ht(u), (ah @ u).real[:, 0, 0]
+
+
+def _steps(S, Wv, a, ah, x, ids):
+    """Optimal steps t = max(-x, (u^H W u - q) / q^2) of one coordinate per trial, with u and q."""
+    u, uh, q = _project(S, a, ah)
+    if q.min() <= 0:
+        raise StepRejected(f"trial {ids[np.argmax(q <= 0)]}: a^H S a <= 0: the tracked inverse is corrupted")
+    step = ((uh @ (Wv @ u)).real[:, 0, 0] - q) / (q * q)
+    return np.where(step > -x, step, -x), u, uh, q
+
+
+def _rank_one(S, u, uh, q, t, ids):
+    """(S^-1 + t a a^H)^-1 per trial from S, given u = S a and q = a^H S a."""
+    denom = 1.0 + t * q
+    if denom.min() <= 1e-12:
+        k = int(np.argmax(denom <= 1e-12))
+        raise StepRejected(f"trial {ids[k]}: rank-one update denominator {denom[k]:.3e} is not positive")
+    return S - (t / denom)[:, None, None] * (u * uh)
 
 
 def ml_objective(op: MeasurementOperator, Sigma, W, z) -> float:
     """Evaluate trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma)."""
     spd, wherm, z = _boundary(op, Sigma, W, z)
-    Z = spd.values + op._apply(z)
-    return _ml_objective_raw(Z, wherm.values)
-
-
-def _ml_objective_raw(Z, Wv) -> float:
-    L = _chol_or_raise(Z)
-    half = np.linalg.solve(L, Wv)
-    trace_term = float(np.real(np.trace(np.linalg.solve(L.conj().T, half))))
-    logdet = 2.0 * float(np.log(np.real(np.diag(L))).sum())
-    return trace_term + logdet
-
-
-def _step(a, S, Wv, x_n):
-    """Optimal step t for one coordinate, with u = S a and q = a^H S a.
-
-    Works on raw arrays: S is the tracked inverse, Wv the observation.
-    """
-    u = S @ a
-    q = float(np.real(np.vdot(a, u)))
-    if q <= 0:
-        raise StepRejected("a^H S a <= 0: the tracked inverse is corrupted")
-    r = float(np.real(np.vdot(u, Wv @ u)))
-    return max(-x_n, (r - q) / (q * q)), u, q
+    return float(_objectives((spd.values + op._apply(z))[None], wherm.values[None], _ONE)[0])
 
 
 def _checked_column(a_n, S):
-    """a_n as a complex vector of S's dimension."""
+    """a_n as a complex vector of S's dimension, shaped (1, M, 1), and its conjugate transpose."""
     a = np.asarray(a_n, dtype=complex)
     if a.shape != (S.shape[0],):
         raise InvalidInput(f"a_n has shape {a.shape}, expected ({S.shape[0]},)")
-    return a
-
-
-def _rank_one(S, u, q, t):
-    """(S^-1 + t a a^H)^-1 from S, given u = S a and q = a^H S a."""
-    denom = 1.0 + t * q
-    if denom <= 1e-12:
-        raise StepRejected(f"rank-one update denominator {denom:.3e} is not positive")
-    return S - (t / denom) * np.outer(u, u.conj())
+    return a[None, :, None], a.conj()[None, None, :]
 
 
 def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
@@ -264,7 +301,8 @@ def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     S the tracked inverse of the current fit; the step keeps x_n + t >= 0.
     """
     S = as_hpd(SigmaPrime).values
-    return _step(_checked_column(a_n, S), S, as_hermitian(W).values, float(x_n))[0]
+    x = np.array([float(x_n)])
+    return float(_steps(S[None], as_hermitian(W).values[None], *_checked_column(a_n, S), x, _ONE)[0][0])
 
 
 def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
@@ -274,10 +312,9 @@ def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
     the updated fit stays positive definite; a nonpositive denominator is
     treated as corruption.
     """
-    S = as_hpd(SigmaPrime).values
-    a = _checked_column(a_n, S)
-    u = S @ a
-    return HpdMatrix(_rank_one(S, u, float(np.real(np.vdot(a, u))), t))
+    S = as_hpd(SigmaPrime).values[None]
+    u, uh, q = _project(S, *_checked_column(a_n, S[0]))
+    return HpdMatrix(_rank_one(S, u, uh, q, np.array([float(t)]), _ONE)[0])
 
 
 def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | None = None) -> MlTrace:
@@ -287,55 +324,109 @@ def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | N
     for each, and maintains the inverse of the running fit through rank-one
     updates.  The recorded objective values never increase; the tracked
     inverse is refreshed periodically and its drift is re-measured at exit.
+    A batch of one for ml_coordinate_descent_batch.
     """
-    opts = opts or MlOptions()
+    return ml_coordinate_descent_batch(op, Sigma, [W], [opts or MlOptions()])[0]
+
+
+def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, opts) -> list[MlTrace]:
+    """Coordinate descent on many observations of one operator and noise covariance at once.
+
+    Trial i runs on ``Ws[i]`` with ``opts[i]`` and returns, bit for bit, the
+    MlTrace that a batch of one would: every trial keeps its own visiting
+    order, start, stopping test and sweep cap.  Errors raised by the descent
+    name the trial by its index in ``Ws``.
+    """
+    if len(Ws) != len(opts):
+        raise InvalidInput(f"{len(Ws)} observations but {len(opts)} option sets")
     N = op.num_users
-    spd, wherm, z = _boundary(op, Sigma, W, np.zeros(N) if opts.z0 is None else opts.z0)
-    lam_w = np.linalg.eigvalsh(wherm.values)
-    if lam_w[0] < -1e-10:
-        raise InvalidInput(f"W has a negative eigenvalue {lam_w[0]:.3e}")
+    spd = as_hpd(Sigma)
+    Wv, z = [], []
+    for i, (W, o) in enumerate(zip(Ws, opts)):
+        _, wherm, z0 = _boundary(op, spd, W, np.zeros(N) if o.z0 is None else o.z0)
+        if o.permutation is not None and o.permutation.size != N:
+            raise InvalidInput(f"trial {i}: permutation length does not match the number of users")
+        Wv.append(wherm.values)
+        z.append(z0)
+    if not Ws:
+        return []
+    Wv = np.array(Wv)
+    lam_min = np.linalg.eigvalsh(Wv)[:, 0]
+    if lam_min.min() < -1e-10:
+        i = int(np.argmax(lam_min < -1e-10))
+        raise InvalidInput(f"trial {i}: W has a negative eigenvalue {lam_min[i]:.3e}")
+    perms = np.array([np.arange(N) if o.permutation is None else o.permutation for o in opts])
+    caps = np.array([o.while_iterations for o in opts])
+    tols = np.array([o.objective_tol for o in opts])
+    per_update = np.array([o.track == "update" for o in opts])
+    return _descend(op, spd.values, Wv, np.array(z), perms, caps, tols, per_update)
+
+
+def _descend(op, Sv, Wv, z, perms, caps, tols, per_update) -> list[MlTrace]:
+    """The coordinate-descent loop on checked inputs; row i of each array is trial i.
+
+    All trials sweep in lockstep, one coordinate position at a time, each
+    visiting the column its own permutation puts there.  A trial that stops
+    (objective gain below its tolerance, or its sweep cap reached) is
+    finished and dropped from the active rows, so later sweeps only work on
+    the trials still running.  ``z`` is updated in place.
+    """
     A = op.codebook.columns
-    perm = opts.permutation if opts.permutation is not None else np.arange(N)
-    if perm.size != N:
-        raise InvalidInput("permutation length does not match the number of users")
-    Wv = wherm.values
-    Sv = spd.values
-
-    def fresh_inverse():
+    cols = A.T[perms.T]  # (N, T, M): the column each trial visits at position k
+    a_all, ah_all = cols[..., None], cols.conj()[..., None, :]
+    ids = np.arange(len(z))
+    traces = [None] * len(z)
+    Z = Sv + op._apply(z)
+    S = _fresh_inverse(Z)
+    f_prev = _objectives(Z, Wv, ids)
+    history = [[f] for f in f_prev]
+    sweeps = 0
+    while ids.size:
+        rows = np.arange(ids.size)
+        tracked = ids[per_update]  # trials that record the objective after every update
+        for k, n in enumerate(perms.T):
+            x = z[rows, n]
+            t, u, uh, q = _steps(S, Wv, a_all[k], ah_all[k], x, ids)
+            S = _rank_one(S, u, uh, q, t, ids)
+            z[rows, n] = x + t
+            if tracked.size:
+                f = _objectives(Sv + op._apply(z[per_update]), Wv[per_update], tracked)
+                for i, value in zip(tracked, f):
+                    history[i].append(value)
+        S = (S + _ht(S)) / 2
+        sweeps += 1
         Z = Sv + op._apply(z)
-        return np.linalg.inv((Z + Z.conj().T) / 2)
-
-    sig = fresh_inverse()
-    objectives = [_ml_objective_raw(Sv + op._apply(z), Wv)]
-    sweeps_done = 0
-    for sweep in range(opts.while_iterations):
-        f_prev = objectives[-1]
-        for n in perm:
-            t, u, q = _step(A[:, n], sig, Wv, z[n])
-            sig = _rank_one(sig, u, q, t)
-            z[n] += t
-            if opts.track == "update":
-                objectives.append(_ml_objective_raw(Sv + op._apply(z), Wv))
-        sig = (sig + sig.conj().T) / 2
-        sweeps_done = sweep + 1
-        if sweeps_done % _REFRESH_EVERY == 0:
-            sig = fresh_inverse()
-        f_new = _ml_objective_raw(Sv + op._apply(z), Wv)
-        if opts.track == "sweep":
-            objectives.append(f_new)
-        if f_prev - f_new < opts.objective_tol:
-            break
-    Z_final = Sv + op._apply(z)
-    drift = float(np.linalg.norm(sig @ Z_final - np.eye(op.pilot_len)))
-    kkt = kkt_residual(op, spd, wherm, z)
-    return MlTrace(
-        objectives=np.asarray(objectives),
-        z=z,
-        sigma_prime=HpdMatrix((sig + sig.conj().T) / 2),
-        kkt_residual=kkt,
-        inverse_drift=drift,
-        sweeps=sweeps_done,
-    )
+        if sweeps % _REFRESH_EVERY == 0:
+            S = _fresh_inverse(Z)
+        f_new = _objectives(Z, Wv, ids)
+        for i, value in zip(ids[~per_update], f_new[~per_update]):
+            history[i].append(value)
+        done = (f_prev - f_new < tols) | (sweeps >= caps)
+        f_prev = f_new
+        if not done.any():
+            continue
+        z_done, S_done, Z_done = z[done], S[done], Z[done]
+        kkt = _kkt(A, Z_done, Wv[done], z_done, ids[done])
+        drift = S_done @ Z_done - np.eye(len(Sv))
+        for j, i in enumerate(ids[done]):
+            sig = S_done[j]
+            try:
+                sigma_prime = HpdMatrix((sig + sig.conj().T) / 2)
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(f"trial {i}: tracked inverse: {exc}") from None
+            traces[i] = MlTrace(
+                objectives=np.asarray(history[i]),
+                z=z_done[j],
+                sigma_prime=sigma_prime,
+                kkt_residual=float(kkt[j]),
+                inverse_drift=float(np.linalg.norm(drift[j])),
+                sweeps=sweeps,
+            )
+        keep = ~done
+        ids, z, S, Wv, perms = ids[keep], z[keep], S[keep], Wv[keep], perms[keep]
+        f_prev, caps, tols, per_update = f_prev[keep], caps[keep], tols[keep], per_update[keep]
+        a_all, ah_all = a_all[:, keep], ah_all[:, keep]
+    return traces
 
 
 def kkt_residual(op: MeasurementOperator, Sigma, W, z) -> float:
@@ -348,12 +439,7 @@ def kkt_residual(op: MeasurementOperator, Sigma, W, z) -> float:
     """
     spd, wherm, z = _boundary(op, Sigma, W, z)
     Z = spd.values + op._apply(z)
-    L = _chol_or_raise(Z)
-    A = op.codebook.columns
-    U = np.linalg.solve(L.conj().T, np.linalg.solve(L, A))  # S @ A
-    q = np.real(np.einsum("mn,mn->n", A.conj(), U))
-    r = np.real(np.einsum("mn,mn->n", U.conj(), wherm.values @ U))
-    return _kkt_violation(q - r, z)
+    return float(_kkt(op.codebook.columns, Z[None], wherm.values[None], z[None], _ONE)[0])
 
 
 def threshold_detect(z, eps: float, true_support) -> DetectionResult:

@@ -21,7 +21,7 @@ from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, s
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
 from .config import ExperimentConfig, _format_row
 from .errors import SetupFailed
-from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent, nnls_estimate
+from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent_batch, nnls_estimate
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
@@ -101,24 +101,31 @@ def _exact_covariance(op, Sigma, x) -> HermitianMatrix:
     return HermitianMatrix(op.apply_raw(x) + Sigma.values)
 
 
-def _run_estimators(op, Sigma, W, names, cfg, rng_perm) -> dict:
-    """Result of each requested estimator on one observation.
+def _run_estimators(op, Sigma, observations, names, cfg, perm_streams) -> list:
+    """Result of each requested estimator on each observation.
 
-    Keys follow the order of ``names``.  "nnls" gives an NnlsResult; "ml"
-    (cold start) and "ml_nnls" (started at the NNLS estimate) give an
-    MlTrace.  Both ML runs visit the coordinates in one permutation drawn
-    from ``rng_perm``.
+    One dict per observation, keys in the order of ``names``.  "nnls" gives
+    an NnlsResult; "ml" (cold start) and "ml_nnls" (started at the NNLS
+    estimate) give an MlTrace.  NNLS runs per observation; every ML run of
+    every observation then goes through one batch.  Both ML runs of an
+    observation visit the coordinates in one permutation drawn from its
+    stream in ``perm_streams``.
     """
-    results = {}
+    results = [{} for _ in observations]
     if "nnls" in names or "ml_nnls" in names:
-        results["nnls"] = nnls_estimate(op, Sigma, W, NnlsOptions())
-    perm = rng_perm.permutation(op.num_users)
-    for name in ("ml", "ml_nnls"):
-        if name in names:
-            z0 = results["nnls"].z if name == "ml_nnls" else None
-            opts = MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)
-            results[name] = ml_coordinate_descent(op, Sigma, W, opts)
-    return {name: results[name] for name in names}
+        for res, W in zip(results, observations):
+            res["nnls"] = nnls_estimate(op, Sigma, W, NnlsOptions())
+    runs = []  # (results dict, estimator name, W, options) of each ML run
+    for res, W, rng_perm in zip(results, observations, perm_streams):
+        perm = rng_perm.permutation(op.num_users)
+        for name in ("ml", "ml_nnls"):
+            if name in names:
+                z0 = res["nnls"].z if name == "ml_nnls" else None
+                runs.append((res, name, W, MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)))
+    traces = ml_coordinate_descent_batch(op, Sigma, [run[2] for run in runs], [run[3] for run in runs])
+    for (res, name, _, _), trace in zip(runs, traces):
+        res[name] = trace
+    return [{name: res[name] for name in names} for res in results]
 
 
 def _emit(cfg: ExperimentConfig, name: str, header, rows) -> str:
@@ -143,15 +150,16 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     verified = verified or verified_codebook(cfg)
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
-    rows = []
-    for order in range(1, cfg.skc_order + 2):
-        report = verified.report(order)
-        x = adversarial_fading(report).x
-        results = _run_estimators(
-            op, Sigma, _exact_covariance(op, Sigma, x), ("nnls", "ml", "ml_nnls"), cfg,
-            stream(cfg.seed, "figure-a", order, "perm"),
-        )
-        rows.append((order, report.tau_prime, *(float(np.linalg.norm(x - r.z)) for r in results.values())))
+    orders = range(1, cfg.skc_order + 2)
+    xs = [adversarial_fading(verified.report(order)).x for order in orders]
+    results = _run_estimators(
+        op, Sigma, [_exact_covariance(op, Sigma, x) for x in xs], ("nnls", "ml", "ml_nnls"), cfg,
+        [stream(cfg.seed, "figure-a", order, "perm") for order in orders],
+    )
+    rows = [
+        (order, verified.report(order).tau_prime, *(float(np.linalg.norm(x - r.z)) for r in res.values()))
+        for order, x, res in zip(orders, xs, results)
+    ]
     return _emit(cfg, "figure_a", ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
 
@@ -168,12 +176,13 @@ def _panel(cfg, verified, name, grid, trials, names, header, observe, statistic=
     label = name.replace("_", "-")
     rows = []
     for point in grid:
+        fadings, observations = zip(*(observe(op, Sigma, point, trial) for trial in range(trials)))
+        streams = [stream(cfg.seed, label, point, trial, "perm") for trial in range(trials)]
+        results = _run_estimators(op, Sigma, observations, names, cfg, streams)
         sums = dict.fromkeys(names, 0.0)
-        for trial in range(trials):
-            fading, W = observe(op, Sigma, point, trial)
-            results = _run_estimators(op, Sigma, W, names, cfg, stream(cfg.seed, label, point, trial, "perm"))
+        for fading, res in zip(fadings, results):
             for n in names:
-                sums[n] += statistic(float(np.linalg.norm(fading.x - results[n].z)))
+                sums[n] += statistic(float(np.linalg.norm(fading.x - res[n].z)))
         rows.append((point, *(sums[n] / trials for n in names)))
     return _emit(cfg, name, header, rows)
 

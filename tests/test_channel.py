@@ -199,3 +199,22 @@ class TestRealizationCsv:
         path.write_text("".join(lines[:-1] if edit == "drop" else lines + lines[-1:]))
         with pytest.raises(InvalidInput, match="H.csv"):
             load_realization_csv(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("H", lambda rows: [r for r in rows if r[1] != "6"]),  # the last of K = 6 columns
+            ("E", lambda rows: [r for r in rows if r[0] != "3"]),  # the last of M = 3 rows
+            ("E", lambda rows: [rows[0], [*rows[1][:2], "nan", rows[1][3]], *rows[2:]]),
+            ("Y", lambda rows: [rows[0], rows[1], [*rows[2][:3], "inf"], *rows[3:]]),
+        ],
+        ids=["H-column-deleted", "E-row-deleted", "nan-in-E", "inf-in-Y"],
+    )
+    def test_rejects_inconsistent_shape_or_nonfinite_entry(self, tmp_path, name, edit):
+        cb = build_gaussian_codebook(3, 5, 4)
+        save_realization_csv(simulate_measurements(cb, draw_sparse_fading(5, 2, 5), HpdMatrix(np.eye(3)), 6, 6), tmp_path)
+        path = tmp_path / f"{name}.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(r) + "\n" for r in edit(rows)))
+        with pytest.raises(InvalidInput, match=f"{name}.csv"):
+            load_realization_csv(tmp_path)

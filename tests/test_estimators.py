@@ -18,11 +18,14 @@ from covact import (
     MlOptions,
     NnlsOptions,
     NotConverged,
+    NotPositiveDefinite,
+    StepRejected,
     build_gaussian_codebook,
     coordinate_step,
     draw_sparse_fading,
     kkt_residual,
     ml_coordinate_descent,
+    ml_coordinate_descent_batch,
     ml_objective,
     nnls_estimate,
     sherman_morrison_update,
@@ -340,6 +343,147 @@ class TestCoordinateDescent:
 
 def nnls_z(op, Sigma, W):
     return nnls_estimate(op, Sigma, W).z
+
+
+def serial_ml(op, Sigma, W, opts):
+    """The per-trial coordinate-descent loop that the batched kernel replaced.
+
+    Kept as the reference of TestBatchedMl; returns (z, objectives, sweeps,
+    sigma_prime, inverse_drift) with the arithmetic of that loop.
+    """
+    A = op.codebook.columns
+    Sv, Wv = Sigma.values, W.values
+    z = np.zeros(op.num_users) if opts.z0 is None else np.array(opts.z0, dtype=float)
+    perm = np.arange(op.num_users) if opts.permutation is None else opts.permutation
+
+    def fit():
+        return Sv + (A * z) @ A.conj().T
+
+    def objective():
+        L = np.linalg.cholesky(fit())
+        half = np.linalg.solve(L, Wv)
+        trace_term = float(np.real(np.trace(np.linalg.solve(L.conj().T, half))))
+        return trace_term + 2.0 * float(np.log(np.real(np.diag(L))).sum())
+
+    def fresh_inverse():
+        Z = fit()
+        return np.linalg.inv((Z + Z.conj().T) / 2)
+
+    sig = fresh_inverse()
+    objectives = [objective()]
+    sweeps = 0
+    for sweep in range(opts.while_iterations):
+        f_prev = objectives[-1]
+        for n in perm:
+            a = A[:, n]
+            u = sig @ a
+            q = float(np.real(np.vdot(a, u)))
+            r = float(np.real(np.vdot(u, Wv @ u)))
+            t = max(-z[n], (r - q) / (q * q))
+            sig = sig - (t / (1.0 + t * q)) * np.outer(u, u.conj())
+            z[n] += t
+            if opts.track == "update":
+                objectives.append(objective())
+        sig = (sig + sig.conj().T) / 2
+        sweeps = sweep + 1
+        if sweeps % 25 == 0:
+            sig = fresh_inverse()
+        f_new = objective()
+        if opts.track == "sweep":
+            objectives.append(f_new)
+        if f_prev - f_new < opts.objective_tol:
+            break
+    drift = float(np.linalg.norm(sig @ fit() - np.eye(op.pilot_len)))
+    return z, np.asarray(objectives), sweeps, HpdMatrix((sig + sig.conj().T) / 2).values, drift
+
+
+def mixed_batch(seed, trials=12):
+    """Observations and options mixing cold and warm starts, sweep caps,
+    tolerances, update tracking, exact and perturbed covariances."""
+    rng = np.random.default_rng(seed)
+    N = 17
+    op = MeasurementOperator(build_gaussian_codebook(4, N, seed))
+    Sigma = HpdMatrix(1e-4 * np.eye(4))
+    Ws, opts = [], []
+    for trial in range(trials):
+        x = draw_sparse_fading(N, 1 + trial % 8, rng).x
+        W = HermitianMatrix(Sigma.values + op.apply_raw(x) + (trial % 3 == 2) * 0.05 * random_hpd(rng, 4).values)
+        opts.append(
+            MlOptions(
+                permutation=rng.permutation(N),
+                z0=nnls_z(op, Sigma, W) if trial % 2 else None,
+                while_iterations=(60, 30, 9)[trial % 3],
+                objective_tol=(1e-10, 0.0, 1e-6, 1e-10)[trial % 4],
+                track="update" if trial % 5 == 4 else "sweep",
+            )
+        )
+        Ws.append(W)
+    return op, Sigma, Ws, opts
+
+
+class TestBatchedMl:
+    """ml_coordinate_descent_batch against the per-trial reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_matches_serial_loop(self, seed):
+        op, Sigma, Ws, opts = mixed_batch(seed)
+        traces = ml_coordinate_descent_batch(op, Sigma, Ws, opts)
+        sweeps = []
+        for W, o, trace in zip(Ws, opts, traces):
+            z, objectives, n_sweeps, sigma_prime, drift = serial_ml(op, Sigma, W, o)
+            assert np.array_equal(trace.z, z)
+            assert np.array_equal(trace.objectives, objectives)
+            assert trace.sweeps == n_sweeps
+            assert np.array_equal(trace.sigma_prime.values, sigma_prime)
+            assert trace.inverse_drift == drift
+            assert trace.kkt_residual == kkt_residual(op, Sigma, W, z)
+            sweeps.append((n_sweeps, o.while_iterations))
+        # The batch holds trials that stop early, pass the refresh and hit their cap.
+        assert any(n < cap for n, cap in sweeps)
+        assert any(n > 25 for n, cap in sweeps)
+        assert any(n == cap for n, cap in sweeps)
+
+    def test_result_does_not_depend_on_the_batch(self):
+        op, Sigma, Ws, opts = mixed_batch(43)
+        together = ml_coordinate_descent_batch(op, Sigma, Ws, opts)
+        order = np.random.default_rng(44).permutation(len(Ws))
+        shuffled = ml_coordinate_descent_batch(op, Sigma, [Ws[i] for i in order], [opts[i] for i in order])
+        for i, j in enumerate(order):
+            for other in (ml_coordinate_descent(op, Sigma, Ws[j], opts[j]), shuffled[i]):
+                assert np.array_equal(other.z, together[j].z)
+                assert np.array_equal(other.objectives, together[j].objectives)
+                assert np.array_equal(other.sigma_prime.values, together[j].sigma_prime.values)
+                assert (other.sweeps, other.kkt_residual, other.inverse_drift) == (
+                    together[j].sweeps, together[j].kkt_residual, together[j].inverse_drift
+                )
+
+    def test_empty_batch(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
+        assert ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), [], []) == []
+
+    def test_negative_eigenvalue_names_trial(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 46))
+        Sigma = HpdMatrix(np.eye(3))
+        Ws = [Sigma, Sigma, HermitianMatrix(np.diag([1.0, 1.0, -0.5]))]
+        with pytest.raises(InvalidInput, match="trial 2: W has a negative eigenvalue"):
+            ml_coordinate_descent_batch(op, Sigma, Ws, [MlOptions()] * 3)
+
+    def test_step_rejected_names_trial(self):
+        # Started at z = 2 with Sigma and W at 1.5e-12, the step back to zero
+        # leaves 1 + t a^H S a = 7.5e-13, below the 1e-12 floor.
+        op = MeasurementOperator(Codebook(np.array([[1.0 + 0j]])))
+        Sigma = HpdMatrix(np.array([[1.5e-12 + 0j]]))
+        with pytest.raises(StepRejected, match="trial 1: rank-one update denominator"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [MlOptions(), MlOptions(z0=[2.0])])
+
+    def test_not_positive_definite_names_trial(self):
+        # Sigma = 1.5e-12 I leaves the tracked inverse with eigenvalues 1/3 and
+        # 6.7e11 once the first user fits W: too ill-conditioned to be HPD.
+        op = MeasurementOperator(Codebook(np.array([[1.0 + 0j], [0.0]])))
+        Sigma = HpdMatrix(1.5e-12 * np.eye(2))
+        Ws = [Sigma, HermitianMatrix(np.diag([3.0, 1.5e-12]))]
+        with pytest.raises(NotPositiveDefinite, match="trial 1: tracked inverse"):
+            ml_coordinate_descent_batch(op, Sigma, Ws, [MlOptions(), MlOptions()])
 
 
 class TestKktResidual:
