@@ -10,18 +10,19 @@ simplex, on which the squared objective is a convex quadratic.
 
 The exact method bounds and prunes every sign pattern with |J| <= S.
 Accelerated projected gradient (FISTA, with sort-based simplex projection)
-runs over blocks of patterns of one size at once and gives each pattern the
-Frank-Wolfe lower bound f(u) + min g - g^T u.  Patterns are then taken in
-ascending order of that bound and solved exactly by an active-set loop until
-the next bound exceeds the best exact value by a floating-point margin; no
-pattern left unsolved can reach that value, so the minimizer, its value and
-its witness are those of the full enumeration, and the smallest bound over
-all patterns certifies the bracket lower_bound <= tau'.  When B has a
-one-dimensional kernel, the kernel vector seeds the pruning at the size of
-its smaller sign class, where the constant is zero.  The heuristic runs
-multi-start projected gradient over the same program and passes only the
-sign patterns of its final iterates to the same bound-and-solve step, so
-its value is an upper bound on the constant (its lower_bound is 0).
+runs over a pool of patterns of one size at once, refilled from the
+enumeration as patterns finish, and gives each pattern the Frank-Wolfe lower
+bound f(u) + min g - g^T u.  Patterns are then taken in ascending order of
+that bound and solved exactly by an active-set loop until the next bound
+exceeds the best exact value by a floating-point margin; no pattern left
+unsolved can reach that value, so the minimizer, its value and its witness
+are those of the full enumeration, and the smallest bound over all patterns
+certifies the bracket lower_bound <= tau'.  When B has a one-dimensional
+kernel, the kernel vector seeds the pruning at the size of its smaller sign
+class, where the constant is zero.  The heuristic runs multi-start projected
+gradient over the same program and passes only the sign patterns of its
+final iterates to the same bound-and-solve step, so its value is an upper
+bound on the constant (its lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -46,11 +47,14 @@ WITNESS_ZERO_TOL = 1e-10
 # SKC_ZERO_TOL counts as zero (the condition fails).
 SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
-# Bound-and-prune: FISTA runs over blocks of _BLOCK sign patterns, checks its
-# bounds every _CHUNK iterations and stops after _MAX_ITERS iterations.
+# Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
+# pattern's bounds every _CHUNK of its iterations and stops it after _MAX_ITERS.
 _BLOCK = 512
 _CHUNK = 25
 _MAX_ITERS = 1000
+# FISTA momentum weight (t_k - 1) / t_(k+1) of iteration k, from t_0 = 1.
+_T = list(itertools.accumulate(range(_MAX_ITERS), lambda t, _: 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), initial=1.0))
+_MOMENTUM = np.array([(t - 1.0) / t_next for t, t_next in itertools.pairwise(_T)])
 
 
 @dataclass(frozen=True)
@@ -188,82 +192,98 @@ def _project_simplex(V):
 
     Sort-based: the row's threshold is the largest (sum of its k largest
     entries - 1) / k over k, and the projection is max(V - threshold, 0).
+    The maximum runs down the columns of the transposed sorted array; so do
+    the in-order running sums from 128 rows on, where one add per column
+    beats cumsum's one call per row.  The bits do not depend on the route.
     """
-    minus_top_sums = np.cumsum(np.sort(-V, axis=1), axis=1)
-    theta = -((minus_top_sums + 1.0) / np.arange(1, V.shape[1] + 1)).min(axis=1)
-    return np.maximum(V - theta[:, None], 0.0)
+    minus_top_sums = np.sort(-V, axis=1).T.copy()
+    if V.shape[0] >= 128:
+        for prev, row in zip(minus_top_sums[:-1], minus_top_sums[1:]):
+            row += prev
+    else:
+        np.cumsum(minus_top_sums, axis=0, out=minus_top_sums)
+    minus_top_sums += 1.0
+    minus_top_sums /= np.arange(1.0, V.shape[1] + 1)[:, None]
+    out = V + minus_top_sums.min(axis=0)[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
-def _fista_bounds(G, lam, signs, incumbent, margin):
-    """Bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for each row s of signs.
+def _rounding_margin(G):
+    """Covers the rounding of computed bounds and QP values (u^T Q u and 2 Q u at ||u||_1 = 1).
 
-    The lower bound is the Frank-Wolfe bound min(2 Q u) - u^T Q u at the
-    iterate u, valid at any u because Q is positive semidefinite.  A pattern
-    stops iterating once its lower bound exceeds the incumbent plus
-    ``margin`` (pruned) or its upper bound falls within it (it can no longer
-    be pruned).  ``lam`` is the largest eigenvalue of G, so 1 / (2 lam) is
-    the step length.
+    Each is a few length-n dot products of entries up to max |G|, off by at
+    most about n * eps * max |G| (Higham's gamma_n).
     """
-    lower = np.full(len(signs), -np.inf)
-    upper = np.full(len(signs), np.inf)
-    live, s = np.arange(len(signs)), signs
-    u = y = np.full(signs.shape, 1.0 / signs.shape[1])
-    t = 1.0
-    G_step = G / lam
-    for _ in range(_MAX_ITERS // _CHUNK):
-        for _ in range(_CHUNK):
+    return 16 * G.shape[0] * np.finfo(float).eps * float(np.abs(G).max())
+
+
+def _fista_bounds(G, patterns, incumbent, margin, keep):
+    """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
+
+    Returns the bounds in pattern order and, keyed by pattern index, the sign
+    rows s whose bound is at most ``keep``.  A pool of up to _BLOCK patterns
+    iterates as one array, each row with its own step count and momentum;
+    every _CHUNK steps a row takes the Frank-Wolfe bound min(2 Q u) - u^T Q u
+    at its iterate u (valid at any u, as Q is positive semidefinite), and it
+    leaves once that bound exceeds the incumbent plus ``margin`` (pruned), its
+    value f = u^T Q u falls within it (it can no longer be pruned) or after
+    _MAX_ITERS steps, the next patterns taking its place.
+    """
+    n = G.shape[0]
+    # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
+    G_step = G / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
+    patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [], [], {}
+    idx = steps = np.empty(0, dtype=np.intp)
+    lower = upper = np.empty(0)
+    s = u = y = np.empty((0, n))
+    while (fresh := list(itertools.islice(patterns, _BLOCK - idx.size))) or idx.size:
+        if fresh:
+            signs = np.ones((m := len(fresh), n))
+            rows = np.repeat(np.arange(m), [len(J) for J in fresh])
+            signs[rows, np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=rows.size)] = -1.0
+            start, far = np.full((m, n), 1.0 / n), np.full(m, np.inf)
+            added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), -far, far, signs, start, start)
+            idx, steps, lower, upper, s, u, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, upper, s, u, y), added))
+            count += m
+        for w in _MOMENTUM[steps + np.arange(_CHUNK)[:, None], None]:
             u_next = _project_simplex(y - s * ((s * y) @ G_step))
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = u_next + ((t - 1.0) / t_next) * (u_next - u)
-            u, t = u_next, t_next
+            y = u_next + w * (u_next - u)
+            u = u_next
+        steps += _CHUNK
         qu = s * ((s * u) @ G)
         f = np.einsum("ij,ij->i", u, qu)
-        lower[live] = np.maximum(lower[live], 2.0 * qu.min(axis=1) - f)
-        upper[live] = np.minimum(upper[live], f)
+        lower, upper = np.maximum(lower, 2.0 * qu.min(axis=1) - f), np.minimum(upper, f)
         incumbent = min(incumbent, float(f.min()))
-        keep = (lower[live] <= incumbent + margin) & (upper[live] > incumbent + margin)
-        if not keep.any():
-            break
-        live, s, u, y = live[keep], s[keep], u[keep], y[keep]
-    return lower, upper
+        live = (lower <= incumbent + margin) & (upper > incumbent + margin) & (steps < _MAX_ITERS)
+        done_idx.append(idx[~live])
+        done_lower.append(lower[~live])
+        kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= keep)))
+        idx, steps, lower, upper, s, u, y = (a[live] for a in (idx, steps, lower, upper, s, u, y))
+    bounds = np.empty(count)
+    bounds[np.concatenate(done_idx)] = np.concatenate(done_lower)
+    return bounds, kept
 
 
 def _pattern_search(G, patterns, best, incumbent):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
-    FISTA bounds them in blocks of _BLOCK, pruning against ``incumbent`` (a
-    value some pattern attains, or inf); they are then solved in ascending
-    bound order until the next bound passes the best exact value plus the
-    rounding margin.  Returns the (value, v) pair that a scan solving every
-    pattern in the given order keeps, starting from ``best``, and a lower
-    bound on every pattern's minimum that holds despite rounding.
+    FISTA bounds them, pruning against ``incumbent`` (a value some pattern
+    attains, or inf); they are then solved in ascending bound order until
+    the next bound passes the best exact value plus the rounding margin.
+    Returns the (value, v) pair that a scan solving every pattern in the
+    given order keeps, starting from ``best``, and a lower bound on every
+    pattern's minimum that holds despite rounding.
     """
-    n = G.shape[0]
-    # Covers the rounding of the computed bounds and QP values (u^T Q u and
-    # 2 Q u at ||u||_1 = 1): each is a few length-n dot products of entries
-    # up to max |G|, off by at most about n * eps * max |G| (Higham's gamma_n).
-    margin = 16 * n * np.finfo(float).eps * float(np.abs(G).max())
-    lam = max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
-    patterns, bounds, flips = iter(patterns), [], {}
-    while block := list(itertools.islice(patterns, _BLOCK)):
-        signs = np.ones((len(block), n))
-        rows = np.repeat(np.arange(len(block)), [len(J) for J in block])
-        signs[rows, np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp, count=rows.size)] = -1.0
-        lower, upper = _fista_bounds(G, lam, signs, incumbent, margin)
-        incumbent = min(incumbent, float(upper.min()))
-        # Only patterns within the margin of the best value so far can be
-        # solved below, since that value only falls.
-        flips.update((_BLOCK * len(bounds) + i, block[i]) for i in np.flatnonzero(lower <= best[0] + margin))
-        bounds.append(lower)
-    bounds = np.concatenate(bounds)
+    margin = _rounding_margin(G)
+    # Only patterns within the margin of the best value so far can be solved
+    # below, since that value only falls.
+    bounds, signs = _fista_bounds(G, patterns, incumbent, margin, best[0] + margin)
     solved, top = {}, best[0]
     for i in np.argsort(bounds, kind="stable"):
         if bounds[i] > top + margin:
             break
-        val, v = _pattern_minimum(G, flips[i])
-        sig = np.ones(n)
-        sig[list(flips[i])] = -1.0
-        bounds[i] = max(bounds[i], 2.0 * float((sig * (G @ v)).min()) - val)
+        val, v = _pattern_minimum(G, np.flatnonzero(signs[i] < 0))
+        bounds[i] = max(bounds[i], 2.0 * float((signs[i] * (G @ v)).min()) - val)
         solved[i] = (val, v)
         top = min(top, val)
     for i in sorted(solved):

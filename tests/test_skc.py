@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from covact import (
     Codebook,
@@ -91,6 +93,13 @@ def qp_calls(monkeypatch):
     return calls
 
 
+def simplex_projection_reference(V):
+    """Row-wise sort-based projection: running sums and minima along each row."""
+    minus_top_sums = np.cumsum(np.sort(-V, axis=1), axis=1)
+    theta = -((minus_top_sums + 1.0) / np.arange(1, V.shape[1] + 1)).min(axis=1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
 def full_enumeration(stacked, max_order):
     """Reference curve: every sign pattern solved exactly, in (size, combinations) order.
 
@@ -128,6 +137,29 @@ class TestBoundAndPrune:
         assert (_kernel_vector(stacked.values) is not None) == (N == M * M + 1)
         self.assert_matches_full_enumeration(stacked, max_order)
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("M,N,max_order,seed", CASES)
+    def test_refilled_pool_matches_full_enumeration(self, monkeypatch, M, N, max_order, seed, block):
+        # Pools smaller than one pattern size make every size refill the pool
+        # many times, so rows that entered at different checks iterate together.
+        monkeypatch.setattr(skc, "_BLOCK", block)
+        self.assert_matches_full_enumeration(stacked_for(build_gaussian_codebook(M, N, seed).columns), max_order)
+
+    @pytest.mark.parametrize("M,N,size,seed", [(2, 5, 2, 1), (3, 8, 3, 6)])
+    def test_pool_bounds_are_valid(self, M, N, size, seed):
+        G = stacked_for(build_gaussian_codebook(M, N, seed).columns).values
+        G = G.T @ G
+        patterns = list(itertools.combinations(range(N), size))
+        minima = np.array([_pattern_minimum(G, J)[0] for J in patterns])
+        margin = skc._rounding_margin(G)
+        # No incumbent, and the smallest value (pruning everything else early).
+        for incumbent in (math.inf, float(minima.min())):
+            bounds, kept = skc._fista_bounds(G, patterns, incumbent, margin, math.inf)
+            assert bounds.shape == minima.shape
+            assert np.all(bounds <= minima + margin)
+            assert sorted(kept) == list(range(len(patterns)))
+            assert all(tuple(np.flatnonzero(kept[i] < 0)) == J for i, J in enumerate(patterns))
+
     def test_ties_keep_enumeration_order(self):
         # Columns 0 and 2 are parallel, so patterns (0,) and (2,) both reach
         # the same rounding-level minimum to the last bit; the first in
@@ -157,6 +189,21 @@ class TestBoundAndPrune:
         theta = v[u > 0] - u[u > 0]
         np.testing.assert_allclose(theta, theta[0], atol=1e-12)
         assert np.all(v[u == 0] <= theta[0] + 1e-12)
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 200), st.integers(1, 20)),
+            elements=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.25, -1.0])),
+        ).map(lambda V: np.vstack([V, V[:1]]))
+    )
+    @example(np.array([[3.0], [-2.0], [0.0]]))
+    @example(np.array([[0.5, 0.5, 0.5, -1.0], [0.5, 0.5, 0.5, -1.0], [2.0, 2.0, 0.0, 0.0]]))
+    @example(np.random.default_rng(0).standard_normal((300, 17)))
+    def test_simplex_projection_matches_row_reference(self, V):
+        # Few and many rows (the running sums take two routes), n = 1, tied
+        # entries and equal rows.
+        assert np.array_equal(_project_simplex(V), simplex_projection_reference(V))
 
 
 def serial_candidates(B, S, seed, n_starts=48, iters=200):
