@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise InvalidInput("tau_method must be 'exact' or 'heuristic'")
         if not set(self.estimators) <= set(ESTIMATOR_NAMES):
             raise InvalidInput(f"estimators must be among {ESTIMATOR_NAMES}")
+        if not self.estimators or len(set(self.estimators)) < len(self.estimators):
+            raise InvalidInput("estimators must be nonempty and name each estimator at most once")
         if not 0 < self.beta_fraction < 1:
             raise InvalidInput("beta_fraction must lie in (0, 1)")
         if not 0 < self.target_p < 1:

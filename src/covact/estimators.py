@@ -64,38 +64,29 @@ class MlOptions:
     A sweep visits all N coordinates once; the loop stops after
     ``while_iterations`` sweeps or when a full sweep improves the objective
     by less than ``objective_tol``.  The tracked inverse is recomputed from
-    scratch every 25 sweeps.  With ``track="update"`` the trace records the
-    objective after every coordinate update instead of once per sweep.
+    scratch every 25 sweeps.
     """
 
     permutation: np.ndarray | None = None
     z0: np.ndarray | None = None
     while_iterations: int = 100
     objective_tol: float = 1e-10
-    track: str = "sweep"
 
     def __post_init__(self):
         if self.while_iterations < 1:
             raise InvalidInput("while_iterations must be at least 1")
         if self.objective_tol < 0:
             raise InvalidInput("objective_tol must be nonnegative")
-        if self.track not in ("sweep", "update"):
-            raise InvalidInput("track must be 'sweep' or 'update'")
         if self.permutation is not None:
             perm = np.asarray(self.permutation, dtype=int)
             if not np.array_equal(np.sort(perm), np.arange(perm.size)):
                 raise InvalidInput("permutation must be a bijection on 0..N-1")
             object.__setattr__(self, "permutation", perm)
-        if self.z0 is not None:
-            z0 = np.asarray(self.z0, dtype=float)
-            if np.any(z0 < 0) or not np.all(np.isfinite(z0)):
-                raise InvalidInput("z0 must be finite and nonnegative")
-            object.__setattr__(self, "z0", z0)
 
 
 @dataclass(frozen=True)
 class MlTrace:
-    """Per-sweep (or per-update) objective values and the final state."""
+    """Per-sweep objective values and the final state."""
 
     objectives: np.ndarray
     z: np.ndarray
@@ -358,11 +349,10 @@ def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, opts) -> lis
     perms = np.array([np.arange(N) if o.permutation is None else o.permutation for o in opts])
     caps = np.array([o.while_iterations for o in opts])
     tols = np.array([o.objective_tol for o in opts])
-    per_update = np.array([o.track == "update" for o in opts])
-    return _descend(op, spd.values, Wv, np.array(z), perms, caps, tols, per_update)
+    return _descend(op, spd.values, Wv, np.array(z), perms, caps, tols)
 
 
-def _descend(op, Sv, Wv, z, perms, caps, tols, per_update) -> list[MlTrace]:
+def _descend(op, Sv, Wv, z, perms, caps, tols) -> list[MlTrace]:
     """The coordinate-descent loop on checked inputs; row i of each array is trial i.
 
     All trials sweep in lockstep, one coordinate position at a time, each
@@ -383,23 +373,18 @@ def _descend(op, Sv, Wv, z, perms, caps, tols, per_update) -> list[MlTrace]:
     sweeps = 0
     while ids.size:
         rows = np.arange(ids.size)
-        tracked = ids[per_update]  # trials that record the objective after every update
         for k, n in enumerate(perms.T):
             x = z[rows, n]
             t, u, uh, q = _steps(S, Wv, a_all[k], ah_all[k], x, ids)
             S = _rank_one(S, u, uh, q, t, ids)
             z[rows, n] = x + t
-            if tracked.size:
-                f = _objectives(Sv + op._apply(z[per_update]), Wv[per_update], tracked)
-                for i, value in zip(tracked, f):
-                    history[i].append(value)
         S = (S + _ht(S)) / 2
         sweeps += 1
         Z = Sv + op._apply(z)
         if sweeps % _REFRESH_EVERY == 0:
             S = _fresh_inverse(Z)
         f_new = _objectives(Z, Wv, ids)
-        for i, value in zip(ids[~per_update], f_new[~per_update]):
+        for i, value in zip(ids, f_new):
             history[i].append(value)
         done = (f_prev - f_new < tols) | (sweeps >= caps)
         f_prev = f_new
@@ -409,9 +394,8 @@ def _descend(op, Sv, Wv, z, perms, caps, tols, per_update) -> list[MlTrace]:
         kkt = _kkt(A, Z_done, Wv[done], z_done, ids[done])
         drift = S_done @ Z_done - np.eye(len(Sv))
         for j, i in enumerate(ids[done]):
-            sig = S_done[j]
             try:
-                sigma_prime = HpdMatrix((sig + sig.conj().T) / 2)
+                sigma_prime = HpdMatrix(S_done[j])
             except NotPositiveDefinite as exc:
                 raise NotPositiveDefinite(f"trial {i}: tracked inverse: {exc}") from None
             traces[i] = MlTrace(
@@ -424,7 +408,7 @@ def _descend(op, Sv, Wv, z, perms, caps, tols, per_update) -> list[MlTrace]:
             )
         keep = ~done
         ids, z, S, Wv, perms = ids[keep], z[keep], S[keep], Wv[keep], perms[keep]
-        f_prev, caps, tols, per_update = f_prev[keep], caps[keep], tols[keep], per_update[keep]
+        f_prev, caps, tols = f_prev[keep], caps[keep], tols[keep]
         a_all, ah_all = a_all[:, keep], ah_all[:, keep]
     return traces
 

@@ -25,7 +25,7 @@ from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent_batch, nnl
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
-from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, _kernel_vector, adversarial_fading, tau_prime, tau_prime_curve
+from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, tau_prime, tau_prime_curve
 
 
 @dataclass(frozen=True)
@@ -41,22 +41,34 @@ class VerifiedCodebook:
         return self.reports[order - 1]
 
 
+def _kernel_vector(B):
+    """Unit l1-norm spanning vector of ker B when that kernel is one-dimensional, else None."""
+    _, s, vt = np.linalg.svd(B, full_matrices=False)
+    if s.size < 2 or s[-1] > 1e-10 * s[0] or s[-2] <= 1e-10 * s[0]:
+        return None
+    return vt[-1] / np.abs(vt[-1]).sum()
+
+
 def _kernel_screen(stacked, order: int) -> bool:
     """Cheap necessary check before the expensive constant computation.
 
-    Only applies when the stacked operator has a one-dimensional kernel: the
-    constant of the given order can then only be positive when the kernel
-    vector splits its signs as (order + 1) against the rest, and it scales
-    with the smallest kernel entry.  Returns True when the draw is worth
-    verifying (or when the screen does not apply).
+    Only applies when the stacked operator B has a one-dimensional kernel,
+    spanned by v with ||v||_1 = 1.  The constant of order + 1 is zero only
+    when v splits its signs as (order + 1) against the rest.  Zeroing v_k for
+    k in the smaller sign class J then leaves ``order`` negatives, so
+    tau'(order) <= min_{k in J} |v_k| ||B e_k||_2 / (1 - |v_k|), and a bound
+    at most SKC_POSITIVE_TOL rules the draw out.  Returns True when the draw
+    is worth verifying (or when the screen does not apply).
     """
     v = _kernel_vector(stacked.values)
     if v is None:
         return True
-    neg, pos = int((v < -1e-12).sum()), int((v > 1e-12).sum())
-    if min(neg, pos) != order + 1:
+    neg, pos = v < -1e-12, v > 1e-12
+    J = neg if neg.sum() <= pos.sum() else pos
+    if J.sum() != order + 1:
         return False
-    return float(np.abs(v).min()) >= SKC_POSITIVE_TOL
+    small, cols = np.abs(v[J]), np.linalg.norm(stacked.values[:, J], axis=0)
+    return float((small * cols / (1.0 - small)).min()) > SKC_POSITIVE_TOL
 
 
 def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
@@ -214,10 +226,10 @@ def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
             fading = draw_sparse_fading(
                 cfg.N, cfg.skc_order, stream(cfg.seed, "figure-c", rho, trial, "fading", attempt)
             )
-            exact = op.apply_raw(fading.x) + Sigma.values
-            if float(np.linalg.eigvalsh(exact)[0]) > rho_budget:
+            exact = _exact_covariance(op, Sigma, fading.x)
+            if float(np.linalg.eigvalsh(exact.values)[0]) > rho_budget:
                 noise = stream(cfg.seed, "figure-c", rho, trial, "noise")
-                return fading, perturb_hermitian(HermitianMatrix(exact), rho, noise).W
+                return fading, perturb_hermitian(exact, rho, noise).W
         raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
 
     names = ("nnls", "ml_nnls")

@@ -17,12 +17,10 @@ that bound and solved exactly by an active-set loop until the next bound
 exceeds the best exact value by a floating-point margin; no pattern left
 unsolved can reach that value, so the minimizer, its value and its witness
 are those of the full enumeration, and the smallest bound over all patterns
-certifies the bracket lower_bound <= tau'.  When B has a one-dimensional
-kernel, the kernel vector seeds the pruning at the size of its smaller sign
-class, where the constant is zero.  The heuristic runs multi-start projected
-gradient over the same program and passes only the sign patterns of its
-final iterates to the same bound-and-solve step, so its value is an upper
-bound on the constant (its lower_bound is 0).
+certifies the bracket lower_bound <= tau'.  The heuristic runs multi-start
+projected gradient over the same program and passes only the sign patterns
+of its final iterates to the same bound-and-solve step, so its value is an
+upper bound on the constant (its lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -55,6 +53,9 @@ _MAX_ITERS = 1000
 # FISTA momentum weight (t_k - 1) / t_(k+1) of iteration k, from t_0 = 1.
 _T = list(itertools.accumulate(range(_MAX_ITERS), lambda t, _: 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), initial=1.0))
 _MOMENTUM = np.array([(t - 1.0) / t_next for t, t_next in itertools.pairwise(_T)])
+# The heuristic's projected-gradient starts and its iteration cap per start.
+_HEURISTIC_STARTS = 48
+_HEURISTIC_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,6 @@ def _split_witness(v):
     return np.maximum(v, 0.0), np.maximum(-v, 0.0)
 
 
-def _kernel_vector(B):
-    """Unit l1-norm spanning vector of ker B when that kernel is one-dimensional, else None."""
-    _, s, vt = np.linalg.svd(B, full_matrices=False)
-    if s.size < 2 or s[-1] > 1e-10 * s[0] or s[-2] <= 1e-10 * s[0]:
-        return None
-    return vt[-1] / np.abs(vt[-1]).sum()
-
-
 def _project_simplex(V):
     """Euclidean projection of every row of V onto the probability simplex.
 
@@ -264,12 +257,12 @@ def _fista_bounds(G, patterns, incumbent, margin, keep):
     return bounds, kept
 
 
-def _pattern_search(G, patterns, best, incumbent):
+def _pattern_search(G, patterns, best):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
-    FISTA bounds them, pruning against ``incumbent`` (a value some pattern
-    attains, or inf); they are then solved in ascending bound order until
-    the next bound passes the best exact value plus the rounding margin.
+    FISTA bounds them, pruning against the value of ``best`` (a value some
+    pattern attains, or inf); they are then solved in ascending bound order
+    until the next bound passes the best exact value plus the rounding margin.
     Returns the (value, v) pair that a scan solving every pattern in the
     given order keeps, starting from ``best``, and a lower bound on every
     pattern's minimum that holds despite rounding.
@@ -277,7 +270,7 @@ def _pattern_search(G, patterns, best, incumbent):
     margin = _rounding_margin(G)
     # Only patterns within the margin of the best value so far can be solved
     # below, since that value only falls.
-    bounds, signs = _fista_bounds(G, patterns, incumbent, margin, best[0] + margin)
+    bounds, signs = _fista_bounds(G, patterns, best[0], margin, best[0] + margin)
     solved, top = {}, best[0]
     for i in np.argsort(bounds, kind="stable"):
         if bounds[i] > top + margin:
@@ -300,17 +293,9 @@ def _exact_curve(B, max_size):
     a lower bound on that minimum that holds despite rounding.
     """
     G = B.T @ B
-    n = B.shape[1]
-    kernel = _kernel_vector(B)
-    seed_size, seed_val = n + 1, math.inf
-    if kernel is not None:
-        if 2 * np.count_nonzero(kernel < 0) > n:
-            kernel = -kernel
-        seed_size, seed_val = int(np.count_nonzero(kernel < 0)), float(kernel @ G @ kernel)
     best, lower, curve = (math.inf, None), math.inf, []
     for size in range(max_size + 1):
-        incumbent = min(best[0], seed_val) if size >= seed_size else best[0]
-        best, size_lower = _pattern_search(G, itertools.combinations(range(n), size), best, incumbent)
+        best, size_lower = _pattern_search(G, itertools.combinations(range(B.shape[1]), size), best)
         lower = min(lower, size_lower)
         curve.append((*best, max(lower, 0.0)))
     return curve
@@ -324,7 +309,7 @@ def _project_sparse(V, S):
     return V / np.where(nrm > 0, nrm, 1.0)[:, None], nrm > 0
 
 
-def _heuristic_candidates(B, G, S, seed, n_starts=48, iters=200):
+def _heuristic_candidates(B, G, S, seed):
     """Sorted sign patterns of multi-start projected gradient on the ratio program.
 
     The starts iterate as the rows of one array.  A start stops once a step
@@ -338,7 +323,7 @@ def _heuristic_candidates(B, G, S, seed, n_starts=48, iters=200):
 
     _, _, vt = np.linalg.svd(B, full_matrices=False)
     starts = [sign * row for row in vt[-min(3, vt.shape[0]) :] for sign in (1.0, -1.0)]
-    while len(starts) < n_starts:
+    while len(starts) < _HEURISTIC_STARTS:
         v = np.abs(rng.standard_normal(n))
         v[rng.choice(n, size=min(S, n), replace=False)] *= -1.0
         starts.append(v)
@@ -346,7 +331,7 @@ def _heuristic_candidates(B, G, S, seed, n_starts=48, iters=200):
     V, nonzero = _project_sparse(np.array(starts), S)
     V = V[nonzero]
     live = np.arange(len(V))
-    for _ in range(iters):
+    for _ in range(_HEURISTIC_ITERS):
         X = V[live]
         X_new, nonzero = _project_sparse(X - step * 2.0 * (X @ G), S)
         V[live[nonzero]] = X_new[nonzero]
@@ -391,7 +376,7 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
         return tau_prime_curve(stacked, order)[-1]
     G = stacked.values.T @ stacked.values
     candidates = _heuristic_candidates(stacked.values, G, order, seed=order)
-    best, _ = _pattern_search(G, candidates, (math.inf, None), math.inf)
+    best, _ = _pattern_search(G, candidates, (math.inf, None))
     return _report(order, *best, "heuristic")
 
 

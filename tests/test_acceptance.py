@@ -37,7 +37,7 @@ from covact.experiments import loglog_slope, linear_fit_r2, parse_csv, run_figur
 from covact.robustness import BoundInputs
 
 from conftest import random_hpd
-from test_estimators import brute_force_nnls
+from test_estimators import brute_force_nnls, replayed_updates
 
 SIGMA_SCALE = 1e-4
 
@@ -259,12 +259,11 @@ def test_criterion_08_coordinate_descent_contract():
         )
         if np.linalg.eigvalsh(W.values)[0] < 1e-6:
             continue
-        trace = ml_coordinate_descent(
-            op, Sigma, W,
-            MlOptions(permutation=rng.permutation(N), track="update", while_iterations=25),
-        )
-        diffs = np.diff(trace.objectives)
-        assert np.all(diffs <= 1e-10 * np.abs(trace.objectives[:-1]))
+        perm = rng.permutation(N)
+        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(permutation=perm, while_iterations=25))
+        _, updates = replayed_updates(op, Sigma, W, perm, trace.sweeps)
+        for objectives in (trace.objectives, updates):
+            assert np.all(np.diff(objectives) <= 1e-10 * np.abs(objectives[:-1]))
         assert trace.inverse_drift <= 1e-7 * M
 
     # The truth is a fixed point when the observation is exact.

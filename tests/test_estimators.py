@@ -271,9 +271,9 @@ class TestCoordinateDescent:
 
     def test_scalar_chain(self):
         op, Sigma, W = scalar_setup()
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(track="update"))
+        trace = ml_coordinate_descent(op, Sigma, W, MlOptions())
         assert trace.z[0] == pytest.approx(2.0)
-        # After the first (only) coordinate update the fit equals W.
+        # After the first sweep (one coordinate update) the fit equals W.
         assert trace.objectives[1] == pytest.approx(3.0 / 3.0 + math.log(3.0), rel=1e-12)
 
     @given(seed=st.integers(0, 2**16), perm=st.permutations(range(9)), noise=st.floats(0.0, 0.5))
@@ -282,13 +282,12 @@ class TestCoordinateDescent:
         Sigma = HpdMatrix(0.5 * np.eye(4))
         x = draw_sparse_fading(9, 3, seed + 1).x
         real_w = Sigma.values + op.apply_raw(x) + noise * np.eye(4)
-        trace = ml_coordinate_descent(
-            op, Sigma, HermitianMatrix(real_w),
-            MlOptions(permutation=perm, track="update", while_iterations=30),
-        )
-        diffs = np.diff(trace.objectives)
-        slack = 1e-10 * np.abs(trace.objectives[:-1])
-        assert np.all(diffs <= slack)
+        W = HermitianMatrix(real_w)
+        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(permutation=perm, while_iterations=30))
+        replay_z, updates = replayed_updates(op, Sigma, W, perm, trace.sweeps)
+        np.testing.assert_allclose(replay_z, trace.z, rtol=1e-8, atol=1e-10)
+        for objectives in (trace.objectives, updates):
+            assert np.all(np.diff(objectives) <= 1e-10 * np.abs(objectives[:-1]))
 
     @given(seed=st.integers(0, 2**16), noise=st.floats(0.0, 0.5))
     def test_public_step_and_update_replay_a_sweep(self, seed, noise):
@@ -341,6 +340,25 @@ class TestCoordinateDescent:
             assert again.kkt_residual <= 1e-8
 
 
+def replayed_updates(op, Sigma, W, perm, sweeps):
+    """A cold-start descent replayed through coordinate_step and sherman_morrison_update.
+
+    Returns the final coefficients and the objective before the first and
+    after every coordinate update, for ``sweeps`` sweeps in the order ``perm``.
+    """
+    z = np.zeros(op.num_users)
+    S = HpdMatrix(np.linalg.inv(Sigma.values))
+    objectives = [ml_objective(op, Sigma, W, z)]
+    for _ in range(sweeps):
+        for n in perm:
+            a = op.codebook.columns[:, n]
+            t = coordinate_step(a, S, W, z[n])
+            S = sherman_morrison_update(S, a, t)
+            z[n] += t
+            objectives.append(ml_objective(op, Sigma, W, z))
+    return z, np.array(objectives)
+
+
 def nnls_z(op, Sigma, W):
     return nnls_estimate(op, Sigma, W).z
 
@@ -382,15 +400,12 @@ def serial_ml(op, Sigma, W, opts):
             t = max(-z[n], (r - q) / (q * q))
             sig = sig - (t / (1.0 + t * q)) * np.outer(u, u.conj())
             z[n] += t
-            if opts.track == "update":
-                objectives.append(objective())
         sig = (sig + sig.conj().T) / 2
         sweeps = sweep + 1
         if sweeps % 25 == 0:
             sig = fresh_inverse()
         f_new = objective()
-        if opts.track == "sweep":
-            objectives.append(f_new)
+        objectives.append(f_new)
         if f_prev - f_new < opts.objective_tol:
             break
     drift = float(np.linalg.norm(sig @ fit() - np.eye(op.pilot_len)))
@@ -399,7 +414,7 @@ def serial_ml(op, Sigma, W, opts):
 
 def mixed_batch(seed, trials=12):
     """Observations and options mixing cold and warm starts, sweep caps,
-    tolerances, update tracking, exact and perturbed covariances."""
+    tolerances, exact and perturbed covariances."""
     rng = np.random.default_rng(seed)
     N = 17
     op = MeasurementOperator(build_gaussian_codebook(4, N, seed))
@@ -414,7 +429,6 @@ def mixed_batch(seed, trials=12):
                 z0=nnls_z(op, Sigma, W) if trial % 2 else None,
                 while_iterations=(60, 30, 9)[trial % 3],
                 objective_tol=(1e-10, 0.0, 1e-6, 1e-10)[trial % 4],
-                track="update" if trial % 5 == 4 else "sweep",
             )
         )
         Ws.append(W)

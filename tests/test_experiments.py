@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covact import InvalidInput
+from covact import InvalidInput, MeasurementOperator, build_gaussian_codebook, experiments, stream
 from covact.cli import main
 from covact.config import ExperimentConfig, parse_config
 from covact.experiments import (
+    _kernel_screen,
     linear_fit_r2,
     loglog_slope,
     parse_csv,
@@ -62,6 +63,8 @@ class TestConfig:
             {"sigma_scale": 0.0},
             {"k_grid": ()},
             {"estimators": ("magic",)},
+            {"estimators": ()},
+            {"estimators": ("nnls", "nnls")},
             {"s_values": (0, 1)},
             {"s_values": (1, 18)},
             {"skc_order": 17},
@@ -110,6 +113,27 @@ class TestConfig:
         lines = ExperimentConfig().metadata_lines()
         assert any(line.startswith("# seed = ") for line in lines)
         assert any(line.startswith("# trials_fig_b = ") for line in lines)
+
+
+class TestKernelScreen:
+    @staticmethod
+    def simulation_draw(seed, draw):
+        return MeasurementOperator(build_gaussian_codebook(4, 17, stream(seed, "codebook", draw))).stacked_real()
+
+    def test_bound_covers_the_certified_constant(self, verified, monkeypatch):
+        # The screen passes when its upper bound on tau'(order) exceeds the
+        # tolerance, so with the certified tau'(7) as tolerance it must pass.
+        monkeypatch.setattr(experiments, "SKC_POSITIVE_TOL", verified.report(7).tau_prime)
+        assert _kernel_screen(MeasurementOperator(verified.codebook).stacked_real(), 7)
+
+    def test_small_kernel_entry_does_not_reject(self):
+        # Seed 5, draw 1: the smallest kernel entry is 3.5e-4, yet the exact
+        # certificate holds (tau'(7) = 8.9e-3).
+        assert _kernel_screen(self.simulation_draw(5, 1), 7)
+
+    def test_rejects_a_bound_below_the_tolerance(self):
+        # Seed 2024, draw 0: the right sign split, but tau'(7) <= 3.2e-4.
+        assert not _kernel_screen(self.simulation_draw(2024, 0), 7)
 
 
 class TestPanels:

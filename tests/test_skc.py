@@ -25,7 +25,8 @@ from covact import (
 )
 from covact import skc
 from covact.channel import stream
-from covact.skc import _kernel_vector, _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
+from covact.experiments import _kernel_vector
+from covact.skc import _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
 
 from conftest import real_vectors
 
@@ -179,6 +180,19 @@ class TestBoundAndPrune:
         for order in range(1, 8):
             report = verified.report(order)
             assert report.lower_bound >= 0.999 * report.tau_prime
+
+    def test_verified_curve_bits(self, verified):
+        # The published codebook (seed 2024, draw 3) has a one-dimensional
+        # kernel; its certified bracket for orders 1..8 is pinned bit for bit.
+        assert verified.draws_used == 4
+        assert [r.tau_prime.hex() for r in verified.reports] == [
+            "0x1.3c99ab2ebfeb5p-2", "0x1.963d79ea3f58cp-3", "0x1.0130ca4743986p-3", "0x1.0d6cd744e5904p-5",
+            "0x1.0d02fda932fe2p-6", "0x1.40d3b5e17186fp-7", "0x1.0ce1ef0c716c0p-8", "0x1.080e33de5f2b1p-26",
+        ]
+        assert [r.lower_bound.hex() for r in verified.reports] == [
+            "0x1.3c99ab2e94a93p-2", "0x1.963d79e9b87f5p-3", "0x1.0130ca466e942p-3", "0x1.0d6cd7382fb85p-5",
+            "0x1.0d02fd7649b01p-6", "0x1.40d3b536ab1c7p-7", "0x1.0ce1ebdd5a968p-8", "0x0.0p+0",
+        ]
 
     @given(real_vectors(6))
     def test_simplex_projection(self, v):
