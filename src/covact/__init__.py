@@ -11,7 +11,6 @@ harness.
 from .channel import (
     ChannelRealization,
     FadingVector,
-    PerturbedObservation,
     draw_sparse_fading,
     perturb_hermitian,
     sample_complex_gaussian,
@@ -102,7 +101,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PenaltyCheckReport",
     "PenaltyTuple",
-    "PerturbedObservation",
     "SetupFailed",
     "SkcReport",
     "StackedRealMatrix",

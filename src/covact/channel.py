@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, _read_complex_csv, _write_complex_csv
+from .codebook import Codebook
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix, as_hermitian, as_hpd, hpd_sqrt, operator_norm
 
@@ -75,15 +74,6 @@ class ChannelRealization:
     Y: np.ndarray
     H: np.ndarray
     E: np.ndarray
-    antennas: int
-
-
-@dataclass(frozen=True)
-class PerturbedObservation:
-    """A Hermitian observation at a known operator-norm distance from its base."""
-
-    W: HermitianMatrix
-    rho: float
 
 
 def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
@@ -118,7 +108,7 @@ def simulate_measurements(codebook: Codebook, fading: FadingVector, Sigma, K: in
     H = (rng_h.standard_normal((N, K)) + 1j * rng_h.standard_normal((N, K))) / np.sqrt(2)
     E = sample_complex_gaussian(spd, K, rng_e)
     Y = A @ (np.sqrt(fading.x)[:, None] * H) + E
-    return ChannelRealization(Y=Y, H=H, E=E, antennas=K)
+    return ChannelRealization(Y=Y, H=H, E=E)
 
 
 def sample_covariance(Y) -> HermitianMatrix:
@@ -130,35 +120,34 @@ def sample_covariance(Y) -> HermitianMatrix:
     return HermitianMatrix(Y @ Y.conj().T / K)
 
 
-def perturb_hermitian(W0, rho: float, seed) -> PerturbedObservation:
+def perturb_hermitian(W0, rho: float, seed) -> HermitianMatrix:
     """Add a unit-operator-norm Hermitian direction scaled by rho to W0.
 
     The direction is (N + N^H) / ||N + N^H||_{2->2} for a matrix N with
-    independent standard Gaussian real and imaginary parts; a degenerate draw
-    (probability zero) is resampled on an incremented stream.
+    independent standard Gaussian real and imaginary parts.  A zero draw has
+    probability zero and raises InvalidInput.
     """
     if rho < 0:
         raise InvalidInput("perturbation magnitude must be nonnegative")
     base = as_hermitian(W0)
     if rho == 0.0:
-        return PerturbedObservation(W=base, rho=0.0)
+        return base
     M = base.dim
-    for attempt in range(16):
-        rng = stream(seed, "perturb", attempt)
-        raw = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
-        sym = raw + raw.conj().T
-        nrm = operator_norm(HermitianMatrix(sym))
-        if nrm > 0:
-            direction = sym / nrm
-            return PerturbedObservation(W=HermitianMatrix(base.values + rho * direction), rho=float(rho))
-    raise InvalidInput("could not draw a nonzero Hermitian perturbation")
+    rng = stream(seed, "perturb", 0)
+    raw = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    sym = raw + raw.conj().T
+    nrm = operator_norm(HermitianMatrix(sym))
+    if nrm == 0:
+        raise InvalidInput("drew a zero Hermitian perturbation")
+    return HermitianMatrix(base.values + rho * (sym / nrm))
 
 
 def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     """Uniformly random S-sparse nonnegative vector with unit Euclidean norm.
 
     The support is uniform over the size-S subsets; the nonzero values are
-    absolute standard Gaussians normalized to unit l2 norm.
+    absolute standard Gaussians normalized to unit l2 norm; an all-zero
+    draw has probability zero and raises InvalidInput.
     """
     if not 1 <= S <= N:
         raise InvalidInput(f"sparsity {S} outside [1, {N}]")
@@ -166,35 +155,8 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     support = rng.choice(N, size=S, replace=False)
     vals = np.abs(rng.standard_normal(S))
     norm = np.linalg.norm(vals)
-    if norm == 0.0:  # probability zero; fall back to equal weights
-        vals = np.ones(S)
-        norm = np.sqrt(S)
+    if norm == 0.0:
+        raise InvalidInput("drew an all-zero fading vector")
     x = np.zeros(N)
     x[support] = vals / norm
     return FadingVector(x=x, sparsity=S)
-
-
-def save_realization_csv(realization: ChannelRealization, directory) -> None:
-    """Persist Y, H and E as CSV triplet files with header row,col,re,im."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in ("Y", "H", "E"):
-        _write_complex_csv(getattr(realization, name), directory / f"{name}.csv")
-
-
-def load_realization_csv(directory) -> ChannelRealization:
-    """Read a CSV triplet written by save_realization_csv.
-
-    Raises InvalidInput, naming the file, when an entry is not finite, when
-    E does not have the M x K shape of Y, or when H does not have K columns.
-    """
-    paths = [Path(directory) / f"{name}.csv" for name in ("Y", "H", "E")]
-    Y, H, E = matrices = [_read_complex_csv(path) for path in paths]
-    for path, matrix in zip(paths, matrices):
-        if not np.all(np.isfinite(matrix)):
-            raise InvalidInput(f"{path}: entries must be finite")
-    if H.shape[1] != Y.shape[1]:
-        raise InvalidInput(f"{paths[1]}: {H.shape[1]} columns, but Y has {Y.shape[1]} antennas")
-    if E.shape != Y.shape:
-        raise InvalidInput(f"{paths[2]}: shape {E.shape} differs from the shape {Y.shape} of Y")
-    return ChannelRealization(Y=Y, H=H, E=E, antennas=Y.shape[1])

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import draw_sparse_fading, sample_covariance, simulate_measurements, stream
 from .codebook import MeasurementOperator, build_deterministic_codebook, build_gaussian_codebook, load_codebook_csv, save_codebook_csv
 from .config import ExperimentConfig, parse_config
-from .errors import CovactError
+from .errors import CovactError, InvalidInput
 from .estimators import save_estimate_csv, save_trace_csv
 from .experiments import (
     SKC_POSITIVE_TOL,
@@ -96,6 +96,8 @@ def _cmd_tau(args, cfg) -> list:
 
 
 def _cmd_estimate(args, cfg) -> list:
+    if args.antennas < 0:
+        raise InvalidInput(f"--antennas must be nonnegative, got {args.antennas}")
     op = MeasurementOperator(_build_codebook(cfg))
     Sigma = _noise_covariance(cfg)
     sparsity = cfg.skc_order if args.sparsity is None else args.sparsity

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _write_csv
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix, as_hermitian
 
@@ -115,7 +116,6 @@ class StackedRealMatrix:
     """
 
     values: np.ndarray
-    pilot_len: int
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -192,7 +192,7 @@ class MeasurementOperator:
             M, N = A.shape
             rank_ones = np.einsum("mn,kn->mkn", A, A.conj())
             flat = rank_ones.reshape(M * M, N, order="F")
-            self._stacked = StackedRealMatrix(values=np.vstack([flat.real, flat.imag]), pilot_len=M)
+            self._stacked = StackedRealMatrix(values=np.vstack([flat.real, flat.imag]))
         return self._stacked
 
 
@@ -205,26 +205,20 @@ def vectorize_hermitian(H, M: int) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
-def _write_complex_csv(matrix, path, index=("row", "col")) -> None:
-    """Write a complex matrix as CSV rows ``<row>,<col>,re,im``, 1-based, column-major."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*index, "re", "im"])
-        rows, cols = matrix.shape
-        for c in range(cols):
-            for r in range(rows):
-                v = matrix[r, c]
-                writer.writerow([r + 1, c + 1, f"{v.real:.17g}", f"{v.imag:.17g}"])
+def save_codebook_csv(codebook: Codebook, path) -> None:
+    """Write a codebook as CSV rows ``m,n,re,im``, 1-based, column-major."""
+    rows = ((m + 1, n + 1, v.real, v.imag) for (n, m), v in np.ndenumerate(codebook.columns.T))
+    _write_csv(path, ("m", "n", "re", "im"), rows)
 
 
-def _read_complex_csv(path, index=("row", "col")) -> np.ndarray:
-    """Read a matrix written by _write_complex_csv with the same index names.
+def load_codebook_csv(path) -> Codebook:
+    """Read a codebook written by save_codebook_csv.
 
     Raises InvalidInput, naming the file, unless the header matches and every
     entry of the matrix appears exactly once, with 1-based indices and
     numeric parts.
     """
-    header = [*index, "re", "im"]
+    header = ["m", "n", "re", "im"]
     entries = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -251,14 +245,4 @@ def _read_complex_csv(path, index=("row", "col")) -> np.ndarray:
     out = np.zeros((rows, cols), dtype=complex)
     for (r, c), v in entries.items():
         out[r, c] = v
-    return out
-
-
-def save_codebook_csv(codebook: Codebook, path) -> None:
-    """Write a codebook as CSV rows ``m,n,re,im`` (1-based indices)."""
-    _write_complex_csv(codebook.columns, path, ("m", "n"))
-
-
-def load_codebook_csv(path) -> Codebook:
-    """Read a codebook written by save_codebook_csv."""
-    return Codebook(_read_complex_csv(path, ("m", "n")))
+    return Codebook(out)

@@ -9,6 +9,7 @@ remain reachable through the file).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -71,8 +72,9 @@ class ExperimentConfig:
                 raise InvalidInput(f"{name} must be nonempty")
             if not all(valid(v) for v in values):
                 raise InvalidInput(f"{name} entries must {rule}")
-        if self.sigma_scale <= 0:
-            raise InvalidInput("sigma_scale must be positive")
+        for name in ("sigma_scale", "eta", "bernstein_c"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInput(f"{name} must be finite and positive")
         if self.tau_method not in ("exact", "heuristic"):
             raise InvalidInput("tau_method must be 'exact' or 'heuristic'")
         if not set(self.estimators) <= set(ESTIMATOR_NAMES):
@@ -106,6 +108,12 @@ def _format_row(values) -> str:
     return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file of ``\\r\\n``-terminated lines, each row formatted by _format_row."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(_format_row(row) + "\r\n" for row in (header, *rows))
+
+
 def _converter(default):
     """Parser of a value: the default's type, or for a tuple comma-separated entries of its entry type."""
     if isinstance(default, tuple):
@@ -114,7 +122,7 @@ def _converter(default):
     return type(default)
 
 
-def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def parse_config(path) -> ExperimentConfig:
     """Read overrides from a ``key = value`` file on top of the defaults."""
     defaults = ExperimentConfig()
     keys = {f.name for f in fields(defaults)}
@@ -133,4 +141,4 @@ def parse_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig
             overrides[key] = _converter(getattr(defaults, key))(value)
         except ValueError:
             raise InvalidInput(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
-    return replace(base or defaults, **overrides)
+    return replace(defaults, **overrides)

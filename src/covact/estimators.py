@@ -20,12 +20,12 @@ public entry, never inside the sweep loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import MeasurementOperator, vectorize_hermitian
+from .config import _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
 from .hermitian import HpdMatrix, as_hermitian, as_hpd
 
@@ -78,10 +78,10 @@ class MlOptions:
         if self.objective_tol < 0:
             raise InvalidInput("objective_tol must be nonnegative")
         if self.permutation is not None:
-            perm = np.asarray(self.permutation, dtype=int)
+            perm = np.asarray(self.permutation)
             if not np.array_equal(np.sort(perm), np.arange(perm.size)):
                 raise InvalidInput("permutation must be a bijection on 0..N-1")
-            object.__setattr__(self, "permutation", perm)
+            object.__setattr__(self, "permutation", perm.astype(int))
 
 
 @dataclass(frozen=True)
@@ -444,12 +444,7 @@ def threshold_detect(z, eps: float, true_support) -> DetectionResult:
 
 def save_estimate_csv(z, path) -> None:
     """Write an estimate as CSV rows ``n,z_n`` (1-based indices)."""
-    z = np.asarray(z, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "z_n"])
-        for n, v in enumerate(z, start=1):
-            writer.writerow([n, f"{v:.17g}"])
+    _write_csv(path, ("n", "z_n"), enumerate(np.asarray(z, dtype=float), start=1))
 
 
 def save_trace_csv(trace: MlTrace, path) -> None:
@@ -458,10 +453,6 @@ def save_trace_csv(trace: MlTrace, path) -> None:
     The KKT residual is only measured at exit, so intermediate rows carry an
     empty residual column.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "objective", "kkt_residual"])
-        last = len(trace.objectives) - 1
-        for i, val in enumerate(trace.objectives):
-            kkt = f"{trace.kkt_residual:.17g}" if i == last else ""
-            writer.writerow([i, f"{val:.17g}", kkt])
+    last = len(trace.objectives) - 1
+    rows = ((i, val, trace.kkt_residual if i == last else "") for i, val in enumerate(trace.objectives))
+    _write_csv(path, ("sweep", "objective", "kkt_residual"), rows)

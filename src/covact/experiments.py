@@ -229,7 +229,7 @@ def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
             exact = _exact_covariance(op, Sigma, fading.x)
             if float(np.linalg.eigvalsh(exact.values)[0]) > rho_budget:
                 noise = stream(cfg.seed, "figure-c", rho, trial, "noise")
-                return fading, perturb_hermitian(exact, rho, noise).W
+                return fading, perturb_hermitian(exact, rho, noise)
         raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
 
     names = ("nnls", "ml_nnls")

@@ -48,38 +48,26 @@ class HermitianMatrix:
         return float(np.linalg.norm(self.values))
 
     def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class HpdMatrix:
+class HpdMatrix(HermitianMatrix):
     """A Hermitian positive definite matrix.
 
     Construction verifies that the smallest eigenvalue exceeds
     ``HPD_TOL_FACTOR * max(1, ||H||_{2->2})``.
     """
 
-    __slots__ = ("hermitian",)
+    __slots__ = ()
 
     def __init__(self, values):
-        herm = values if isinstance(values, HermitianMatrix) else HermitianMatrix(values)
-        lam = np.linalg.eigvalsh(herm.values)
+        super().__init__(values.values if isinstance(values, HermitianMatrix) else values)
+        lam = np.linalg.eigvalsh(self.values)
         tol = HPD_TOL_FACTOR * max(1.0, float(np.abs(lam).max()))
         if lam[0] < tol:
             raise NotPositiveDefinite(
                 f"smallest eigenvalue {lam[0]:.3e} is below the HPD tolerance {tol:.3e}"
             )
-        self.hermitian = herm
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.hermitian.values
-
-    @property
-    def dim(self) -> int:
-        return self.hermitian.dim
-
-    def __repr__(self):
-        return f"HpdMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,6 @@ def as_hermitian(values) -> HermitianMatrix:
     """Coerce an array or matrix wrapper into a HermitianMatrix."""
     if isinstance(values, HermitianMatrix):
         return values
-    if isinstance(values, HpdMatrix):
-        return values.hermitian
     return HermitianMatrix(values)
 
 

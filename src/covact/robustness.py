@@ -52,17 +52,17 @@ class BoundInputs:
             raise InvalidInput("need 0 < lambda_min <= lambda_max")
         if not 0 < self.beta < self.lambda_min:
             raise InvalidInput("need 0 < beta < lambda_min")
-        if self.eta <= 0:
-            raise InvalidInput("eta must be positive")
-        if self.tau < 0:
+        if not 0 < self.eta < math.inf:
+            raise InvalidInput("eta must be finite and positive")
+        if not self.tau >= 0:
             raise InvalidInput("tau must be nonnegative")
         if self.dim < 1:
             raise InvalidInput("dimension must be at least 1")
         if not 0 < self.p < 1:
             raise InvalidInput("target probability must lie in (0, 1)")
-        if self.c <= 0:
-            raise InvalidInput("Bernstein constant must be positive")
-        if self.sup_diag <= 0:
+        if not 0 < self.c < math.inf:
+            raise InvalidInput("Bernstein constant must be finite and positive")
+        if not self.sup_diag > 0:
             raise InvalidInput("sup_diag must be positive")
 
 
@@ -77,8 +77,8 @@ def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) 
     """
     if kind not in DELTA_KINDS:
         raise InvalidInput(f"unknown radius kind {kind!r}")
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInput("eps must be finite and positive")
     lam1, lamM = inputs.lambda_min, inputs.lambda_max
     beta, eta, M = inputs.beta, inputs.eta, inputs.dim
     ratio = (lam1 - beta) / (lamM + beta)
@@ -128,8 +128,8 @@ def k0_antennas(estimator: str, eps: float, p: float, inputs: BoundInputs, tup: 
     """
     if estimator not in ("nnls", "ml"):
         raise InvalidInput(f"unknown estimator {estimator!r}")
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInput("eps must be finite and positive")
     if not 0 < p < 1:
         raise InvalidInput("target probability must lie in (0, 1)")
     M, s, c = inputs.dim, inputs.sup_diag, inputs.c

@@ -255,7 +255,7 @@ def test_criterion_08_coordinate_descent_contract():
         W = HermitianMatrix(
             Sigma.values + op.apply_raw(x) + 0.05 * perturb_hermitian(
                 HermitianMatrix(np.zeros((M, M))), 1.0, stream(44, "cd", run)
-            ).W.values
+            ).values
         )
         if np.linalg.eigvalsh(W.values)[0] < 1e-6:
             continue
@@ -327,7 +327,7 @@ def test_criterion_10_robustness_bound_honored(verified, operator, noise):
             fading = draw_sparse_fading(17, order, stream(50, "bound", order, trial))
             exact = HermitianMatrix(operator.apply_raw(fading.x) + noise.values)
             rho = float(10 ** stream(51, "bound", order, trial).uniform(-4, -1))
-            W = perturb_hermitian(exact, rho, stream(52, "bound", order, trial)).W
+            W = perturb_hermitian(exact, rho, stream(52, "bound", order, trial))
             res = nnls_estimate(operator, noise, W)
             err = float(np.linalg.norm(res.z - fading.x))
             pert = float(np.linalg.norm(W.values - exact.values))
@@ -386,7 +386,7 @@ def test_end_to_end_ml_robustness(verified, operator, noise):
             )
             for eps in eps_targets:
                 radius = delta_radius("skc", eps, inputs, tup)
-                W = perturb_hermitian(HermitianMatrix(X), radius, stream(61, "e2e", order, trial)).W
+                W = perturb_hermitian(HermitianMatrix(X), radius, stream(61, "e2e", order, trial))
                 res = nnls_estimate(operator, noise, W)
                 perm = stream(62, "e2e", order, trial).permutation(17)
                 trace = ml_coordinate_descent(

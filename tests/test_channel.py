@@ -17,7 +17,7 @@ from covact import (
     simulate_measurements,
     stream,
 )
-from covact.channel import load_realization_csv, save_realization_csv
+from covact import channel
 
 
 class TestStreams:
@@ -119,20 +119,20 @@ class TestPerturb:
     def test_zero_magnitude_identity(self):
         W0 = HermitianMatrix(np.diag([1.0, 2.0]))
         out = perturb_hermitian(W0, 0.0, 5)
-        assert np.array_equal(out.W.values, W0.values)
+        assert np.array_equal(out.values, W0.values)
 
     def test_distance_is_rho(self):
         rng = np.random.default_rng(22)
         W0 = HermitianMatrix(np.diag([1.0, 2.0, 3.0]))
         for rho in (1e-3, 0.1, 2.0):
             out = perturb_hermitian(W0, rho, 23)
-            dist = operator_norm(HermitianMatrix(out.W.values - W0.values))
+            dist = operator_norm(HermitianMatrix(out.values - W0.values))
             assert abs(dist - rho) <= 1e-10 * max(1.0, rho)
 
     def test_seeds_give_distinct_unit_directions(self):
         W0 = HermitianMatrix(np.zeros((3, 3)))
-        a = perturb_hermitian(W0, 1.0, 1).W.values
-        b = perturb_hermitian(W0, 1.0, 2).W.values
+        a = perturb_hermitian(W0, 1.0, 1).values
+        b = perturb_hermitian(W0, 1.0, 2).values
         assert not np.allclose(a, b)
         assert operator_norm(HermitianMatrix(a)) == pytest.approx(1.0, abs=1e-10)
         assert operator_norm(HermitianMatrix(b)) == pytest.approx(1.0, abs=1e-10)
@@ -140,6 +140,17 @@ class TestPerturb:
     def test_negative_rho_rejected(self):
         with pytest.raises(InvalidInput):
             perturb_hermitian(HermitianMatrix(np.eye(2)), -0.1, 0)
+
+    def test_zero_draw_rejected(self, monkeypatch):
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        labels = []
+        monkeypatch.setattr(channel, "stream", lambda seed, *rest: labels.append(rest) or Zeros())
+        with pytest.raises(InvalidInput, match="zero Hermitian perturbation"):
+            perturb_hermitian(HermitianMatrix(np.eye(2)), 0.1, 0)
+        assert labels == [("perturb", 0)]
 
 
 class TestSparseFading:
@@ -162,6 +173,14 @@ class TestSparseFading:
         for count in counts.values():
             assert abs(count / 10_000 - 0.1) <= 0.02
 
+    def test_zero_draw_rejected(self):
+        class ZeroNormals(np.random.Generator):
+            def standard_normal(self, size=None):
+                return np.zeros(size)
+
+        with pytest.raises(InvalidInput, match="all-zero fading vector"):
+            draw_sparse_fading(5, 2, ZeroNormals(np.random.PCG64(0)))
+
     def test_invalid_sparsity(self):
         with pytest.raises(InvalidInput):
             draw_sparse_fading(4, 0, 0)
@@ -177,44 +196,3 @@ class TestFadingVector:
     def test_rejects_excess_support(self):
         with pytest.raises(InvalidInput):
             FadingVector(np.array([0.5, 0.1, 0.2]), 2)
-
-
-class TestRealizationCsv:
-    def test_round_trip(self, tmp_path):
-        cb = build_gaussian_codebook(3, 5, 4)
-        real = simulate_measurements(cb, draw_sparse_fading(5, 2, 5), HpdMatrix(np.eye(3)), 6, 6)
-        save_realization_csv(real, tmp_path)
-        loaded = load_realization_csv(tmp_path)
-        np.testing.assert_allclose(loaded.Y, real.Y)
-        np.testing.assert_allclose(loaded.H, real.H)
-        np.testing.assert_allclose(loaded.E, real.E)
-        assert loaded.antennas == 6
-
-    @pytest.mark.parametrize("edit", ["drop", "repeat"])
-    def test_rejects_missing_or_repeated_entry(self, tmp_path, edit):
-        cb = build_gaussian_codebook(3, 5, 4)
-        save_realization_csv(simulate_measurements(cb, draw_sparse_fading(5, 2, 5), HpdMatrix(np.eye(3)), 6, 6), tmp_path)
-        path = tmp_path / "H.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-1] if edit == "drop" else lines + lines[-1:]))
-        with pytest.raises(InvalidInput, match="H.csv"):
-            load_realization_csv(tmp_path)
-
-    @pytest.mark.parametrize(
-        "name, edit",
-        [
-            ("H", lambda rows: [r for r in rows if r[1] != "6"]),  # the last of K = 6 columns
-            ("E", lambda rows: [r for r in rows if r[0] != "3"]),  # the last of M = 3 rows
-            ("E", lambda rows: [rows[0], [*rows[1][:2], "nan", rows[1][3]], *rows[2:]]),
-            ("Y", lambda rows: [rows[0], rows[1], [*rows[2][:3], "inf"], *rows[3:]]),
-        ],
-        ids=["H-column-deleted", "E-row-deleted", "nan-in-E", "inf-in-Y"],
-    )
-    def test_rejects_inconsistent_shape_or_nonfinite_entry(self, tmp_path, name, edit):
-        cb = build_gaussian_codebook(3, 5, 4)
-        save_realization_csv(simulate_measurements(cb, draw_sparse_fading(5, 2, 5), HpdMatrix(np.eye(3)), 6, 6), tmp_path)
-        path = tmp_path / f"{name}.csv"
-        rows = [line.split(",") for line in path.read_text().splitlines()]
-        path.write_text("".join(",".join(r) + "\n" for r in edit(rows)))
-        with pytest.raises(InvalidInput, match=f"{name}.csv"):
-            load_realization_csv(tmp_path)

@@ -253,6 +253,11 @@ class TestShermanMorrison:
 
 
 class TestCoordinateDescent:
+    @pytest.mark.parametrize("perm", [[0.6, 1.9, 2.2], [0, 0, 1], [1, 2, 3]])
+    def test_options_reject_bad_permutation(self, perm):
+        with pytest.raises(InvalidInput, match="permutation"):
+            MlOptions(permutation=perm)
+
     def test_noise_only_stays_at_zero(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 6, 22))
         Sigma = random_hpd(np.random.default_rng(23), 3)

@@ -1,5 +1,6 @@
 """Experiment harness: configs, panel runs, bounds table and the CLI."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,11 @@ class TestConfig:
         for bad in (
             {"trials_fig_b": 0},
             {"sigma_scale": 0.0},
+            {"sigma_scale": math.nan},
+            {"eta": 0.0},
+            {"eta": math.nan},
+            {"bernstein_c": math.nan},
+            {"bernstein_c": math.inf},
             {"k_grid": ()},
             {"estimators": ("magic",)},
             {"estimators": ()},
@@ -291,6 +297,18 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["gaussian", "deterministic"])
+    def test_codebook_build_matches_golden(self, tmp_path, config_file_tiny, kind):
+        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "codebook", "build", "--kind", kind])
+        assert code == 0
+        assert (tmp_path / "codebook.csv").read_bytes() == (GOLDEN / "cli" / "codebook_build" / f"{kind}.csv").read_bytes()
+
+    def test_negative_antennas_exit_code(self, tmp_path, config_file_tiny, capsys):
+        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", "nnls", "--antennas", "-5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --antennas must be nonnegative, got -5\n"
+        assert not list(tmp_path.iterdir())
+
     def test_error_exit_code(self, tmp_path):
         code = main(["--out", str(tmp_path), "codebook", "check", "--order", "40"])
         assert code == 1
@@ -307,6 +325,9 @@ class TestCli:
         assert main(["--config", str(bad), "bounds"]) == 1
         assert "error: " in capsys.readouterr().err
         assert main(["--config", str(tmp_path / "missing.cfg"), "bounds"]) == 1
+        bad.write_text("bernstein_c = nan\n")
+        assert main(["--config", str(bad), "--assert", "bounds"]) == 1
+        assert "bernstein_c" in capsys.readouterr().err
 
     def test_order_follows_config(self, tmp_path, config_file_tiny):
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "tau"])

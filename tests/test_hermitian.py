@@ -14,6 +14,8 @@ from covact import (
     operator_norm,
 )
 
+from covact.hermitian import as_hermitian
+
 from conftest import random_hermitian, random_hpd
 
 
@@ -35,6 +37,12 @@ class TestConstruction:
             HpdMatrix(np.diag([1.0, -0.5]))
         with pytest.raises(NotPositiveDefinite):
             HpdMatrix(np.diag([1.0, 0.0]))
+
+    def test_hpd_is_a_hermitian_matrix(self):
+        h = HpdMatrix(np.eye(2))
+        assert isinstance(h, HermitianMatrix)
+        assert as_hermitian(h) is h
+        assert repr(h) == "HpdMatrix(dim=2)"
 
     def test_values_are_immutable(self):
         H = HermitianMatrix(np.eye(2))

@@ -48,6 +48,11 @@ class TestBoundInputs:
         with pytest.raises(InvalidInput):
             BoundInputs(0.5, 2.5, 0.25, 1.0, 0.5, 4, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["eta", "c"])
+    def test_rejects_nan(self, inputs, name):
+        with pytest.raises(InvalidInput):
+            replace(inputs, **{name: math.nan})
+
 
 class TestDeltaRadius:
     def test_all_kinds_positive_and_capped(self, inputs, tld):
@@ -116,6 +121,9 @@ class TestDeltaRadius:
             delta_radius("nice", -1.0, inputs, tld)
         with pytest.raises(InvalidInput):
             delta_radius("bogus", 1.0, inputs, tld)
+        for kind in DELTA_KINDS:
+            with pytest.raises(InvalidInput, match="eps"):
+                delta_radius(kind, math.nan, inputs, tld)
 
 
 class TestAntennaCounts:
@@ -145,6 +153,11 @@ class TestAntennaCounts:
         grid = np.logspace(-4, 1, 30)
         values = [k0_antennas("nnls", float(e), 0.9, inputs, tld) for e in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("estimator", ["nnls", "ml"])
+    def test_rejects_nan_eps(self, inputs, tld, estimator):
+        with pytest.raises(InvalidInput, match="eps"):
+            k0_antennas(estimator, math.nan, 0.9, inputs, tld)
 
     def test_ml_floor_is_dimension(self, inputs, tld):
         assert k0_antennas("ml", 1e9, 0.9, inputs, tld) >= inputs.dim
