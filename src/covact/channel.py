@@ -94,20 +94,15 @@ def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
 
 def simulate_measurements(codebook: Codebook, fading: FadingVector, Sigma, K: int, seed) -> ChannelRealization:
     """Draw Y = A sqrt(diag(x)) H + E with fresh channel and noise streams."""
-    if K < 1:
-        raise InvalidInput("K must be positive")
-    spd = as_hpd(Sigma)
-    A = codebook.columns
-    if spd.dim != codebook.pilot_len:
-        raise InvalidInput("noise covariance dimension does not match the pilot length")
     if fading.x.size != codebook.num_users:
         raise InvalidInput("fading vector length does not match the number of users")
-    rng_h = stream(seed, "channel")
-    rng_e = stream(seed, "noise")
+    rng_h = stream(seed, "channel")  # first: a Generator seed spawns its children in call order
+    E = sample_complex_gaussian(Sigma, K, stream(seed, "noise"))
+    if E.shape[0] != codebook.pilot_len:
+        raise InvalidInput("noise covariance dimension does not match the pilot length")
     N = codebook.num_users
     H = (rng_h.standard_normal((N, K)) + 1j * rng_h.standard_normal((N, K))) / np.sqrt(2)
-    E = sample_complex_gaussian(spd, K, rng_e)
-    Y = A @ (np.sqrt(fading.x)[:, None] * H) + E
+    Y = codebook.columns @ (np.sqrt(fading.x)[:, None] * H) + E
     return ChannelRealization(Y=Y, H=H, E=E)
 
 

@@ -123,6 +123,8 @@ def _broken_rules(kind: str, text: str, cfg) -> list:
     """Acceptance rules that the CSV of panel ``kind`` (or the bound table) breaks."""
     failures = []
     _, header, rows = parse_csv(text)
+    if kind == "c":  # the log-log slope has no point at rho = 0
+        rows = [row for row in rows if row[header.index("rho")] > 0]
     cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
     if kind in ("a", "b"):
         for row in rows:
@@ -137,6 +139,9 @@ def _broken_rules(kind: str, text: str, cfg) -> list:
                 for name in ("err_nnls", "err_ml_nnls"):
                     if name in header and row[header.index(name)] > 1e-3:
                         failures.append(f"{name} at S={order} exceeds 1e-3")
+    elif kind in ("c", "d") and len(rows) < 2:
+        rule = "the log-log slope against rho > 0" if kind == "c" else "the R^2 against K"
+        failures.append(f"{rule} needs at least two grid values, got {len(rows)}")
     elif kind == "c":
         for name in ("err_nnls", "err_ml_nnls"):
             slope = loglog_slope(cols["rho"], cols[name])

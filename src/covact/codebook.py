@@ -11,6 +11,7 @@ operator image.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,9 @@ from .errors import InvalidInput
 from .hermitian import HermitianMatrix, as_hermitian
 
 _PRIME_CAP = 10_000
-_primes: list[int] = []
 
 
+@functools.cache
 def _sieve(limit: int) -> list[int]:
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
@@ -36,11 +37,8 @@ def nth_prime(k: int) -> int:
     """The k-th prime number, with nth_prime(1) == 2.  Valid for k <= 10^4."""
     if not 1 <= k <= _PRIME_CAP:
         raise InvalidInput(f"prime index {k} outside [1, {_PRIME_CAP}]")
-    global _primes
-    if not _primes:
-        # 104729 is the 10^4-th prime; sieve once, cache for the process.
-        _primes = _sieve(110_000)
-    return _primes[k - 1]
+    # 104729 is the 10^4-th prime; the sieve runs once per process.
+    return _sieve(110_000)[k - 1]
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,8 @@ class MeasurementOperator:
     def num_users(self) -> int:
         return self.codebook.num_users
 
-    def _check_coefficients(self, z) -> np.ndarray:
+    def apply_raw(self, z) -> np.ndarray:
+        """Like apply() but returns a bare ndarray."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.num_users,):
             raise InvalidInput(
@@ -153,11 +152,7 @@ class MeasurementOperator:
             )
         if not np.all(np.isfinite(z)):
             raise InvalidInput("coefficients must be finite")
-        return z
-
-    def apply_raw(self, z) -> np.ndarray:
-        """Like apply() but returns a bare ndarray."""
-        return self._apply(self._check_coefficients(z))
+        return self._apply(z)
 
     def _apply(self, z) -> np.ndarray:
         """apply_raw without the check of z, for solver loops that checked it on entry.

@@ -144,13 +144,12 @@ def _kkt_violation(g, z):
 
 def _nnls_active_set(E, d, opts: NnlsOptions):
     n = E.shape[1]
-    gram = E.T @ E
-    lin = E.T @ d
     z = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     banned = np.zeros(n, dtype=bool)  # degenerate entries, cleared on progress
-    w = lin.copy()  # negative gradient at z = 0
-    best = (float(np.linalg.norm(d)), z.copy())
+    w = E.T @ d  # negative gradient E^T (d - E z) of 0.5 ||E z - d||^2, here at z = 0
+    resid = float(np.linalg.norm(d))
+    best = (resid, z.copy())
     outer = 0
     while True:
         candidates = ~passive & ~banned & (w > opts.kkt_tol)
@@ -164,12 +163,11 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
         for _ in range(opts.max_iterations):
             idx = np.flatnonzero(passive)
             s_passive, *_ = np.linalg.lstsq(E[:, idx], d, rcond=None)
-            if s_passive.size and s_passive.min() > 0:
-                z = np.zeros(n)
-                z[idx] = s_passive
-                break
             s = np.zeros(n)
             s[idx] = s_passive
+            if s_passive.size and s_passive.min() > 0:
+                z = s
+                break
             shrink = passive & (s <= 0) & (z > 0)
             if not shrink.any():
                 # The entering column cannot leave zero; ban it until the
@@ -188,9 +186,8 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
         if resid < best[0] - 1e-15 * max(1.0, best[0]):
             best = (resid, z.copy())
             banned[:] = False
-    residual = float(np.linalg.norm(d - E @ z))
-    # The gradient of 0.5 ||E z - d||^2 is gram @ z - lin.
-    return z, residual, float(_kkt_violation(gram @ z - lin, z)), outer
+    # w and resid were last computed at the returned z.
+    return z, resid, float(_kkt_violation(-w, z)), outer
 
 
 def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = None) -> NnlsResult:

@@ -288,8 +288,8 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = 
                 delta_radius("convex", eps, inputs, tup),
                 delta_radius("tld", eps, inputs, tup),
                 delta_radius("skc", eps, inputs, tup),
-                k0_antennas("nnls", eps, cfg.target_p, inputs, tup),
-                k0_antennas("ml", eps, cfg.target_p, inputs, tup),
+                k0_antennas("nnls", eps, inputs, tup),
+                k0_antennas("ml", eps, inputs, tup),
             )
         )
     header = ["eps", "delta_nice", "delta_c", "delta_tld", "delta_skc", "k0_nnls", "k0_ml"]

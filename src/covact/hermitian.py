@@ -31,7 +31,7 @@ class HermitianMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=complex)
+        arr = np.asarray(values.values if isinstance(values, HermitianMatrix) else values, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -61,7 +61,7 @@ class HpdMatrix(HermitianMatrix):
     __slots__ = ()
 
     def __init__(self, values):
-        super().__init__(values.values if isinstance(values, HermitianMatrix) else values)
+        super().__init__(values)
         lam = np.linalg.eigvalsh(self.values)
         tol = HPD_TOL_FACTOR * max(1.0, float(np.abs(lam).max()))
         if lam[0] < tol:

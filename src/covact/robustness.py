@@ -83,7 +83,6 @@ def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) 
     beta, eta, M = inputs.beta, inputs.eta, inputs.dim
     ratio = (lam1 - beta) / (lamM + beta)
     sq = math.sqrt(ratio)
-    fn1 = tup.fn(1.0)
 
     if kind == "skc":
         if inputs.tau <= 0:
@@ -93,16 +92,14 @@ def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) 
     if kind == "obj_cont":
         return min(lam1 * sq * tup.width(eps / M), beta)
 
-    if kind == "nice":
+    if kind in ("nice", "convex"):
+        fn1 = tup.fn(1.0)
         g1e = tup.inv_lower(fn1 + eta)
         g2e = tup.inv_upper(fn1 + eta)
-        inner = eps * g1e / g2e * sq / (2.0 * lamM)
-        first = lam1 * sq * tup.width(tup.excess(inner) / M)
-        return min(first, eps / 2.0, lam1 * sq * tup.width(eta / M), beta)
-
-    if kind == "convex":
-        g1e = tup.inv_lower(fn1 + eta)
-        g2e = tup.inv_upper(fn1 + eta)
+        if kind == "nice":
+            inner = eps * g1e / g2e * sq / (2.0 * lamM)
+            first = lam1 * sq * tup.width(tup.excess(inner) / M)
+            return min(first, eps / 2.0, lam1 * sq * tup.width(eta / M), beta)
         first = (tup.slope_ratio / (2.0 * M)) * (lam1 / lamM) * ratio * (g1e / g2e) * eps
         third = tup.slope_range * M * lamM * (g2e / g1e) / sq
         fourth = lam1 * sq * (1.0 - tup.inv_lower(fn1 + eta / M))
@@ -119,8 +116,8 @@ def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) 
     return min(first, eps / 2.0, third, fourth, fifth, beta)
 
 
-def k0_antennas(estimator: str, eps: float, p: float, inputs: BoundInputs, tup: PenaltyTuple) -> float:
-    """Antenna count making the target error hold with probability p.
+def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) -> float:
+    """Antenna count making the target error eps hold with probability inputs.p.
 
     ``nnls`` uses the robustness constant directly; ``ml`` goes through the
     skc radius and is floored at the dimension (the sample covariance must
@@ -130,9 +127,7 @@ def k0_antennas(estimator: str, eps: float, p: float, inputs: BoundInputs, tup: 
         raise InvalidInput(f"unknown estimator {estimator!r}")
     if not 0 < eps < math.inf:
         raise InvalidInput("eps must be finite and positive")
-    if not 0 < p < 1:
-        raise InvalidInput("target probability must lie in (0, 1)")
-    M, s, c = inputs.dim, inputs.sup_diag, inputs.c
+    M, s, c, p = inputs.dim, inputs.sup_diag, inputs.c, inputs.p
     lead = -math.log((1.0 - p) / (M * (M + 1))) / c
     if estimator == "nnls":
         if inputs.tau <= 0:

@@ -217,8 +217,8 @@ def test_criterion_06b_antenna_count_structure(verified, operator, noise):
         sup_diag=float(np.real(np.diag(X)).max()),
     )
     grid = np.logspace(-4, 2, 40)
-    nnls_values = [k0_antennas("nnls", float(e), 0.9, inputs, tup) for e in grid]
-    ml_values = [k0_antennas("ml", float(e), 0.9, inputs, tup) for e in grid]
+    nnls_values = [k0_antennas("nnls", float(e), inputs, tup) for e in grid]
+    ml_values = [k0_antennas("ml", float(e), inputs, tup) for e in grid]
     assert all(b < a for a, b in zip(nnls_values, nnls_values[1:]))
     assert all(v >= 4 for v in ml_values)
     assert all(ml >= nn for ml, nn in zip(ml_values, nnls_values))

@@ -86,6 +86,21 @@ class TestSimulate:
         with pytest.raises(InvalidInput):
             simulate_measurements(codebook, FadingVector(np.zeros(5), 0), HpdMatrix(np.eye(4)), 4, 0)
 
+    @pytest.mark.parametrize("sigma_dim, K", [(3, 4), (4, 0)])
+    def test_rejects_bad_noise_covariance_or_antennas(self, codebook, sigma_dim, K):
+        with pytest.raises(InvalidInput):
+            simulate_measurements(codebook, draw_sparse_fading(9, 3, 6), HpdMatrix(np.eye(sigma_dim)), K, 0)
+
+    def test_generator_seed_draws_channel_then_noise(self, codebook):
+        x = draw_sparse_fading(9, 3, 6)
+        Sigma = HpdMatrix(0.5 * np.eye(4))
+        real = simulate_measurements(codebook, x, Sigma, 8, np.random.default_rng(12))
+        base = np.random.default_rng(12)
+        rng_h, rng_e = base.spawn(1)[0], base.spawn(1)[0]
+        H = (rng_h.standard_normal((9, 8)) + 1j * rng_h.standard_normal((9, 8))) / np.sqrt(2)
+        assert np.array_equal(real.H, H)
+        assert np.array_equal(real.E, sample_complex_gaussian(Sigma, 8, rng_e))
+
     def test_deviation_decays_like_sqrt_k(self, codebook):
         # With x = 0 the sample covariance concentrates around Sigma at rate 1/sqrt(K).
         Sigma = HpdMatrix(np.eye(4))

@@ -32,7 +32,7 @@ from covact import (
     threshold_detect,
 )
 from covact.codebook import vectorize_hermitian
-from covact.estimators import save_estimate_csv, save_trace_csv
+from covact.estimators import _kkt_violation, save_estimate_csv, save_trace_csv
 
 from conftest import complex_arrays, hermitian_matrices, hpd_matrices, random_hermitian, random_hpd
 
@@ -61,6 +61,17 @@ def brute_force_nnls(E, d):
             if obj < best[0]:
                 best = (obj, z)
     return best[1]
+
+
+def nnls_instances():
+    """The random instances of the oracle and SciPy comparisons below, in their draw order."""
+    rng = np.random.default_rng(4)
+    for trial in range(10):
+        n = int(rng.integers(3, 7))
+        yield MeasurementOperator(build_gaussian_codebook(2, n, 100 + trial)), HpdMatrix(np.eye(2)), random_hermitian(rng, 2, scale=2.0)
+    rng = np.random.default_rng(5)
+    for trial in range(10):
+        yield MeasurementOperator(build_gaussian_codebook(3, 8, 6 + trial)), HpdMatrix(np.eye(3)), random_hermitian(rng, 3, scale=2.0)
 
 
 class TestNnls:
@@ -129,6 +140,14 @@ class TestNnls:
         E = op.stacked_real().values
         d = vectorize_hermitian(HermitianMatrix(W.values - Sigma.values), 3)
         assert res.residual == pytest.approx(float(np.linalg.norm(E @ res.z - d)), abs=1e-10)
+
+    def test_residual_and_certificate_at_returned_z(self):
+        for op, Sigma, W in nnls_instances():
+            res = nnls_estimate(op, Sigma, W)
+            E = op.stacked_real().values
+            d = vectorize_hermitian(HermitianMatrix(W.values - Sigma.values), op.pilot_len)
+            assert res.residual == float(np.linalg.norm(d - E @ res.z))
+            assert res.kkt_residual == pytest.approx(_kkt_violation(E.T @ (E @ res.z - d), res.z), abs=1e-12)
 
     def test_iteration_budget_raises_with_best_iterate(self):
         rng = np.random.default_rng(11)

@@ -334,10 +334,34 @@ class TestCli:
         assert code == 0
         assert "lower_bound = " in (tmp_path / "tau_order1.txt").read_text()
 
+    def test_zero_rho_row_left_out_of_slope(self, tmp_path, config_file_tiny, capsys):
+        # Panel c's streams are keyed by rho, so the positive rows are the same in both runs.
+        outcomes = []
+        for grid in ("0.0001, 0.0003, 0.001", "0.0, 0.0001, 0.0003, 0.001"):
+            code = main(["--config", _tiny_with(config_file_tiny, tmp_path, "rho_grid", grid), "--assert", "experiment", "c"])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "panel, key, value, rule",
+        [("c", "rho_grid", "0.0003", "the log-log slope against rho > 0"), ("d", "k_grid", "100", "the R^2 against K")],
+    )
+    def test_one_point_grid_fails_assert(self, tmp_path, config_file_tiny, capsys, panel, key, value, rule):
+        code = main(["--config", _tiny_with(config_file_tiny, tmp_path, key, value), "--assert", "experiment", panel])
+        assert code == 2
+        assert capsys.readouterr().err == f"ASSERT FAIL: {rule} needs at least two grid values, got 1\n"
+
     def test_failed_check_exits_two(self, capsys):
         code = main(["--assert", "codebook", "check", "--kind", "deterministic", "--order", "2", "--tol", "1e9"])
         assert code == 2
         assert "ASSERT FAIL: " in capsys.readouterr().err
+
+
+def _tiny_with(config_file, tmp_path, key, value) -> str:
+    """Path of a copy of the tiny config file whose last line sets ``key = value``."""
+    path = tmp_path / f"{key}.cfg"
+    path.write_text(Path(config_file).read_text() + f"{key} = {value}\n")
+    return str(path)
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,11 @@ class TestConstruction:
         assert as_hermitian(h) is h
         assert repr(h) == "HpdMatrix(dim=2)"
 
+    @pytest.mark.parametrize("wrapper", [HermitianMatrix, HpdMatrix])
+    def test_wrapper_input_is_unwrapped(self, wrapper):
+        h = wrapper(np.array([[2.0, 1j], [-1j, 3.0]]))
+        assert np.array_equal(HermitianMatrix(h).values, h.values)
+
     def test_values_are_immutable(self):
         H = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -130,7 +130,7 @@ class TestAntennaCounts:
     def test_nnls_double_evaluation(self, inputs, tld):
         # Second, independently structured coding of the same expression.
         eps = 0.1
-        value = k0_antennas("nnls", eps, 0.9, inputs, tld)
+        value = k0_antennas("nnls", eps, inputs, tld)
         M, s, c, tau = inputs.dim, inputs.sup_diag, inputs.c, inputs.tau
         union = math.log(M * (M + 1) / (1 - 0.9)) / c
         quad = (512.0 / 9.0) * (M * s / (tau * eps)) ** 2
@@ -141,7 +141,7 @@ class TestAntennaCounts:
 
     def test_ml_double_evaluation(self, inputs, tld):
         eps = 0.1
-        value = k0_antennas("ml", eps, 0.9, inputs, tld)
+        value = k0_antennas("ml", eps, inputs, tld)
         M, s, c = inputs.dim, inputs.sup_diag, inputs.c
         delta = delta_radius("skc", eps, inputs, tld)
         union = -math.log((1 - 0.9) / (M * (M + 1))) / c
@@ -151,21 +151,26 @@ class TestAntennaCounts:
 
     def test_nnls_strictly_decreasing_in_eps(self, inputs, tld):
         grid = np.logspace(-4, 1, 30)
-        values = [k0_antennas("nnls", float(e), 0.9, inputs, tld) for e in grid]
+        values = [k0_antennas("nnls", float(e), inputs, tld) for e in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("estimator", ["nnls", "ml"])
     def test_rejects_nan_eps(self, inputs, tld, estimator):
         with pytest.raises(InvalidInput, match="eps"):
-            k0_antennas(estimator, math.nan, 0.9, inputs, tld)
+            k0_antennas(estimator, math.nan, inputs, tld)
+
+    @pytest.mark.parametrize("estimator", ["nnls", "ml"])
+    def test_follows_target_probability(self, inputs, tld, estimator):
+        low = k0_antennas(estimator, 0.1, replace(inputs, p=0.5), tld)
+        assert low < k0_antennas(estimator, 0.1, replace(inputs, p=0.99), tld)
 
     def test_ml_floor_is_dimension(self, inputs, tld):
-        assert k0_antennas("ml", 1e9, 0.9, inputs, tld) >= inputs.dim
+        assert k0_antennas("ml", 1e9, inputs, tld) >= inputs.dim
 
     def test_ml_dominates_nnls(self, inputs, tld):
         for eps in np.logspace(-4, 1, 20):
-            assert k0_antennas("ml", float(eps), 0.9, inputs, tld) >= k0_antennas(
-                "nnls", float(eps), 0.9, inputs, tld
+            assert k0_antennas("ml", float(eps), inputs, tld) >= k0_antennas(
+                "nnls", float(eps), inputs, tld
             )
 
 
