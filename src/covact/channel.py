@@ -48,7 +48,7 @@ class FadingVector:
     sparsity: int
 
     def __post_init__(self):
-        arr = np.asarray(self.x, dtype=float)
+        arr = np.array(self.x, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInput(f"expected a vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -58,7 +58,6 @@ class FadingVector:
         nnz = int(np.count_nonzero(arr))
         if nnz > self.sparsity:
             raise InvalidInput(f"{nnz} nonzeros exceed the sparsity budget {self.sparsity}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
 
@@ -108,7 +107,10 @@ def simulate_measurements(codebook: Codebook, fading: FadingVector, Sigma, K: in
 
 def sample_covariance(Y) -> HermitianMatrix:
     """Sample covariance (1/K) Y Y^H of the antenna snapshots."""
-    Y = np.asarray(Y, dtype=complex)
+    try:
+        Y = np.asarray(Y, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"expected an M x K matrix of snapshots, got {type(Y).__name__}") from None
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise InvalidInput(f"expected an M x K matrix, got shape {Y.shape}")
     K = Y.shape[1]

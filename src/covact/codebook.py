@@ -48,7 +48,7 @@ class Codebook:
     columns: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.columns, dtype=complex)
+        arr = np.array(self.columns, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInput(f"expected an M x N matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -56,7 +56,6 @@ class Codebook:
         norms = np.linalg.norm(arr, axis=0)
         if np.any(norms == 0.0):
             raise InvalidInput("codebook columns must all be nonzero")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "columns", arr)
 
@@ -116,8 +115,7 @@ class StackedRealMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        arr = arr.copy()
+        arr = np.array(self.values, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -10,7 +10,7 @@ remain reachable through the file).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +20,6 @@ from .errors import InvalidInput
 ESTIMATOR_NAMES = ("nnls", "ml", "ml_nnls")
 
 
-def _rho_default() -> tuple:
-    return tuple(float(r) for r in np.logspace(-4, -1, 7))
-
-
-def _eps_default() -> tuple:
-    return tuple(float(1e-6 * 2**k) for k in range(21))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     M: int = 4
@@ -35,7 +27,7 @@ class ExperimentConfig:
     skc_order: int = 7
     s_values: tuple = tuple(range(1, 9))
     k_grid: tuple = (250, 500, 1000, 2000, 4000, 8000)
-    rho_grid: tuple = field(default_factory=_rho_default)
+    rho_grid: tuple = tuple(np.logspace(-4, -1, 7).tolist())
     trials_fig_b: int = 100
     trials_fig_c: int = 100
     trials_fig_d: int = 50
@@ -45,7 +37,7 @@ class ExperimentConfig:
     tau_method: str = "exact"
     max_codebook_draws: int = 100
     while_iterations: int = 100
-    bounds_eps_grid: tuple = field(default_factory=_eps_default)
+    bounds_eps_grid: tuple = tuple(1e-6 * 2**k for k in range(21))
     bernstein_c: float = 1.0
     target_p: float = 0.9
     beta_fraction: float = 0.5

@@ -201,7 +201,7 @@ def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = 
     opts = opts or NnlsOptions()
     spd, wherm, _ = _boundary(op, Sigma, W)
     E = op.stacked_real().values
-    d = vectorize_hermitian(as_hermitian(wherm.values - spd.values), op.pilot_len)
+    d = vectorize_hermitian(wherm.values - spd.values, op.pilot_len)
     z, residual, kkt, iters = _nnls_active_set(E, d, opts)
     return NnlsResult(z=z, residual=residual, kkt_residual=kkt, iterations=iters)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, simulate_measurements, stream
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
 from .config import ExperimentConfig, _format_row
-from .errors import SetupFailed
+from .errors import InvalidInput, SetupFailed
 from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent_batch, nnls_estimate
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
@@ -296,16 +296,25 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = 
     return _emit(cfg, "bounds", header, rows)
 
 
+def _fit_points(x, y, positive=False):
+    """x and y as float vectors that pin down a least-squares line (positive ones for a log-log fit)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2 or not (np.isfinite(x).all() and np.isfinite(y).all()) or x.min() == x.max():
+        raise InvalidInput(f"a line fit needs finite x and y of one length with two distinct x, got {x.tolist()} and {y.tolist()}")
+    if positive and min(x.min(), y.min()) <= 0:
+        raise InvalidInput(f"a log-log fit needs positive values, got {x.tolist()} and {y.tolist()}")
+    return x, y
+
+
 def loglog_slope(x, y) -> float:
     """Least-squares slope of log(y) against log(x)."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    x, y = _fit_points(x, y, positive=True)
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def linear_fit_r2(x, y) -> float:
     """Coefficient of determination of the least-squares line y ~ a x + b."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _fit_points(x, y)
     coeffs = np.polyfit(x, y, 1)
     pred = np.polyval(coeffs, x)
     ss_res = float(np.sum((y - pred) ** 2))

@@ -123,6 +123,11 @@ class TestSampleCovariance:
     def test_identity_snapshots(self):
         np.testing.assert_allclose(sample_covariance(np.eye(3)).values, np.eye(3) / 3)
 
+    @pytest.mark.parametrize("Y", [HermitianMatrix(np.eye(2)), [[1.0, 2.0], [3.0]]], ids=["wrapper", "ragged"])
+    def test_rejects_non_matrix_snapshots(self, Y):
+        with pytest.raises(InvalidInput):
+            sample_covariance(Y)
+
     def test_psd(self):
         rng = np.random.default_rng(21)
         Y = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))

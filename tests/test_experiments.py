@@ -1,12 +1,13 @@
 """Experiment harness: configs, panel runs, bounds table and the CLI."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covact import InvalidInput, MeasurementOperator, build_gaussian_codebook, experiments, stream
+from covact import InvalidInput, MeasurementOperator, build_gaussian_codebook, cli, experiments, stream, tau_prime
 from covact.cli import main
 from covact.config import ExperimentConfig, parse_config
 from covact.experiments import (
@@ -119,6 +120,21 @@ class TestConfig:
         lines = ExperimentConfig().metadata_lines()
         assert any(line.startswith("# seed = ") for line in lines)
         assert any(line.startswith("# trials_fig_b = ") for line in lines)
+
+
+class TestHeuristicSearch:
+    def test_accepts_the_verified_draw(self, default_config, verified):
+        # The benchmark's set-up finds the panels' codebook this way.
+        found = verified_codebook(replace(default_config, tau_method="heuristic"))
+        assert found.draws_used == 4
+        assert np.array_equal(found.codebook.columns, verified.codebook.columns)
+        assert all(h.tau_prime >= e.tau_prime for h, e in zip(found.reports, verified.reports, strict=True))
+        stacked = MeasurementOperator(found.codebook).stacked_real()
+        for order, report in enumerate(found.reports, start=1):
+            single = tau_prime(stacked, order, method="heuristic")
+            assert (report.tau_prime, report.lower_bound, report.method) == (single.tau_prime, 0.0, "heuristic")
+            assert np.array_equal(report.witness_z, single.witness_z)
+            assert np.array_equal(report.witness_x, single.witness_x)
 
 
 class TestKernelScreen:
@@ -236,6 +252,44 @@ class TestHelpers:
         assert linear_fit_r2(x, 2 * x + 1) == pytest.approx(1.0)
         rng = np.random.default_rng(0)
         assert linear_fit_r2(x, rng.standard_normal(4)) <= 1.0
+
+    @pytest.mark.parametrize(
+        "fit, x, y",
+        [(loglog_slope, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), (linear_fit_r2, [100], [3.0])],
+        ids=["log-of-zero", "one-point"],
+    )
+    def test_fit_rejects_ill_posed_input(self, fit, x, y):
+        with pytest.raises(InvalidInput):
+            fit(x, y)
+
+
+class TestBrokenRules:
+    """The --assert rules on hand-written panel and bound CSVs (skc_order = 2)."""
+
+    @pytest.mark.parametrize(
+        "kind, text, failures",
+        [
+            (
+                "a",
+                "S,tau_prime,err_nnls,err_ml,err_ml_nnls\n1,0.5,0,1,0\n2,1e-4,0.002,1,0\n3,0.5,1,1,1\n",
+                [
+                    "tau_prime at S=2 is 1.000e-04, not above 0.001",
+                    "err_nnls at S=2 exceeds 1e-3",
+                    "tau_prime at S=3 is 5.000e-01, not below 1e-06",
+                ],
+            ),
+            (
+                "d",
+                "K,inv_sq_err_nnls,inv_sq_err_ml_nnls\n100,1,1\n200,2,9\n300,3,1\n",
+                ["R^2 of inv_sq_err_ml_nnls against K is 0.000, below 0.9"],
+            ),
+            ("d", "K,inv_sq_err_nnls,inv_sq_err_ml_nnls\n100,1,2\n200,2,4\n400,4,8.5\n", []),
+            ("bounds", "eps,k0_nnls,k0_ml\n1e-06,10,20\n2e-06,10,5\n", ["k0_ml < k0_nnls at eps = 2.000e-06"]),
+        ],
+        ids=["a-tau-and-error", "d-r2-fails", "d-r2-passes", "bounds-k0"],
+    )
+    def test_failures(self, kind, text, failures):
+        assert cli._broken_rules(kind, "# seed = 1\n" + text, ExperimentConfig(skc_order=2)) == failures
 
 
 class TestCli:

@@ -86,9 +86,9 @@ def qp_calls(monkeypatch):
     """The flip-index tuple of every exact pattern solve, in call order."""
     calls = []
 
-    def counted(G, flip_idx):
-        calls.append(tuple(flip_idx))
-        return _pattern_minimum(G, flip_idx)
+    def counted(G, sig):
+        calls.append(tuple(np.flatnonzero(sig < 0)))
+        return _pattern_minimum(G, sig)
 
     monkeypatch.setattr(skc, "_pattern_minimum", counted)
     return calls
@@ -101,6 +101,13 @@ def simplex_projection_reference(V):
     return np.maximum(V - theta[:, None], 0.0)
 
 
+def sign_row(n, J):
+    """The +-1 row of length n with negatives on the flip indices J."""
+    sig = np.ones(n)
+    sig[list(J)] = -1.0
+    return sig
+
+
 def full_enumeration(stacked, max_order):
     """Reference curve: every sign pattern solved exactly, in (size, combinations) order.
 
@@ -111,7 +118,7 @@ def full_enumeration(stacked, max_order):
     best, curve = (math.inf, None), []
     for size in range(max_order + 1):
         for J in itertools.combinations(range(stacked.num_users), size):
-            val, v = _pattern_minimum(G, J)
+            val, v = _pattern_minimum(G, sign_row(stacked.num_users, J))
             if val < best[0]:
                 best = (val, v)
         curve.append(best)
@@ -151,7 +158,7 @@ class TestBoundAndPrune:
         G = stacked_for(build_gaussian_codebook(M, N, seed).columns).values
         G = G.T @ G
         patterns = list(itertools.combinations(range(N), size))
-        minima = np.array([_pattern_minimum(G, J)[0] for J in patterns])
+        minima = np.array([_pattern_minimum(G, sign_row(N, J))[0] for J in patterns])
         margin = skc._rounding_margin(G)
         # No incumbent, and the smallest value (pruning everything else early).
         for incumbent in (math.inf, float(minima.min())):
@@ -160,6 +167,16 @@ class TestBoundAndPrune:
             assert np.all(bounds <= minima + margin)
             assert sorted(kept) == list(range(len(patterns)))
             assert all(tuple(np.flatnonzero(kept[i] < 0)) == J for i, J in enumerate(patterns))
+
+    def test_budget_counts_visited_patterns(self, monkeypatch):
+        # Sizes 0..5 of N = 10 are 638 patterns; the full sign enumeration's
+        # count C(10, 5) * 2^5 = 8,064 would refuse order 5 at a budget of 1,000.
+        stacked = stacked_for(build_gaussian_codebook(3, 10, 3).columns)
+        monkeypatch.setattr(skc, "EXACT_BUDGET", 637)
+        with pytest.raises(TooLarge, match=r"C\(10,s\) = 638 sign patterns"):
+            tau_prime_curve(stacked, 5)
+        monkeypatch.setattr(skc, "EXACT_BUDGET", 1000)
+        self.assert_matches_full_enumeration(stacked, 5)
 
     def test_ties_keep_enumeration_order(self):
         # Columns 0 and 2 are parallel, so patterns (0,) and (2,) both reach
@@ -263,7 +280,7 @@ def polished(G, candidates):
     """Reference heuristic: every candidate solved exactly; the first strict minimum in sorted order wins."""
     best = (math.inf, None)
     for J in sorted(candidates):
-        val, v = _pattern_minimum(G, J)
+        val, v = _pattern_minimum(G, sign_row(G.shape[0], J))
         if val < best[0]:
             best = (val, v)
     return best
