@@ -63,17 +63,15 @@ from .gtuple import (
     trace_logdet_tuple,
 )
 from .hermitian import (
-    EigenDecomposition,
     HermitianMatrix,
     HpdMatrix,
-    eig_hermitian,
     hpd_inverse,
     hpd_sqrt,
     operator_norm,
 )
 from .lambertw import lambert_w
 from .robustness import BoundInputs, delta_radius, empirical_concentration, k0_antennas
-from .skc import SkcReport, adversarial_fading, skc_holds, tau_prime, tau_prime_curve
+from .skc import SkcReport, adversarial_fading, tau_prime, tau_prime_curve
 
 __version__ = "0.1.0"
 
@@ -84,7 +82,6 @@ __all__ = [
     "CovactError",
     "DetectionResult",
     "DomainError",
-    "EigenDecomposition",
     "EmptyLevelSet",
     "ExperimentConfig",
     "FadingVector",
@@ -113,7 +110,6 @@ __all__ = [
     "coordinate_step",
     "delta_radius",
     "draw_sparse_fading",
-    "eig_hermitian",
     "empirical_concentration",
     "gsum_objective",
     "hpd_inverse",
@@ -134,7 +130,6 @@ __all__ = [
     "sample_covariance",
     "sherman_morrison_update",
     "simulate_measurements",
-    "skc_holds",
     "stream",
     "tau_prime",
     "tau_prime_curve",

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
+from .config import _is_integer
 from .errors import InvalidInput
-from .hermitian import HermitianMatrix, as_hermitian, as_hpd, hpd_sqrt, operator_norm
+from .hermitian import HermitianMatrix, as_hpd, hpd_sqrt, operator_norm
 
 
 def stream(seed, *labels) -> np.random.Generator:
@@ -29,10 +30,13 @@ def stream(seed, *labels) -> np.random.Generator:
     Labels are hashed into the seed sequence, so streams with different
     labels are statistically independent and a fixed (seed, labels) pair is
     bit-reproducible across platforms and process layouts.  A Generator
-    passed as ``seed`` spawns an independent child per call instead.
+    passed as ``seed`` spawns an independent child per call instead; any
+    other seed must be a nonnegative int or NumPy integer.
     """
     if isinstance(seed, np.random.Generator):
         return seed.spawn(1)[0] if labels else seed
+    if not _is_integer(seed) or seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer or a Generator, got {seed!r}")
     words = [int(seed)]
     for label in labels:
         digest = hashlib.blake2s(repr(label).encode(), digest_size=8).digest()
@@ -40,7 +44,7 @@ def stream(seed, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FadingVector:
     """Nonnegative, at-most-S-sparse vector of large-scale fading coefficients."""
 
@@ -66,7 +70,7 @@ class FadingVector:
         return frozenset(np.flatnonzero(self.x).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Received matrix Y together with the channel and noise factors."""
 
@@ -126,7 +130,7 @@ def perturb_hermitian(W0, rho: float, seed) -> HermitianMatrix:
     """
     if rho < 0:
         raise InvalidInput("perturbation magnitude must be nonnegative")
-    base = as_hermitian(W0)
+    base = HermitianMatrix(W0)
     if rho == 0.0:
         return base
     M = base.dim

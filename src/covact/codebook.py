@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import _write_csv
 from .errors import InvalidInput
-from .hermitian import HermitianMatrix, as_hermitian
+from .hermitian import HermitianMatrix
 
 _PRIME_CAP = 10_000
 
@@ -41,7 +41,7 @@ def nth_prime(k: int) -> int:
     return _sieve(110_000)[k - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Pilot matrix with columns a_n; every column must be nonzero."""
 
@@ -103,7 +103,7 @@ def build_gaussian_codebook(M: int, N: int, seed) -> Codebook:
     return Codebook(cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedRealMatrix:
     """Real 2M^2 x N stacking of the vectorized rank-one codebook columns.
 
@@ -142,7 +142,7 @@ class MeasurementOperator:
         return self.codebook.num_users
 
     def apply_raw(self, z) -> np.ndarray:
-        """Like apply() but returns a bare ndarray."""
+        """Evaluate sum_n z_n a_n a_n^H for real z as an M x M ndarray."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.num_users,):
             raise InvalidInput(
@@ -160,17 +160,13 @@ class MeasurementOperator:
         A = self.codebook.columns
         return (A * z[..., None, :]) @ A.conj().T
 
-    def apply(self, z) -> HermitianMatrix:
-        """Evaluate sum_n z_n a_n a_n^H for real z."""
-        return HermitianMatrix(self.apply_raw(z))
-
     def adjoint(self, H) -> np.ndarray:
         """Adjoint map: component n is Re(a_n^H H a_n).
 
-        Satisfies <apply(z), H>_F == <z, adjoint(H)> for all real z, which
+        Satisfies <apply_raw(z), H>_F == <z, adjoint(H)> for all real z, which
         makes it the gradient backbone of the least-squares objective.
         """
-        herm = as_hermitian(H)
+        herm = HermitianMatrix(H)
         if herm.dim != self.pilot_len:
             raise InvalidInput(
                 f"expected a {self.pilot_len} x {self.pilot_len} matrix, got dim {herm.dim}"
@@ -191,7 +187,7 @@ class MeasurementOperator:
 
 def vectorize_hermitian(H, M: int) -> np.ndarray:
     """Stack a Hermitian matrix the same way StackedRealMatrix stacks columns."""
-    herm = as_hermitian(H)
+    herm = HermitianMatrix(H)
     if herm.dim != M:
         raise InvalidInput(f"expected dimension {M}, got {herm.dim}")
     flat = herm.values.reshape(M * M, order="F")

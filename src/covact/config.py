@@ -53,6 +53,8 @@ class ExperimentConfig:
         for name in ("trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
             if getattr(self, name) < 1:
                 raise InvalidInput(f"{name} must be at least 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, valid, rule in (
             ("s_values", lambda s: 1 <= s <= self.N, "lie in [1, N]"),
             ("k_grid", lambda k: k >= 1, "be at least 1"),
@@ -93,6 +95,11 @@ class ExperimentConfig:
                 value = _format_row(value)
             out.append(f"# {f.name} = {value}")
         return out
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an int or a NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _format_row(values) -> str:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import MeasurementOperator, vectorize_hermitian
-from .config import _write_csv
+from .config import _is_integer, _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
-from .hermitian import HpdMatrix, as_hermitian, as_hpd
+from .hermitian import HermitianMatrix, HpdMatrix, as_hpd
 
 # Sweeps between from-scratch recomputations of the tracked ML inverse.
 _REFRESH_EVERY = 25
@@ -41,11 +41,13 @@ class NnlsOptions:
     kkt_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
+        if not _is_integer(self.max_iterations) or self.max_iterations < 1:
+            raise InvalidInput(f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}")
+        if not self.kkt_tol > 0:
             raise InvalidInput("kkt_tol must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NnlsResult:
     """Nonnegative solution with its residual and KKT certificate."""
 
@@ -55,7 +57,7 @@ class NnlsResult:
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlOptions:
     """Coordinate-descent configuration.
 
@@ -73,9 +75,9 @@ class MlOptions:
     objective_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.while_iterations < 1:
-            raise InvalidInput("while_iterations must be at least 1")
-        if self.objective_tol < 0:
+        if not _is_integer(self.while_iterations) or self.while_iterations < 1:
+            raise InvalidInput(f"while_iterations must be an integer of at least 1, got {self.while_iterations!r}")
+        if not self.objective_tol >= 0:
             raise InvalidInput("objective_tol must be nonnegative")
         if self.permutation is not None:
             perm = np.asarray(self.permutation)
@@ -84,7 +86,7 @@ class MlOptions:
             object.__setattr__(self, "permutation", perm.astype(int))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlTrace:
     """Per-sweep objective values and the final state."""
 
@@ -121,7 +123,7 @@ def _boundary(op: MeasurementOperator, Sigma, W, z=None):
     copy (None stays None).
     """
     spd = as_hpd(Sigma)
-    wherm = as_hermitian(W)
+    wherm = HermitianMatrix(W)
     if spd.dim != op.pilot_len or wherm.dim != op.pilot_len:
         raise InvalidInput("Sigma and W must match the pilot length")
     if z is not None:
@@ -290,7 +292,7 @@ def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     """
     S = as_hpd(SigmaPrime).values
     x = np.array([float(x_n)])
-    return float(_steps(S[None], as_hermitian(W).values[None], *_checked_column(a_n, S), x, _ONE)[0][0])
+    return float(_steps(S[None], HermitianMatrix(W).values[None], *_checked_column(a_n, S), x, _ONE)[0][0])
 
 
 def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
@@ -429,9 +431,11 @@ def threshold_detect(z, eps: float, true_support) -> DetectionResult:
     ``above_threshold`` collects indices with z_n > eps; ``largest`` takes
     the |true_support| largest entries with ties broken by lowest index.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidInput("threshold must be positive")
     z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise InvalidInput("estimate entries must be finite")
     support = frozenset(int(i) for i in true_support)
     above = frozenset(np.flatnonzero(z > eps).tolist())
     order = np.argsort(-z, kind="stable")

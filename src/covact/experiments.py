@@ -28,7 +28,7 @@ from .robustness import BoundInputs, delta_radius, k0_antennas
 from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, tau_prime, tau_prime_curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerifiedCodebook:
     """A Gaussian codebook whose signed-kernel order has been certified."""
 

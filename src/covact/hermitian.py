@@ -1,4 +1,4 @@
-"""Complex Hermitian linear algebra: eigendecompositions, HPD roots and inverses.
+"""Complex Hermitian linear algebra: operator norms, HPD roots and inverses.
 
 All matrix types are immutable after construction and safe to share across
 threads; every operation is a pure function.  Dimensions stay small (M <= 16
@@ -6,8 +6,6 @@ in all experiments), so everything goes through dense LAPACK routines.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +23,16 @@ class HermitianMatrix:
     entries satisfy H[i, j] == conj(H[j, i]) exactly and zeroes the imaginary
     part of the diagonal exactly.  Downstream formulas assume exact
     Hermitianity, so construction is the single place where floating-point
-    asymmetry is killed.
+    asymmetry is killed.  A wrapper input shares its read-only values.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values.values if isinstance(values, HermitianMatrix) else values, dtype=complex)
+        if isinstance(values, HermitianMatrix):
+            self.values = values.values
+            return
+        arr = np.asarray(values, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -43,9 +44,6 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -70,44 +68,16 @@ class HpdMatrix(HermitianMatrix):
             )
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order with a unitary eigenvector matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def as_hermitian(values) -> HermitianMatrix:
-    """Coerce an array or matrix wrapper into a HermitianMatrix."""
-    if isinstance(values, HermitianMatrix):
-        return values
-    return HermitianMatrix(values)
-
-
 def as_hpd(values) -> HpdMatrix:
-    """Coerce an array or matrix wrapper into an HpdMatrix."""
+    """Coerce an array or matrix wrapper into an HpdMatrix; an HpdMatrix skips the eigenvalue check."""
     if isinstance(values, HpdMatrix):
         return values
     return HpdMatrix(values)
 
 
-def eig_hermitian(H) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    The reconstruction ``V diag(lam) V^H`` matches the input to 1e-10
-    relative and ``V`` is unitary to the same tolerance.
-    """
-    herm = as_hermitian(H)
-    lam, vec = np.linalg.eigh(herm.values)
-    lam.setflags(write=False)
-    vec.setflags(write=False)
-    return EigenDecomposition(eigenvalues=lam, eigenvectors=vec)
-
-
 def operator_norm(H) -> float:
     """Operator norm from l2 to l2 of a Hermitian matrix: max_m |lambda_m|."""
-    herm = as_hermitian(H)
+    herm = HermitianMatrix(H)
     return float(np.abs(np.linalg.eigvalsh(herm.values)).max())
 
 

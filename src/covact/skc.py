@@ -58,7 +58,7 @@ _HEURISTIC_STARTS = 48
 _HEURISTIC_ITERS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkcReport:
     """Robustness constant of one order with its adversarial witness pair.
 
@@ -388,11 +388,6 @@ def tau_prime_curve(stacked: StackedRealMatrix, max_order: int, method: str = "e
         raise TooLarge(f"the exact method visits sum_(s<={max_order}) C({n},s) = {patterns} sign patterns, over the budget of {EXACT_BUDGET}; use the heuristic")
     curve = _exact_curve(stacked.values, max_order)
     return [_report(s, val, v, "exact-enumeration", lower) for s, (val, v, lower) in enumerate(curve[1:], start=1)]
-
-
-def skc_holds(stacked: StackedRealMatrix, order: int, tol: float = SKC_ZERO_TOL, method: str = "exact") -> bool:
-    """Whether the operator has the signed kernel condition of the given order."""
-    return tau_prime(stacked, order, method=method).tau_prime > tol
 
 
 def adversarial_fading(report: SkcReport) -> FadingVector:

@@ -31,6 +31,14 @@ class TestStreams:
         b = stream(7, "x", 4).standard_normal(5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2.7, True])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidInput, match="seed"):
+            stream(seed, "x")
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(stream(np.int64(5), "x").standard_normal(5), stream(5, "x").standard_normal(5))
+
 
 class TestComplexGaussian:
     def test_empirical_covariance(self):

@@ -277,6 +277,20 @@ class TestCoordinateDescent:
         with pytest.raises(InvalidInput, match="permutation"):
             MlOptions(permutation=perm)
 
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            (lambda: MlOptions(objective_tol=math.nan), "objective_tol"),
+            (lambda: MlOptions(while_iterations=2.5), "while_iterations"),
+            (lambda: NnlsOptions(kkt_tol=math.nan), "kkt_tol"),
+            (lambda: NnlsOptions(max_iterations=0), "max_iterations"),
+        ],
+        ids=["ml-nan-tol", "ml-fractional-sweeps", "nnls-nan-tol", "nnls-zero-iterations"],
+    )
+    def test_options_reject_bad_values(self, options, field):
+        with pytest.raises(InvalidInput, match=field):
+            options()
+
     def test_noise_only_stays_at_zero(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 6, 22))
         Sigma = random_hpd(np.random.default_rng(23), 3)
@@ -598,6 +612,11 @@ class TestThresholdDetect:
     def test_requires_positive_threshold(self):
         with pytest.raises(InvalidInput):
             threshold_detect(np.ones(3), 0.0, {0})
+
+    @pytest.mark.parametrize("z, eps", [(np.ones(3), math.nan), (np.array([1.0, math.nan, 0.0]), 0.5)], ids=["nan-eps", "nan-entry"])
+    def test_rejects_nan(self, z, eps):
+        with pytest.raises(InvalidInput):
+            threshold_detect(z, eps, {0})
 
 
 class TestCsvOutputs:

@@ -80,6 +80,7 @@ class TestConfig:
             {"bounds_eps_grid": (0.0, 1e-6)},
             {"while_iterations": 0},
             {"max_codebook_draws": 0},
+            {"seed": -1},
         ):
             (name,) = bad
             with pytest.raises(InvalidInput, match=name):
@@ -361,6 +362,11 @@ class TestCli:
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", "nnls", "--antennas", "-5"])
         assert code == 1
         assert capsys.readouterr().err == "error: --antennas must be nonnegative, got -5\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "--seed", "-1", "codebook", "build"]) == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
         assert not list(tmp_path.iterdir())
 
     def test_error_exit_code(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Hermitian core: eigendecomposition, norms, HPD roots and inverses."""
+"""Hermitian core: construction, operator norms, HPD roots and inverses."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,10 @@ from covact import (
     HpdMatrix,
     InvalidInput,
     NotPositiveDefinite,
-    eig_hermitian,
     hpd_inverse,
     hpd_sqrt,
     operator_norm,
 )
-
-from covact.hermitian import as_hermitian
 
 from conftest import random_hermitian, random_hpd
 
@@ -41,7 +38,7 @@ class TestConstruction:
     def test_hpd_is_a_hermitian_matrix(self):
         h = HpdMatrix(np.eye(2))
         assert isinstance(h, HermitianMatrix)
-        assert as_hermitian(h) is h
+        assert HermitianMatrix(h).values is h.values
         assert repr(h) == "HpdMatrix(dim=2)"
 
     @pytest.mark.parametrize("wrapper", [HermitianMatrix, HpdMatrix])
@@ -53,54 +50,6 @@ class TestConstruction:
         H = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             H.values[0, 0] = 5.0
-
-
-class TestEig:
-    def test_identity(self):
-        dec = eig_hermitian(HermitianMatrix(np.eye(2)))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0])
-
-    def test_diagonal_sorted_ascending(self):
-        dec = eig_hermitian(HermitianMatrix(np.diag([3.0, 1.0])))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0])
-
-    def test_two_by_two_closed_form(self):
-        # Characteristic polynomial of [[2, i], [-i, 2]] is x^2 - 4x + 3.
-        H = HermitianMatrix(np.array([[2.0, 1j], [-1j, 2.0]]))
-        roots = np.sort(np.roots([1.0, -4.0, 3.0]).real)
-        dec = eig_hermitian(H)
-        np.testing.assert_allclose(dec.eigenvalues, roots, atol=1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            H = random_hermitian(rng, 5)
-            dec = eig_hermitian(H)
-            rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-            scale = max(1.0, H.frobenius_norm())
-            assert np.linalg.norm(rebuilt - H.values) <= 1e-10 * scale
-            gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-            assert np.linalg.norm(gram - np.eye(5)) <= 1e-10
-
-    def test_frobenius_matches_eigenvalues(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            H = random_hermitian(rng, 4)
-            lam = eig_hermitian(H).eigenvalues
-            assert abs(H.frobenius_norm() - np.sqrt((lam**2).sum())) <= 1e-10 * max(
-                1.0, H.frobenius_norm()
-            )
-
-    def test_weyl_sum_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            A = random_hermitian(rng, 4)
-            B = random_hermitian(rng, 4)
-            la = eig_hermitian(A).eigenvalues
-            lb = eig_hermitian(B).eigenvalues
-            ls = eig_hermitian(HermitianMatrix(A.values + B.values)).eigenvalues
-            assert ls[0] >= la[0] + lb[0] - 1e-10
-            assert ls[-1] <= la[-1] + lb[-1] + 1e-10
 
 
 class TestOperatorNorm:

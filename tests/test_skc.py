@@ -19,14 +19,13 @@ from covact import (
     adversarial_fading,
     build_deterministic_codebook,
     build_gaussian_codebook,
-    skc_holds,
     tau_prime,
     tau_prime_curve,
 )
 from covact import skc
 from covact.channel import stream
 from covact.experiments import _kernel_vector
-from covact.skc import _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
+from covact.skc import SKC_ZERO_TOL, _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
 
 from conftest import real_vectors
 
@@ -54,7 +53,7 @@ class TestSmallCases:
         stacked = stacked_for(cols)
         report = tau_prime(stacked, 1)
         assert report.tau_prime <= 1e-10
-        assert not skc_holds(stacked, 1)
+        assert not tau_prime(stacked, 1).tau_prime > SKC_ZERO_TOL
         # The witness pair is supported on the duplicated columns.
         support = set(np.flatnonzero(report.witness_z + report.witness_x))
         assert support == {0, 1}
@@ -328,7 +327,7 @@ class TestDeterministicCodebook:
         # M = 2 guarantees the signed kernel condition up to order
         # ceil(M^2 / 2) - 1 = 1.
         stacked = stacked_for(build_deterministic_codebook(2, 4).columns)
-        assert skc_holds(stacked, 1, tol=0.0)
+        assert tau_prime(stacked, 1).tau_prime > 0.0
 
 
 class TestMethods:
