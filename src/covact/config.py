@@ -45,19 +45,18 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1:
-            raise InvalidInput("M and N must be positive")
+        for name in ("M", "N", "skc_order", "trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise InvalidInput(f"{name} must be an integer of at least 1, got {value!r}")
         # The codebook search certifies order skc_order + 1, so that must not exceed N.
-        if not 1 <= self.skc_order < self.N:
+        if self.skc_order >= self.N:
             raise InvalidInput("skc_order must lie in [1, N - 1]")
-        for name in ("trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be at least 1")
         if not _is_integer(self.seed) or self.seed < 0:
             raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, valid, rule in (
-            ("s_values", lambda s: 1 <= s <= self.N, "lie in [1, N]"),
-            ("k_grid", lambda k: k >= 1, "be at least 1"),
+            ("s_values", lambda s: _is_integer(s) and 1 <= s <= self.N, "be integers in [1, N]"),
+            ("k_grid", lambda k: _is_integer(k) and k >= 1, "be integers of at least 1"),
             ("rho_grid", lambda rho: rho >= 0, "be nonnegative"),
             ("bounds_eps_grid", lambda eps: eps > 0, "be positive"),
         ):

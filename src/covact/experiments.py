@@ -7,10 +7,17 @@ Figures (a) and (b) run in the infinite-antenna mode, handing the estimators
 the exact covariance A(x) + Sigma; figure (c) perturbs it with a controlled
 Hermitian direction and figure (d) replaces it by a finite-antenna sample
 covariance.
+
+The grid points of panels (b)-(d) run in worker processes: up to one per CPU
+the process may use (``os.sched_getaffinity``) and one per point.  The CSVs
+are identical for any number of workers; with one CPU (e.g. under
+``taskset -c 0``) the points run in this process.  At the default
+configuration each worker peaks near 36 MB resident.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,40 +182,89 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     return _emit(cfg, "figure_a", ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
 
-def _panel(cfg, verified, name, grid, trials, names, header, observe, statistic=lambda err: err) -> str:
-    """Mean of ``statistic(error)`` per estimator at each grid point.
+def _observe_b(cfg, op, Sigma, order, trial):
+    fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-b", order, trial, "fading"))
+    return fading, _exact_covariance(op, Sigma, fading.x)
 
-    ``observe(op, Sigma, point, trial)`` returns the (fading, W) pair of one
-    trial; its coordinate order comes from the stream (seed, "figure-x",
+
+def _observe_c(cfg, op, Sigma, rho, trial):
+    rho_budget = 1.05 * max(cfg.rho_grid)
+    for attempt in range(100):
+        fading = draw_sparse_fading(cfg.N, cfg.skc_order, stream(cfg.seed, "figure-c", rho, trial, "fading", attempt))
+        exact = _exact_covariance(op, Sigma, fading.x)
+        if float(np.linalg.eigvalsh(exact.values)[0]) > rho_budget:
+            return fading, perturb_hermitian(exact, rho, stream(cfg.seed, "figure-c", rho, trial, "noise"))
+    raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
+
+
+def _observe_d(cfg, op, Sigma, K, trial):
+    fading = draw_sparse_fading(cfg.N, cfg.skc_order, stream(cfg.seed, "figure-d", K, trial, "fading"))
+    sample = simulate_measurements(op.codebook, fading, Sigma, K, stream(cfg.seed, "figure-d", K, trial, "channel"))
+    return fading, sample_covariance(sample.Y)
+
+
+def _inverse_square(err):
+    return err**-2
+
+
+# Panel -> (trial-count field, estimators or None for the configured ones, observe, statistic of one error).
+_PANELS = {
+    "figure_b": ("trials_fig_b", None, _observe_b, None),
+    "figure_c": ("trials_fig_c", ("nnls", "ml_nnls"), _observe_c, None),
+    "figure_d": ("trials_fig_d", ("nnls", "ml_nnls"), _observe_d, _inverse_square),
+}
+
+
+def _panel_point(cfg, verified, name, point) -> tuple:
+    """Row of one grid point of panel ``name``: the point, then the mean statistic of each estimator's error.
+
+    ``observe(cfg, op, Sigma, point, trial)`` returns the (fading, W) pair of
+    one trial; its coordinate order comes from the stream (seed, "figure-x",
     point, trial, "perm") of panel ``name`` "figure_x".
     """
-    verified = verified or verified_codebook(cfg)
+    field, names, observe, statistic = _PANELS[name]
+    names = names or tuple(cfg.estimators)
+    trials = getattr(cfg, field)
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
-    label = name.replace("_", "-")
-    rows = []
-    for point in grid:
-        fadings, observations = zip(*(observe(op, Sigma, point, trial) for trial in range(trials)))
-        streams = [stream(cfg.seed, label, point, trial, "perm") for trial in range(trials)]
-        results = _run_estimators(op, Sigma, observations, names, cfg, streams)
-        sums = dict.fromkeys(names, 0.0)
-        for fading, res in zip(fadings, results):
-            for n in names:
-                sums[n] += statistic(float(np.linalg.norm(fading.x - res[n].z)))
-        rows.append((point, *(sums[n] / trials for n in names)))
-    return _emit(cfg, name, header, rows)
+    fadings, observations = zip(*(observe(cfg, op, Sigma, point, trial) for trial in range(trials)))
+    streams = [stream(cfg.seed, name.replace("_", "-"), point, trial, "perm") for trial in range(trials)]
+    sums = dict.fromkeys(names, 0.0)
+    for fading, res in zip(fadings, _run_estimators(op, Sigma, observations, names, cfg, streams)):
+        for n in names:
+            err = float(np.linalg.norm(fading.x - res[n].z))
+            sums[n] += statistic(err) if statistic else err
+    return (point, *(sums[n] / trials for n in names))
+
+
+def _panel(cfg, verified, name, grid, header) -> str:
+    """CSV of panel ``name``: one row per grid point, the points run in up to one process per usable CPU.
+
+    The points go out largest first, since the cost of a point grows with its
+    value on every grid, and their rows come back in grid order.  Each row
+    depends only on its point, so the CSV is the same for any number of
+    processes; with one CPU or one point, no process is started.
+    """
+    verified = verified or verified_codebook(cfg)
+    order = sorted(range(len(grid)), key=grid.__getitem__, reverse=True)
+    jobs = [(cfg, verified, name, grid[i]) for i in order]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers == 1:
+        rows = [_panel_point(*job) for job in jobs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: a worker starts in milliseconds with NumPy and the codebook
+        # already loaded, and covact starts no thread that fork could break.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            rows = list(pool.map(_panel_point, *zip(*jobs)))
+    return _emit(cfg, name, header, [row for _, row in sorted(zip(order, rows))])
 
 
 def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
     """Mean estimation error per sparsity for random fading, exact covariance."""
-
-    def observe(op, Sigma, order, trial):
-        fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-b", order, trial, "fading"))
-        return fading, _exact_covariance(op, Sigma, fading.x)
-
-    names = tuple(cfg.estimators)
-    header = ["S", *(f"err_{n}" for n in names)]
-    return _panel(cfg, verified, "figure_b", cfg.s_values, cfg.trials_fig_b, names, header, observe)
+    return _panel(cfg, verified, "figure_b", cfg.s_values, ["S", *(f"err_{n}" for n in cfg.estimators)])
 
 
 def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
@@ -219,36 +275,12 @@ def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     (the robustness statements only cover HPD observations, and the relaxed
     ML estimator rejects indefinite ones).
     """
-    rho_budget = 1.05 * max(cfg.rho_grid)
-
-    def observe(op, Sigma, rho, trial):
-        for attempt in range(100):
-            fading = draw_sparse_fading(
-                cfg.N, cfg.skc_order, stream(cfg.seed, "figure-c", rho, trial, "fading", attempt)
-            )
-            exact = _exact_covariance(op, Sigma, fading.x)
-            if float(np.linalg.eigvalsh(exact.values)[0]) > rho_budget:
-                noise = stream(cfg.seed, "figure-c", rho, trial, "noise")
-                return fading, perturb_hermitian(exact, rho, noise)
-        raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
-
-    names = ("nnls", "ml_nnls")
-    header = ["rho", "err_nnls", "err_ml_nnls"]
-    return _panel(cfg, verified, "figure_c", cfg.rho_grid, cfg.trials_fig_c, names, header, observe)
+    return _panel(cfg, verified, "figure_c", cfg.rho_grid, ["rho", "err_nnls", "err_ml_nnls"])
 
 
 def run_figure_d(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
     """Mean inverse squared error against the number of receive antennas."""
-
-    def observe(op, Sigma, K, trial):
-        fading = draw_sparse_fading(cfg.N, cfg.skc_order, stream(cfg.seed, "figure-d", K, trial, "fading"))
-        channel = stream(cfg.seed, "figure-d", K, trial, "channel")
-        sample = simulate_measurements(op.codebook, fading, Sigma, K, channel)
-        return fading, sample_covariance(sample.Y)
-
-    names = ("nnls", "ml_nnls")
-    header = ["K", "inv_sq_err_nnls", "inv_sq_err_ml_nnls"]
-    return _panel(cfg, verified, "figure_d", cfg.k_grid, cfg.trials_fig_d, names, header, observe, lambda e: e**-2)
+    return _panel(cfg, verified, "figure_d", cfg.k_grid, ["K", "inv_sq_err_nnls", "inv_sq_err_ml_nnls"])
 
 
 def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:

@@ -1,13 +1,24 @@
 """Experiment harness: configs, panel runs, bounds table and the CLI."""
 
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covact import InvalidInput, MeasurementOperator, build_gaussian_codebook, cli, experiments, stream, tau_prime
+from covact import (
+    InvalidInput,
+    MeasurementOperator,
+    NotConverged,
+    build_gaussian_codebook,
+    cli,
+    experiments,
+    stream,
+    tau_prime,
+)
 from covact.cli import main
 from covact.config import ExperimentConfig, parse_config
 from covact.experiments import (
@@ -85,6 +96,31 @@ class TestConfig:
             (name,) = bad
             with pytest.raises(InvalidInput, match=name):
                 ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"M": 4.0},
+            {"N": 17.0},
+            {"skc_order": 7.0},
+            {"trials_fig_b": 2.5},
+            {"trials_fig_c": 2.5},
+            {"trials_fig_d": 2.0},
+            {"while_iterations": 3.5},
+            {"max_codebook_draws": 2.0},
+            {"trials_fig_b": True},
+            {"s_values": (1, 2.5)},
+            {"k_grid": (250.0, 500)},
+        ],
+    )
+    def test_counts_and_grid_entries_must_be_integers(self, bad):
+        (name,) = bad
+        with pytest.raises(InvalidInput, match=name):
+            ExperimentConfig(**bad)
+
+    def test_numpy_integer_counts_and_grids(self):
+        cfg = ExperimentConfig(M=np.int64(4), trials_fig_b=np.int32(3), k_grid=tuple(np.array([250, 500])))
+        assert (cfg.M, cfg.trials_fig_b, cfg.k_grid) == (4, 3, (250, 500))
 
     def test_parse_file_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -187,6 +223,37 @@ class TestPanels:
         _, header, rows = parse_csv(text)
         assert header == ["K", "inv_sq_err_nnls", "inv_sq_err_ml_nnls"]
         assert len(rows) == len(tiny_config.k_grid)
+
+    @pytest.mark.parametrize("run", [run_figure_b, run_figure_c, run_figure_d])
+    def test_worker_processes_emit_the_serial_bytes(self, tiny_config, tiny_verified, monkeypatch, run):
+        cfg = replace(tiny_config, s_values=(1, 2, 3))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = run(cfg, tiny_verified)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(cfg, tiny_verified) == pooled
+
+    def test_worker_failure_reaches_the_caller(self, tiny_config, tiny_verified, monkeypatch):
+        cfg = replace(tiny_config, s_values=(1, 2, 3))
+        op = MeasurementOperator(tiny_verified.codebook)
+        _, failing = experiments._observe_b(cfg, op, experiments._noise_covariance(cfg), 2, 0)
+        z, real = np.arange(cfg.N, dtype=float), experiments.nnls_estimate
+
+        def nnls_failing_at_s2(op, Sigma, W, opts):
+            if np.array_equal(W.values, failing.values):
+                raise NotConverged("NNLS budget spent at S = 2", z=z, residual=0.25)
+            return real(op, Sigma, W, opts)
+
+        # Worker processes are forked, so they inherit both patches.
+        monkeypatch.setattr(experiments, "nnls_estimate", nnls_failing_at_s2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(NotConverged) as caught:
+            run_figure_b(cfg, tiny_verified)
+        assert caught.value.args == ("NNLS budget spent at S = 2",)
+        np.testing.assert_array_equal(caught.value.z, z)
+        assert caught.value.residual == 0.25
+        # The error was raised in a worker: its traceback travels as the cause.
+        assert "nnls_failing_at_s2" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
 
     def test_outputs_written_to_directory(self, tiny_config, tiny_verified, tmp_path):
         from dataclasses import replace
