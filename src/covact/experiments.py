@@ -8,22 +8,20 @@ the exact covariance A(x) + Sigma; figure (c) perturbs it with a controlled
 Hermitian direction and figure (d) replaces it by a finite-antenna sample
 covariance.
 
-The grid points of panels (b)-(d) run in worker processes: up to one per CPU
-the process may use (``os.sched_getaffinity``) and one per point.  The CSVs
-are identical for any number of workers; with one CPU (e.g. under
-``taskset -c 0``) the points run in this process.  At the default
+The grid points of panels (b)-(d) run as ``workers.run_jobs`` jobs, so the
+CSVs are identical for any number of worker processes; at the default
 configuration each worker peaks near 36 MB resident.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, simulate_measurements, stream
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
 from .config import ExperimentConfig, _format_row
@@ -238,28 +236,15 @@ def _panel_point(cfg, verified, name, point) -> tuple:
 
 
 def _panel(cfg, verified, name, grid, header) -> str:
-    """CSV of panel ``name``: one row per grid point, the points run in up to one process per usable CPU.
+    """CSV of panel ``name``: one row per grid point, the points run by ``workers.run_jobs``.
 
     The points go out largest first, since the cost of a point grows with its
-    value on every grid, and their rows come back in grid order.  Each row
-    depends only on its point, so the CSV is the same for any number of
-    processes; with one CPU or one point, no process is started.
+    value on every grid.  Each row depends only on its point, so the CSV is
+    the same for any number of processes.
     """
     verified = verified or verified_codebook(cfg)
-    order = sorted(range(len(grid)), key=grid.__getitem__, reverse=True)
-    jobs = [(cfg, verified, name, grid[i]) for i in order]
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    if workers == 1:
-        rows = [_panel_point(*job) for job in jobs]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: a worker starts in milliseconds with NumPy and the codebook
-        # already loaded, and covact starts no thread that fork could break.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = list(pool.map(_panel_point, *zip(*jobs)))
-    return _emit(cfg, name, header, [row for _, row in sorted(zip(order, rows))])
+    rows = workers.run_jobs(_panel_point, [(cfg, verified, name, point) for point in grid], grid)
+    return _emit(cfg, name, header, rows)
 
 
 def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:

@@ -14,13 +14,16 @@ runs over a pool of patterns of one size at once, refilled from the
 enumeration as patterns finish, and gives each pattern the Frank-Wolfe lower
 bound f(u) + min g - g^T u.  Patterns are then taken in ascending order of
 that bound and solved exactly by an active-set loop until the next bound
-exceeds the best exact value by a floating-point margin; no pattern left
-unsolved can reach that value, so the minimizer, its value and its witness
-are those of the full enumeration, and the smallest bound over all patterns
-certifies the bracket lower_bound <= tau'.  The heuristic runs multi-start
-projected gradient over the same program and passes only the sign patterns
-of its final iterates to the same bound-and-solve step, so its value is an
-upper bound on the constant (its lower_bound is 0).
+exceeds the smallest value reached so far (by FISTA or exactly) by a
+floating-point margin; no pattern left unsolved can reach that value, so the
+minimizer, its value and its witness are those of the full enumeration, and
+the smallest bound over all patterns certifies the bracket lower_bound <=
+tau'.  Each size |J| is searched on its own, in worker processes where the
+process may use more CPUs, and the sizes are folded in order: the bits do not
+depend on the number of processes.  The heuristic runs multi-start projected
+gradient over the same program and passes only the sign patterns of its
+final iterates to the same bound-and-solve step, so its value is an upper
+bound on the constant (its lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .channel import FadingVector, stream
 from .codebook import StackedRealMatrix
 from .errors import InvalidInput, NoAdversary, NotConverged, TooLarge
@@ -206,22 +210,23 @@ def _rounding_margin(G):
     return 16 * G.shape[0] * np.finfo(float).eps * float(np.abs(G).max())
 
 
-def _fista_bounds(G, patterns, incumbent, margin, keep):
+def _fista_bounds(G, patterns, margin):
     """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
 
-    Returns the bounds in pattern order and, keyed by pattern index, the sign
-    rows s whose bound is at most ``keep``.  A pool of up to _BLOCK patterns
-    iterates as one array, each row with its own step count and momentum;
-    every _CHUNK steps a row takes the Frank-Wolfe bound min(2 Q u) - u^T Q u
-    at its iterate u (valid at any u, as Q is positive semidefinite), and it
-    leaves once that bound exceeds the incumbent plus ``margin`` (pruned), its
-    value f = u^T Q u falls within it (it can no longer be pruned) or after
+    Returns the bounds in pattern order, the incumbent (the smallest value
+    u^T Q u any iterate reached) and, keyed by pattern index, the sign rows s
+    of the patterns not pruned.  A pool of up to _BLOCK patterns iterates as
+    one array, each row with its own step count and momentum; every _CHUNK
+    steps a row takes the Frank-Wolfe bound min(2 Q u) - u^T Q u at its
+    iterate u (valid at any u, as Q is positive semidefinite), and it leaves
+    once that bound exceeds the incumbent plus ``margin`` (pruned), its value
+    f = u^T Q u falls within it (it can no longer be pruned) or after
     _MAX_ITERS steps, the next patterns taking its place.
     """
     n = G.shape[0]
     # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
     G_step = G / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
-    patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [], [], {}
+    patterns, count, done_idx, done_lower, kept, incumbent = iter(patterns), 0, [], [], {}, math.inf
     idx = steps = np.empty(0, dtype=np.intp)
     lower = upper = np.empty(0)
     s = u = y = np.empty((0, n))
@@ -246,28 +251,28 @@ def _fista_bounds(G, patterns, incumbent, margin, keep):
         live = (lower <= incumbent + margin) & (upper > incumbent + margin) & (steps < _MAX_ITERS)
         done_idx.append(idx[~live])
         done_lower.append(lower[~live])
-        kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= keep)))
+        kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= incumbent + margin)))
         idx, steps, lower, upper, s, u, y = (a[live] for a in (idx, steps, lower, upper, s, u, y))
     bounds = np.empty(count)
     bounds[np.concatenate(done_idx)] = np.concatenate(done_lower)
-    return bounds, kept
+    return bounds, kept, incumbent
 
 
-def _pattern_search(G, patterns, best):
+def _pattern_search(G, patterns):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
-    FISTA bounds them, pruning against the value of ``best`` (a value some
-    pattern attains, or inf); they are then solved in ascending bound order
-    until the next bound passes the best exact value plus the rounding margin.
-    Returns the (value, v) pair that a scan solving every pattern in the
-    given order keeps, starting from ``best``, and a lower bound on every
-    pattern's minimum that holds despite rounding.
+    FISTA bounds them, pruning against the smallest value its iterates reach;
+    they are then solved in ascending bound order until the next bound passes
+    that value, or the best exact value if smaller, plus the rounding margin.
+    Returns the (value, v) pair of the first pattern in the given order that
+    attains the minimum, and a lower bound on every pattern's minimum that
+    holds despite rounding.
     """
     margin = _rounding_margin(G)
-    # Only patterns within the margin of the best value so far can be solved
-    # below, since that value only falls.
-    bounds, signs = _fista_bounds(G, patterns, best[0], margin, best[0] + margin)
-    solved, top = {}, best[0]
+    # Only patterns within the margin of the incumbent are solved below; as
+    # the incumbent only falls, they all kept their sign rows.
+    bounds, signs, top = _fista_bounds(G, patterns, margin)
+    solved, best = {}, (math.inf, None)
     for i in np.argsort(bounds, kind="stable"):
         if bounds[i] > top + margin:
             break
@@ -281,17 +286,26 @@ def _pattern_search(G, patterns, best):
     return best, float(bounds.min()) - margin
 
 
+def _size_search(G, size):
+    """_pattern_search over every flip-index tuple of one size, in itertools.combinations order."""
+    return _pattern_search(G, itertools.combinations(range(G.shape[0]), size))
+
+
 def _exact_curve(B, max_size):
     """Minimum of the squared ratio over patterns of size <= s, for s = 0..max_size.
 
     Entry s is (value, v, lower): the first pattern in (size,
     itertools.combinations) order that attains the minimum, its witness and
-    a lower bound on that minimum that holds despite rounding.
+    a lower bound on that minimum that holds despite rounding.  The sizes run
+    as ``workers.run_jobs`` jobs, largest C(n, s) first.
     """
     G = B.T @ B
+    sizes = range(max_size + 1)
+    searches = workers.run_jobs(_size_search, [(G, s) for s in sizes], [math.comb(G.shape[0], s) for s in sizes])
     best, lower, curve = (math.inf, None), math.inf, []
-    for size in range(max_size + 1):
-        best, size_lower = _pattern_search(G, itertools.combinations(range(B.shape[1]), size), best)
+    for size_best, size_lower in searches:
+        if size_best[0] < best[0]:
+            best = size_best
         lower = min(lower, size_lower)
         curve.append((*best, max(lower, 0.0)))
     return curve
@@ -364,8 +378,9 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
     when the patterns it visits, sum_{s <= order} C(n, s), exceed
-    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 3.4 s and
-    5 x 24 visits 1,271,626 in 36 s, on one Xeon core).  ``method="heuristic"``
+    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 2.7-3.0 s
+    on two Xeon cores, 4.2-4.6 s on one; 5 x 24 visits 1,271,626 in 34 s and
+    49 s).  ``method="heuristic"``
     bounds and solves only multi-start projected-gradient patterns and
     upper-bounds the constant (its ``lower_bound`` is 0).
     """
@@ -374,7 +389,7 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
         return tau_prime_curve(stacked, order)[-1]
     G = stacked.values.T @ stacked.values
     candidates = _heuristic_candidates(stacked.values, G, order, seed=order)
-    best, _ = _pattern_search(G, candidates, (math.inf, None))
+    best, _ = _pattern_search(G, candidates)
     return _report(order, *best, "heuristic")
 
 

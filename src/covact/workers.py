@@ -1,0 +1,44 @@
+"""Independent jobs in forked worker processes, one per CPU the process may use."""
+
+import ctypes
+import itertools
+import os
+
+
+def openblas_function(name):
+    """The function ``*openblas_<name>*`` of the OpenBLAS library this process loaded, or None."""
+    with open("/proc/self/maps") as maps:
+        libraries = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
+    for library, prefix, suffix in itertools.product(libraries, ("", "scipy_"), ("", "64_")):
+        if (fn := getattr(ctypes.CDLL(library), f"{prefix}openblas_{name}{suffix}", None)) is not None:
+            return fn
+    return None
+
+
+def _one_blas_thread():
+    # The workers already fill the CPUs; BLAS threads of their own would only compete.
+    if (setter := openblas_function("set_num_threads")) is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def run_jobs(fn, jobs, costs):
+    """``[fn(*job) for job in jobs]``, in up to one process per usable CPU and per job, largest ``costs`` first.
+
+    With one CPU (e.g. under ``taskset -c 0``) or one job, no process is
+    started.  Each worker runs BLAS on one thread.  A job's exception is
+    raised in the caller once the pool has shut down.
+    """
+    order = sorted(range(len(jobs)), key=costs.__getitem__, reverse=True)
+    if (workers := min(len(os.sched_getaffinity(0)), len(jobs))) <= 1:
+        results = [fn(*jobs[i]) for i in order]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: a worker starts in milliseconds with NumPy and the job's data
+        # already loaded, and covact starts no thread that fork could break.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_one_blas_thread) as pool:
+            results = list(pool.map(fn, *zip(*(jobs[i] for i in order))))
+    return [result for _, result in sorted(zip(order, results))]

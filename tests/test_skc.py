@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +126,10 @@ def full_enumeration(stacked, max_order):
     return curve[1:]
 
 
+# Columns 0 and 2 are parallel.
+TIES = np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex)
+
+
 class TestBoundAndPrune:
     # (M, N, max_order, seed); N = M^2 + 1 gives a one-dimensional kernel.
     CASES = [(2, 5, 4, 1), (2, 5, 4, 2), (3, 10, 5, 3), (3, 10, 5, 4), (2, 6, 4, 5), (3, 8, 4, 6), (4, 12, 4, 7)]
@@ -137,6 +143,22 @@ class TestBoundAndPrune:
             assert np.array_equal(report.witness_z, witness_z)
             assert np.array_equal(report.witness_x, witness_x)
             assert 0.0 <= report.lower_bound <= report.tau_prime
+
+    @pytest.mark.parametrize("M,N,max_order,seed", [*CASES[::3], (2, 6, 3, "ties")])
+    def test_worker_processes_give_the_serial_bits(self, monkeypatch, M, N, max_order, seed):
+        stacked = stacked_for(TIES if seed == "ties" else build_gaussian_codebook(M, N, seed).columns)
+
+        def curve_bits():
+            return [
+                (r.tau_prime.hex(), r.lower_bound.hex(), [x.hex() for x in r.witness_z], [x.hex() for x in r.witness_x])
+                for r in tau_prime_curve(stacked, max_order)
+            ]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = curve_bits()
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert curve_bits() == pooled
 
     @pytest.mark.parametrize("M,N,max_order,seed", CASES)
     def test_matches_full_enumeration(self, M, N, max_order, seed):
@@ -159,13 +181,13 @@ class TestBoundAndPrune:
         patterns = list(itertools.combinations(range(N), size))
         minima = np.array([_pattern_minimum(G, sign_row(N, J))[0] for J in patterns])
         margin = skc._rounding_margin(G)
-        # No incumbent, and the smallest value (pruning everything else early).
-        for incumbent in (math.inf, float(minima.min())):
-            bounds, kept = skc._fista_bounds(G, patterns, incumbent, margin, math.inf)
-            assert bounds.shape == minima.shape
-            assert np.all(bounds <= minima + margin)
-            assert sorted(kept) == list(range(len(patterns)))
-            assert all(tuple(np.flatnonzero(kept[i] < 0)) == J for i, J in enumerate(patterns))
+        bounds, kept, incumbent = skc._fista_bounds(G, patterns, margin)
+        assert bounds.shape == minima.shape
+        assert np.all(bounds <= minima + margin)
+        assert incumbent >= minima.min() - margin
+        # Every pattern the search may solve keeps its sign row.
+        assert set(np.flatnonzero(bounds <= incumbent + margin)) <= set(kept)
+        assert all(tuple(np.flatnonzero(kept[i] < 0)) == patterns[i] for i in kept)
 
     def test_budget_counts_visited_patterns(self, monkeypatch):
         # Sizes 0..5 of N = 10 are 638 patterns; the full sign enumeration's
@@ -181,10 +203,11 @@ class TestBoundAndPrune:
         # Columns 0 and 2 are parallel, so patterns (0,) and (2,) both reach
         # the same rounding-level minimum to the last bit; the first in
         # (size, combinations) order must win, as in the full enumeration.
-        cols = np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex)
-        self.assert_matches_full_enumeration(stacked_for(cols), 3)
+        self.assert_matches_full_enumeration(stacked_for(TIES), 3)
 
-    def test_prunes_most_patterns(self, qp_calls):
+    def test_prunes_most_patterns(self, qp_calls, monkeypatch):
+        # One CPU keeps the search in this process, where qp_calls counts it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         stacked = stacked_for(build_gaussian_codebook(3, 10, 3).columns)
         tau_prime_curve(stacked, 5)
         patterns = sum(math.comb(10, j) for j in range(6))
