@@ -20,6 +20,7 @@ public entry, never inside the sweep loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,23 +151,22 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
     passive = np.zeros(n, dtype=bool)
     banned = np.zeros(n, dtype=bool)  # degenerate entries, cleared on progress
     w = E.T @ d  # negative gradient E^T (d - E z) of 0.5 ||E z - d||^2, here at z = 0
-    resid = float(np.linalg.norm(d))
-    best = (resid, z.copy())
+    resid = best_resid = math.sqrt(d @ d)
+    best_z = z.copy()
     outer = 0
     while True:
-        candidates = ~passive & ~banned & (w > opts.kkt_tol)
-        if not candidates.any():
+        w_free = np.where(passive | banned, -np.inf, w)
+        j = int(w_free.argmax())  # the first largest w of an entry neither passive nor banned
+        if not w_free[j] > opts.kkt_tol:
             break
         if outer >= opts.max_iterations:
-            raise NotConverged("active-set iteration budget exhausted", z=best[1], residual=best[0])
+            raise NotConverged("active-set iteration budget exhausted", z=best_z, residual=best_resid)
         outer += 1
-        j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
         passive[j] = True
         for _ in range(opts.max_iterations):
-            idx = np.flatnonzero(passive)
-            s_passive, *_ = np.linalg.lstsq(E[:, idx], d, rcond=None)
+            s_passive = np.linalg.lstsq(E[:, passive], d, rcond=None)[0]
             s = np.zeros(n)
-            s[idx] = s_passive
+            s[passive] = s_passive
             if s_passive.size and s_passive.min() > 0:
                 z = s
                 break
@@ -182,11 +182,11 @@ def _nnls_active_set(E, d, opts: NnlsOptions):
             z = z + alpha * (s - z)
             passive &= z > 1e-14
             z[~passive] = 0.0
-        resid_vec = d - E @ z
-        w = E.T @ resid_vec
-        resid = float(np.linalg.norm(resid_vec))
-        if resid < best[0] - 1e-15 * max(1.0, best[0]):
-            best = (resid, z.copy())
+        r = d - E @ z
+        w = E.T @ r
+        resid = math.sqrt(r @ r)
+        if resid < best_resid - 1e-15 * max(1.0, best_resid):
+            best_resid, best_z = resid, z.copy()
             banned[:] = False
     # w and resid were last computed at the returned z.
     return z, resid, float(_kkt_violation(-w, z)), outer

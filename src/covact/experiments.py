@@ -8,9 +8,10 @@ the exact covariance A(x) + Sigma; figure (c) perturbs it with a controlled
 Hermitian direction and figure (d) replaces it by a finite-antenna sample
 covariance.
 
-The grid points of panels (b)-(d) run as ``workers.run_jobs`` jobs, so the
-CSVs are identical for any number of worker processes; at the default
-configuration each worker peaks near 36 MB resident.
+Panels (b)-(d) deal their (grid point, trial) pairs into one share per CPU
+(``workers.run_shares``); a share draws its observations, runs NNLS per trial
+and every ML run of the share as one batch.  The CSVs are identical for any
+number of worker processes.
 """
 
 from __future__ import annotations
@@ -207,44 +208,43 @@ def _inverse_square(err):
 
 # Panel -> (trial-count field, estimators or None for the configured ones, observe, statistic of one error).
 _PANELS = {
-    "figure_b": ("trials_fig_b", None, _observe_b, None),
-    "figure_c": ("trials_fig_c", ("nnls", "ml_nnls"), _observe_c, None),
+    "figure_b": ("trials_fig_b", None, _observe_b, float),
+    "figure_c": ("trials_fig_c", ("nnls", "ml_nnls"), _observe_c, float),
     "figure_d": ("trials_fig_d", ("nnls", "ml_nnls"), _observe_d, _inverse_square),
 }
 
 
-def _panel_point(cfg, verified, name, point) -> tuple:
-    """Row of one grid point of panel ``name``: the point, then the mean statistic of each estimator's error.
+def _panel_share(cfg, verified, name, pairs) -> list:
+    """The statistic of each estimator's error on each (point, trial) pair of panel ``name``.
 
     ``observe(cfg, op, Sigma, point, trial)`` returns the (fading, W) pair of
     one trial; its coordinate order comes from the stream (seed, "figure-x",
-    point, trial, "perm") of panel ``name`` "figure_x".
+    point, trial, "perm") of panel ``name`` "figure_x".  Every ML run of the
+    share goes through one batch.
     """
-    field, names, observe, statistic = _PANELS[name]
+    _, names, observe, statistic = _PANELS[name]
     names = names or tuple(cfg.estimators)
-    trials = getattr(cfg, field)
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
-    fadings, observations = zip(*(observe(cfg, op, Sigma, point, trial) for trial in range(trials)))
-    streams = [stream(cfg.seed, name.replace("_", "-"), point, trial, "perm") for trial in range(trials)]
-    sums = dict.fromkeys(names, 0.0)
-    for fading, res in zip(fadings, _run_estimators(op, Sigma, observations, names, cfg, streams)):
-        for n in names:
-            err = float(np.linalg.norm(fading.x - res[n].z))
-            sums[n] += statistic(err) if statistic else err
-    return (point, *(sums[n] / trials for n in names))
+    fadings, observations = zip(*(observe(cfg, op, Sigma, point, trial) for point, trial in pairs))
+    streams = [stream(cfg.seed, name.replace("_", "-"), point, trial, "perm") for point, trial in pairs]
+    results = _run_estimators(op, Sigma, observations, names, cfg, streams)
+    return [[statistic(float(np.linalg.norm(f.x - res[n].z))) for n in names] for f, res in zip(fadings, results)]
 
 
 def _panel(cfg, verified, name, grid, header) -> str:
-    """CSV of panel ``name``: one row per grid point, the points run by ``workers.run_jobs``.
+    """CSV of panel ``name``: per grid point, the mean statistic of each estimator's error.
 
-    The points go out largest first, since the cost of a point grows with its
-    value on every grid.  Each row depends only on its point, so the CSV is
-    the same for any number of processes.
+    The (point, trial) pairs are dealt by ``workers.run_shares`` into one
+    share per CPU, and each point's statistics are summed in trial order, so
+    the CSV is the same for any number of processes.
     """
     verified = verified or verified_codebook(cfg)
-    rows = workers.run_jobs(_panel_point, [(cfg, verified, name, point) for point in grid], grid)
-    return _emit(cfg, name, header, rows)
+    trials = getattr(cfg, _PANELS[name][0])
+    stats = workers.run_shares(_panel_share, (cfg, verified, name), [(p, t) for p in grid for t in range(trials)])
+    # cumsum adds in trial order, as the CSVs always have; np.sum would add pairwise.
+    means = np.cumsum(np.reshape(stats, (len(grid), trials, -1)), axis=1)[:, -1] / trials
+    return _emit(cfg, name, header, [(point, *mean) for point, mean in zip(grid, means.tolist())])
 
 
 def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:

@@ -189,7 +189,9 @@ def _project_simplex(V):
     the in-order running sums from 128 rows on, where one add per column
     beats cumsum's one call per row.  The bits do not depend on the route.
     """
-    minus_top_sums = np.sort(-V, axis=1).T.copy()
+    minus_top_sums = np.negative(V)
+    minus_top_sums.sort(axis=1)
+    minus_top_sums = minus_top_sums.T.copy()
     if V.shape[0] >= 128:
         for prev, row in zip(minus_top_sums[:-1], minus_top_sums[1:]):
             row += prev
@@ -239,9 +241,12 @@ def _fista_bounds(G, patterns, margin):
             added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), -far, far, signs, start, start)
             idx, steps, lower, upper, s, u, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, upper, s, u, y), added))
             count += m
+        # u_next = P(y - s * ((s * y) @ G_step)), y = u_next + w * (u_next - u), in reused buffers.
+        sy, step = np.empty_like(y), np.empty_like(y)
         for w in _MOMENTUM[steps + np.arange(_CHUNK)[:, None], None]:
-            u_next = _project_simplex(y - s * ((s * y) @ G_step))
-            y = u_next + w * (u_next - u)
+            np.matmul(np.multiply(s, y, out=sy), G_step, out=step)
+            u_next = _project_simplex(np.subtract(y, np.multiply(s, step, out=step), out=step))
+            np.add(u_next, np.multiply(w, np.subtract(u_next, u, out=u), out=u), out=y)
             u = u_next
         steps += _CHUNK
         qu = s * ((s * u) @ G)

@@ -42,3 +42,16 @@ def run_jobs(fn, jobs, costs):
         with ProcessPoolExecutor(workers, mp_context=context, initializer=_one_blas_thread) as pool:
             results = list(pool.map(fn, *zip(*(jobs[i] for i in order))))
     return [result for _, result in sorted(zip(order, results))]
+
+
+def run_shares(fn, args, items):
+    """``fn(*args, items)``, with the items dealt round-robin into one share per usable CPU.
+
+    ``fn(*args, share)`` returns one result per item of its share; the
+    results come back in item order, whatever the number of shares.  The
+    shares run as ``run_jobs`` jobs, so one share runs in-process.
+    """
+    count = min(len(os.sched_getaffinity(0)), len(items))
+    shares = [items[k::count] for k in range(count)]
+    parts = run_jobs(fn, [(*args, share) for share in shares], [len(share) for share in shares])
+    return [parts[i % count][i // count] for i in range(len(items))]

@@ -32,7 +32,7 @@ from covact import (
     threshold_detect,
 )
 from covact.codebook import vectorize_hermitian
-from covact.estimators import _kkt_violation, save_estimate_csv, save_trace_csv
+from covact.estimators import _kkt_violation, _nnls_active_set, save_estimate_csv, save_trace_csv
 
 from conftest import complex_arrays, hermitian_matrices, hpd_matrices, random_hermitian, random_hpd
 
@@ -61,6 +61,70 @@ def brute_force_nnls(E, d):
             if obj < best[0]:
                 best = (obj, z)
     return best[1]
+
+
+def nnls_active_set_reference(E, d, opts):
+    """The Lawson-Hanson loop as first written, with index arrays, a masked argmax and norm calls.
+
+    _nnls_active_set must return its bits: the same z, residual, KKT residual
+    and iteration count, or NotConverged with the same best iterate.
+    """
+    n = E.shape[1]
+    z = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    banned = np.zeros(n, dtype=bool)
+    w = E.T @ d
+    resid = float(np.linalg.norm(d))
+    best = (resid, z.copy())
+    outer = 0
+    while True:
+        candidates = ~passive & ~banned & (w > opts.kkt_tol)
+        if not candidates.any():
+            break
+        if outer >= opts.max_iterations:
+            raise NotConverged("active-set iteration budget exhausted", z=best[1], residual=best[0])
+        outer += 1
+        j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
+        passive[j] = True
+        for _ in range(opts.max_iterations):
+            idx = np.flatnonzero(passive)
+            s_passive, *_ = np.linalg.lstsq(E[:, idx], d, rcond=None)
+            s = np.zeros(n)
+            s[idx] = s_passive
+            if s_passive.size and s_passive.min() > 0:
+                z = s
+                break
+            shrink = passive & (s <= 0) & (z > 0)
+            if not shrink.any():
+                passive[j] = False
+                banned[j] = True
+                z[~passive] = 0.0
+                break
+            alpha = float((z[shrink] / (z[shrink] - s[shrink])).min())
+            z = z + alpha * (s - z)
+            passive &= z > 1e-14
+            z[~passive] = 0.0
+        resid_vec = d - E @ z
+        w = E.T @ resid_vec
+        resid = float(np.linalg.norm(resid_vec))
+        if resid < best[0] - 1e-15 * max(1.0, best[0]):
+            best = (resid, z.copy())
+            banned[:] = False
+    return z, resid, float(_kkt_violation(-w, z)), outer
+
+
+def assert_nnls_matches_reference(E, d, opts=NnlsOptions()):
+    """_nnls_active_set returns the reference's bits, or raises NotConverged with its best iterate."""
+    try:
+        expected = nnls_active_set_reference(E, d, opts)
+    except NotConverged as exc:
+        with pytest.raises(NotConverged) as caught:
+            _nnls_active_set(E, d, opts)
+        assert np.array_equal(caught.value.z, exc.z) and caught.value.residual == exc.residual
+        return None
+    z, *rest = _nnls_active_set(E, d, opts)
+    assert np.array_equal(z, expected[0]) and tuple(rest) == expected[1:]
+    return expected
 
 
 def nnls_instances():
@@ -158,6 +222,46 @@ class TestNnls:
             nnls_estimate(op, Sigma, W, NnlsOptions(max_iterations=1))
         assert err.value.z is not None
         assert err.value.residual is not None
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 10),
+        n=st.integers(1, 12),
+        parallel=st.booleans(),
+        max_iterations=st.sampled_from([1, 2, 3, 300]),
+    )
+    def test_matches_reference_loop_bit_for_bit(self, seed, m, n, parallel, max_iterations):
+        rng = np.random.default_rng(seed)
+        E, d = rng.standard_normal((m, n)), rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
+        if parallel and n > 1:
+            E[:, 1] = -E[:, 0] * rng.uniform(0.5, 2.0)
+        assert_nnls_matches_reference(E, d, NnlsOptions(max_iterations=max_iterations))
+
+    def test_matches_reference_on_the_panel_operators(self):
+        for op, Sigma, W in nnls_instances():
+            d = vectorize_hermitian(W.values - Sigma.values, op.pilot_len)
+            assert assert_nnls_matches_reference(op.stacked_real().values, d) is not None
+
+    def test_matches_reference_when_a_column_is_banned(self):
+        # Column 1 is column 0 negated up to a part that lstsq's rank cutoff
+        # drops: it enters with w_1 = 1e-8 > kkt_tol, takes a negative
+        # coefficient and is banned, so two iterations end with z_1 = 0.
+        E = np.array([[1.0, -1.0], [0.0, 1e-16], [0.0, 0.0]])
+        z, resid, kkt, iterations = assert_nnls_matches_reference(E, np.array([1.0, 1e8, 0.0]))
+        assert z.tolist() == [1.0, 0.0] and iterations == 2 and kkt > NnlsOptions().kkt_tol
+
+    def test_matches_reference_at_zero_data(self):
+        E = np.random.default_rng(3).standard_normal((6, 5))
+        z, resid, kkt, iterations = assert_nnls_matches_reference(E, np.zeros(6))
+        assert not z.any() and resid == kkt == 0.0 and iterations == 0
+
+    def test_matches_reference_when_the_budget_runs_out(self):
+        rng = np.random.default_rng(11)
+        E, d = rng.standard_normal((8, 10)), rng.standard_normal(8)
+        with pytest.raises(NotConverged):
+            _nnls_active_set(E, d, NnlsOptions(max_iterations=1))
+        assert_nnls_matches_reference(E, d, NnlsOptions(max_iterations=1))
 
 
 class TestMlObjective:

@@ -226,11 +226,35 @@ class TestPanels:
 
     @pytest.mark.parametrize("run", [run_figure_b, run_figure_c, run_figure_d])
     def test_worker_processes_emit_the_serial_bytes(self, tiny_config, tiny_verified, monkeypatch, run):
-        cfg = replace(tiny_config, s_values=(1, 2, 3))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pooled = run(cfg, tiny_verified)
+        # (CPUs, grid points, trials): pairs that split evenly into the
+        # shares, pairs that do not, and fewer pairs than CPUs.
+        for cpus, points, trials in (({0, 1, 2}, 3, 2), ({0, 1}, 3, 3), ({0, 1, 2}, 2, 2), ({0, 1, 2}, 1, 2)):
+            grids = {"s_values": (1, 2, 3), "rho_grid": tiny_config.rho_grid, "k_grid": tiny_config.k_grid}
+            cfg = replace(
+                tiny_config,
+                **{field: grid[:points] for field, grid in grids.items()},
+                **dict.fromkeys(("trials_fig_b", "trials_fig_c", "trials_fig_d"), trials),
+            )
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            pooled = run(cfg, tiny_verified)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert run(cfg, tiny_verified) == pooled, (cpus, points, trials)
+
+    @pytest.mark.parametrize(
+        "run, grid, ml_runs_per_trial", [(run_figure_b, "s_values", 2), (run_figure_c, "rho_grid", 1), (run_figure_d, "k_grid", 1)]
+    )
+    def test_serial_panel_runs_one_ml_batch(self, tiny_config, tiny_verified, monkeypatch, run, grid, ml_runs_per_trial):
+        batches, real = [], experiments.ml_coordinate_descent_batch
+
+        def counted(op, Sigma, Ws, opts):
+            batches.append(len(Ws))
+            return real(op, Sigma, Ws, opts)
+
+        monkeypatch.setattr(experiments, "ml_coordinate_descent_batch", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert run(cfg, tiny_verified) == pooled
+        run(tiny_config, tiny_verified)
+        # Every ML run of every grid point and of its two trials goes through the one batch.
+        assert batches == [len(getattr(tiny_config, grid)) * 2 * ml_runs_per_trial]
 
     def test_worker_failure_reaches_the_caller(self, tiny_config, tiny_verified, monkeypatch):
         cfg = replace(tiny_config, s_values=(1, 2, 3))
