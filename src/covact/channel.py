@@ -86,8 +86,8 @@ def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
     N(0, 1/2) real and imaginary parts, so E[y y^H] = Sigma exactly and
     scaling Sigma by c**2 scales the samples by c under the same seed.
     """
-    if K < 1:
-        raise InvalidInput("K must be positive")
+    if not _is_integer(K) or K < 1:
+        raise InvalidInput(f"K must be a positive integer, got {K!r}")
     spd = as_hpd(Sigma)
     rng = np.random.default_rng(seed)
     M = spd.dim
@@ -150,8 +150,8 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     absolute standard Gaussians normalized to unit l2 norm; an all-zero
     draw has probability zero and raises InvalidInput.
     """
-    if not 1 <= S <= N:
-        raise InvalidInput(f"sparsity {S} outside [1, {N}]")
+    if not _is_integer(S) or not 1 <= S <= N:
+        raise InvalidInput(f"sparsity {S!r} is not an integer in [1, {N}]")
     rng = np.random.default_rng(seed)
     support = rng.choice(N, size=S, replace=False)
     vals = np.abs(rng.standard_normal(S))

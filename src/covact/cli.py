@@ -33,6 +33,7 @@ from .experiments import (
     run_figure_b,
     run_figure_c,
     run_figure_d,
+    verified_codebook,
 )
 from .skc import tau_prime
 
@@ -48,13 +49,12 @@ _RUNS = {
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
-def _out_path(cfg, name: str) -> Path:
-    """Path of output file ``name`` in the output directory (default: here)."""
-    out = Path(cfg.out_dir or ".")
+def _out_path(args, name: str) -> Path:
+    """Path of output file ``name`` in the ``--out`` directory (default: here)."""
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
@@ -76,7 +76,7 @@ def _tau_report(args, cfg):
 
 def _cmd_codebook(args, cfg) -> list:
     if args.action == "build":
-        out = _out_path(cfg, "codebook.csv")
+        out = _out_path(args, "codebook.csv")
         save_codebook_csv(_build_codebook(cfg, args.kind, args.file), out)
         print(f"wrote {out}")
         return []
@@ -89,8 +89,8 @@ def _cmd_codebook(args, cfg) -> list:
 def _cmd_tau(args, cfg) -> list:
     order, report = _tau_report(args, cfg)
     text = report.as_text()
-    if cfg.out_dir:
-        _out_path(cfg, f"tau_order{order}.txt").write_text(text)
+    if args.out:
+        _out_path(args, f"tau_order{order}.txt").write_text(text)
     print(text, end="")
     return []
 
@@ -112,9 +112,9 @@ def _cmd_estimate(args, cfg) -> list:
     if args.estimator == "nnls":
         summary = f"nnls residual = {result.residual:.6e}"
     else:
-        save_trace_csv(result, _out_path(cfg, "trace_ml.csv"))
+        save_trace_csv(result, _out_path(args, "trace_ml.csv"))
         summary = f"ml sweeps = {result.sweeps}  kkt = {result.kkt_residual:.6e}"
-    save_estimate_csv(result.z, _out_path(cfg, f"estimate_{args.estimator}.csv"))
+    save_estimate_csv(result.z, _out_path(args, f"estimate_{args.estimator}.csv"))
     print(f"{summary}  error = {float(np.linalg.norm(fading.x - result.z)):.6e}")
     return []
 
@@ -160,11 +160,13 @@ def _broken_rules(kind: str, text: str, cfg) -> list:
 
 
 def _cmd_run(args, cfg) -> list:
-    """Run one panel or the bound table; print its CSV or where it was written."""
+    """Certify the codebook, run one panel or the bound table; print its CSV or where it was written."""
     name, run = _RUNS[args.panel]
-    text = run(cfg)
-    if cfg.out_dir:
-        print(f"wrote {_out_path(cfg, f'{name}.csv')}")
+    text = run(cfg, verified_codebook(cfg))
+    if args.out:
+        out = _out_path(args, f"{name}.csv")
+        out.write_text(text)
+        print(f"wrote {out}")
     else:
         print(text, end="")
     return _broken_rules(args.panel, text, cfg) if args.check_assert else []

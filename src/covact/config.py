@@ -42,7 +42,6 @@ class ExperimentConfig:
     target_p: float = 0.9
     beta_fraction: float = 0.5
     eta: float = 1.0
-    out_dir: str = ""
 
     def __post_init__(self):
         for name in ("M", "N", "skc_order", "trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
@@ -57,8 +56,8 @@ class ExperimentConfig:
         for name, valid, rule in (
             ("s_values", lambda s: _is_integer(s) and 1 <= s <= self.N, "be integers in [1, N]"),
             ("k_grid", lambda k: _is_integer(k) and k >= 1, "be integers of at least 1"),
-            ("rho_grid", lambda rho: rho >= 0, "be nonnegative"),
-            ("bounds_eps_grid", lambda eps: eps > 0, "be positive"),
+            ("rho_grid", lambda rho: 0 <= rho < math.inf, "be finite and nonnegative"),
+            ("bounds_eps_grid", lambda eps: 0 < eps < math.inf, "be finite and positive"),
         ):
             values = getattr(self, name)
             if len(values) == 0:
@@ -80,15 +79,9 @@ class ExperimentConfig:
             raise InvalidInput("target_p must lie in (0, 1)")
 
     def metadata_lines(self) -> list:
-        """Comment lines recording every experiment knob.
-
-        The output directory is a destination, not a parameter, and is left
-        out so identical runs emit byte-identical files anywhere.
-        """
+        """Comment lines recording every experiment knob."""
         out = []
         for f in fields(self):
-            if f.name == "out_dir":
-                continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = _format_row(value)

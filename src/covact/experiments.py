@@ -1,8 +1,9 @@
 """Reproduction harness for the four simulation panels and the bound tables.
 
-Every run is a pure function of (config, seed): randomness flows through
-named streams keyed by experiment, grid point and trial index, so trials can
-be evaluated in any order without changing a single byte of the emitted CSV.
+Every runner takes the config and the certificate of ``verified_codebook``
+and returns CSV text; it certifies nothing and writes no file.  Randomness
+flows through named streams keyed by experiment, grid point and trial index,
+so trials can be evaluated in any order without changing a byte of the CSV.
 Figures (a) and (b) run in the infinite-antenna mode, handing the estimators
 the exact covariance A(x) + Sigma; figure (c) perturbs it with a controlled
 Hermitian direction and figure (d) replaces it by a finite-antenna sample
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -94,10 +94,13 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
         stacked = MeasurementOperator(cb).stacked_real()
         if not _kernel_screen(stacked, order):
             continue
-        upper = tau_prime(stacked, order, method="heuristic").tau_prime
-        if upper <= SKC_POSITIVE_TOL:
+        screen = tau_prime(stacked, order, method="heuristic")
+        if screen.tau_prime <= SKC_POSITIVE_TOL:
             continue
-        reports = tau_prime_curve(stacked, order + 1, method=cfg.tau_method)
+        if cfg.tau_method == "exact":
+            reports = tau_prime_curve(stacked, order + 1)
+        else:  # the screen is already the heuristic's report at ``order``
+            reports = [screen if s == order else tau_prime(stacked, s, method="heuristic") for s in range(1, order + 2)]
         if reports[order - 1].tau_prime > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:
             return VerifiedCodebook(
                 codebook=cb,
@@ -146,26 +149,20 @@ def _run_estimators(op, Sigma, observations, names, cfg, perm_streams) -> list:
     return [{name: res[name] for name in names} for res in results]
 
 
-def _emit(cfg: ExperimentConfig, name: str, header, rows) -> str:
+def _emit(cfg: ExperimentConfig, header, rows) -> str:
     lines = cfg.metadata_lines()
     lines.append(",".join(header))
     lines.extend(_format_row(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.csv").write_text(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
+def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     """Robustness constant and adversarial-vector errors as a function of S.
 
     For each order the adversarial fading vector is the normalized sparse
     witness of the robustness constant; the estimators see the exact
     covariance A(x) + Sigma (infinitely many antennas).
     """
-    verified = verified or verified_codebook(cfg)
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
     orders = range(1, cfg.skc_order + 2)
@@ -178,7 +175,7 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
         (order, verified.report(order).tau_prime, *(float(np.linalg.norm(x - r.z)) for r in res.values()))
         for order, x, res in zip(orders, xs, results)
     ]
-    return _emit(cfg, "figure_a", ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
+    return _emit(cfg, ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
 
 def _observe_b(cfg, op, Sigma, order, trial):
@@ -239,20 +236,19 @@ def _panel(cfg, verified, name, grid, header) -> str:
     share per CPU, and each point's statistics are summed in trial order, so
     the CSV is the same for any number of processes.
     """
-    verified = verified or verified_codebook(cfg)
     trials = getattr(cfg, _PANELS[name][0])
     stats = workers.run_shares(_panel_share, (cfg, verified, name), [(p, t) for p in grid for t in range(trials)])
     # cumsum adds in trial order, as the CSVs always have; np.sum would add pairwise.
     means = np.cumsum(np.reshape(stats, (len(grid), trials, -1)), axis=1)[:, -1] / trials
-    return _emit(cfg, name, header, [(point, *mean) for point, mean in zip(grid, means.tolist())])
+    return _emit(cfg, header, [(point, *mean) for point, mean in zip(grid, means.tolist())])
 
 
-def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
+def run_figure_b(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     """Mean estimation error per sparsity for random fading, exact covariance."""
     return _panel(cfg, verified, "figure_b", cfg.s_values, ["S", *(f"err_{n}" for n in cfg.estimators)])
 
 
-def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
+def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     """Mean estimation error against the magnitude of a Hermitian perturbation.
 
     The fading draw of each trial is conditioned on the exact covariance
@@ -263,12 +259,12 @@ def run_figure_c(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None
     return _panel(cfg, verified, "figure_c", cfg.rho_grid, ["rho", "err_nnls", "err_ml_nnls"])
 
 
-def run_figure_d(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
+def run_figure_d(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     """Mean inverse squared error against the number of receive antennas."""
     return _panel(cfg, verified, "figure_d", cfg.k_grid, ["K", "inv_sq_err_nnls", "inv_sq_err_ml_nnls"])
 
 
-def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = None) -> str:
+def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     """Radii and antenna thresholds over an accuracy grid for one instance.
 
     The instance is a seeded random fading vector at the verified order; the
@@ -276,7 +272,6 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = 
     and eta follow the configured defaults, and the Bernstein constant is
     the configured placeholder (the thresholds are structural, not absolute).
     """
-    verified = verified or verified_codebook(cfg)
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
     order = cfg.skc_order
@@ -310,7 +305,7 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook | None = 
             )
         )
     header = ["eps", "delta_nice", "delta_c", "delta_tld", "delta_skc", "k0_nnls", "k0_ml"]
-    return _emit(cfg, "bounds", header, rows)
+    return _emit(cfg, header, rows)
 
 
 def _fit_points(x, y, positive=False):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_complex_gaussian, stream
+from .config import _is_integer
 from .errors import InvalidInput
 from .gtuple import LN2, PenaltyTuple
 from .hermitian import as_hpd
@@ -149,8 +150,8 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
 
 def empirical_concentration(SigmaPrime, K: int, xi: float, trials: int, seed) -> float:
     """Fraction of trials with Frobenius deviation of the sample covariance <= xi."""
-    if trials < 1:
-        raise InvalidInput("need at least one trial")
+    if not _is_integer(trials) or trials < 1:
+        raise InvalidInput(f"trials must be a positive integer, got {trials!r}")
     spd = as_hpd(SigmaPrime)
     hits = 0
     for t in range(trials):

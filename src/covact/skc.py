@@ -41,6 +41,7 @@ import numpy as np
 from . import workers
 from .channel import FadingVector, stream
 from .codebook import StackedRealMatrix
+from .config import _is_integer
 from .errors import InvalidInput, NoAdversary, NotConverged, TooLarge
 
 EXACT_BUDGET = 10**7
@@ -368,12 +369,10 @@ def _report(order, val, v, method, lower=0.0) -> SkcReport:
     )
 
 
-def _check(stacked: StackedRealMatrix, order: int, method: str) -> None:
+def _check_order(stacked: StackedRealMatrix, order: int) -> None:
     n = stacked.num_users
-    if not 1 <= order <= n:
-        raise InvalidInput(f"order {order} outside [1, {n}]")
-    if method not in ("exact", "heuristic"):
-        raise InvalidInput(f"unknown method {method!r}")
+    if not _is_integer(order) or not 1 <= order <= n:
+        raise InvalidInput(f"order {order!r} is not an integer in [1, {n}]")
 
 
 def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> SkcReport:
@@ -389,7 +388,9 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     bounds and solves only multi-start projected-gradient patterns and
     upper-bounds the constant (its ``lower_bound`` is 0).
     """
-    _check(stacked, order, method)
+    _check_order(stacked, order)
+    if method not in ("exact", "heuristic"):
+        raise InvalidInput(f"unknown method {method!r}")
     if method == "exact":
         return tau_prime_curve(stacked, order)[-1]
     G = stacked.values.T @ stacked.values
@@ -398,11 +399,9 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     return _report(order, *best, "heuristic")
 
 
-def tau_prime_curve(stacked: StackedRealMatrix, max_order: int, method: str = "exact") -> list[SkcReport]:
-    """Reports for every order 1..max_order, sharing one bound-and-prune pass."""
-    _check(stacked, max_order, method)
-    if method == "heuristic":
-        return [tau_prime(stacked, s, method="heuristic") for s in range(1, max_order + 1)]
+def tau_prime_curve(stacked: StackedRealMatrix, max_order: int) -> list[SkcReport]:
+    """Exact reports for every order 1..max_order, sharing one bound-and-prune pass."""
+    _check_order(stacked, max_order)
     n = stacked.num_users
     if (patterns := sum(math.comb(n, s) for s in range(max_order + 1))) > EXACT_BUDGET:
         raise TooLarge(f"the exact method visits sum_(s<={max_order}) C({n},s) = {patterns} sign patterns, over the budget of {EXACT_BUDGET}; use the heuristic")

@@ -8,6 +8,7 @@ from covact import (
     Codebook,
     InvalidInput,
     MeasurementOperator,
+    StackedRealMatrix,
     build_deterministic_codebook,
     build_gaussian_codebook,
     nth_prime,
@@ -181,6 +182,13 @@ class TestMeasurementOperator:
 
 
 class TestStackedReal:
+    @pytest.mark.parametrize(
+        "values", [[[1.0, np.nan]], [[np.inf], [0.0]], [1.0, 2.0], np.zeros((2, 0))], ids=["nan", "inf", "1-d", "no-column"]
+    )
+    def test_rejects_non_finite_or_non_matrix_values(self, values):
+        with pytest.raises(InvalidInput):
+            StackedRealMatrix(values)
+
     def test_single_real_column(self):
         op = MeasurementOperator(Codebook(np.array([[1.0 + 0j]])))
         stacked = op.stacked_real()

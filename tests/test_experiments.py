@@ -13,11 +13,19 @@ from covact import (
     InvalidInput,
     MeasurementOperator,
     NotConverged,
+    build_deterministic_codebook,
     build_gaussian_codebook,
     cli,
+    draw_sparse_fading,
+    empirical_concentration,
     experiments,
+    nth_prime,
+    sample_complex_gaussian,
+    simulate_measurements,
+    skc,
     stream,
     tau_prime,
+    tau_prime_curve,
 )
 from covact.cli import main
 from covact.config import ExperimentConfig, parse_config
@@ -37,6 +45,7 @@ from covact.experiments import (
 # CSVs of tiny_config recorded before the estimator, tau' and panel-loop
 # kernels were merged; the refactors must reproduce them.
 GOLDEN = Path(__file__).parent / "golden"
+SMALL_OP = MeasurementOperator(build_gaussian_codebook(2, 4, 0))
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +97,10 @@ class TestConfig:
             {"skc_order": 17},
             {"k_grid": (0, 250)},
             {"rho_grid": (-1e-4, 1e-3)},
+            {"rho_grid": (1e-4, math.inf)},
+            {"rho_grid": (math.nan,)},
             {"bounds_eps_grid": (0.0, 1e-6)},
+            {"bounds_eps_grid": (1e-6, math.inf)},
             {"while_iterations": 0},
             {"max_codebook_draws": 0},
             {"seed": -1},
@@ -117,6 +129,29 @@ class TestConfig:
         (name,) = bad
         with pytest.raises(InvalidInput, match=name):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (draw_sparse_fading, (6, 2.5, 0)),
+            (build_gaussian_codebook, (2.5, 6, 0)),
+            (build_gaussian_codebook, (2, 6.0, 0)),
+            (build_deterministic_codebook, (2.5, 6)),
+            (build_deterministic_codebook, (2, 6.0)),
+            (nth_prime, (2.5,)),
+            (tau_prime, (SMALL_OP.stacked_real(), 2.5)),
+            (tau_prime_curve, (SMALL_OP.stacked_real(), 2.5)),
+            (sample_complex_gaussian, (np.eye(2), 2.5, 0)),
+            (simulate_measurements, (SMALL_OP.codebook, draw_sparse_fading(4, 1, 0), np.eye(2), 2.5, 0)),
+            (empirical_concentration, (np.eye(2), 10, 0.1, 2.5, 0)),
+        ],
+        ids=["fading-S", "gaussian-M", "gaussian-N", "deterministic-M", "deterministic-N", "nth_prime", "tau_prime",
+             "tau_prime_curve", "sample_complex_gaussian-K", "simulate_measurements-K", "empirical_concentration-trials"],
+    )
+    def test_library_counts_must_be_integers(self, fn, args):
+        # The rule the config applies to its counts holds at every public function taking one.
+        with pytest.raises(InvalidInput):
+            fn(*args)
 
     def test_numpy_integer_counts_and_grids(self):
         cfg = ExperimentConfig(M=np.int64(4), trials_fig_b=np.int32(3), k_grid=tuple(np.array([250, 500])))
@@ -147,6 +182,13 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             parse_config(path)
 
+    def test_parse_rejects_out_dir(self, tmp_path):
+        # The output directory is chosen by the CLI's --out alone.
+        path = tmp_path / "out.cfg"
+        path.write_text("out_dir = results\n")
+        with pytest.raises(InvalidInput, match="unknown configuration key 'out_dir'"):
+            parse_config(path)
+
     def test_parse_rejects_bad_value(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("N = 17\nM = four\n")
@@ -172,6 +214,20 @@ class TestHeuristicSearch:
             assert (report.tau_prime, report.lower_bound, report.method) == (single.tau_prime, 0.0, "heuristic")
             assert np.array_equal(report.witness_z, single.witness_z)
             assert np.array_equal(report.witness_x, single.witness_x)
+
+    def test_computes_each_order_once_per_draw(self, default_config, monkeypatch):
+        # The heuristic screen's report at skc_order is reused in the accepted draw's curve.
+        calls, real = [], experiments.tau_prime
+
+        def counted(stacked, order, method="exact"):
+            calls.append((stacked, order, method))  # keeps each stacked alive, so ids stay distinct
+            return real(stacked, order, method=method)
+
+        monkeypatch.setattr(experiments, "tau_prime", counted)
+        monkeypatch.setattr(skc, "tau_prime", counted)
+        found = verified_codebook(replace(default_config, tau_method="heuristic"))
+        assert len({(id(stacked), order) for stacked, order, _ in calls}) == len(calls)
+        assert sum(order != default_config.skc_order for _, order, _ in calls) == len(found.reports) - 1
 
 
 class TestKernelScreen:
@@ -279,12 +335,11 @@ class TestPanels:
         assert "nnls_failing_at_s2" in str(caught.value.__cause__)
         assert multiprocessing.active_children() == []
 
-    def test_outputs_written_to_directory(self, tiny_config, tiny_verified, tmp_path):
-        from dataclasses import replace
-
-        cfg = replace(tiny_config, out_dir=str(tmp_path))
-        text = run_figure_a(cfg, tiny_verified)
-        assert (tmp_path / "figure_a.csv").read_text() == text
+    def test_runners_write_no_file(self, tiny_config, tiny_verified, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_figure_a(tiny_config, tiny_verified)
+        run_bounds_table(tiny_config, tiny_verified)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGolden:
@@ -442,6 +497,26 @@ class TestCli:
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "--assert", "bounds"])
         assert code == 0
         assert (tmp_path / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("args, name", [(["experiment", "a"], "figure_a"), (["bounds"], "bounds")])
+    def test_out_writes_the_printed_bytes_after_one_certification(
+        self, tmp_path, config_file_tiny, capsys, monkeypatch, args, name
+    ):
+        calls, real = [], cli.verified_codebook
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "verified_codebook", counted)
+        assert main(["--config", config_file_tiny, *args]) == 0
+        printed = capsys.readouterr().out
+        assert len(calls) == 1
+        assert main(["--config", config_file_tiny, "--out", str(tmp_path), *args]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / name}.csv\n"
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == [f"{name}.csv"]
+        assert (tmp_path / f"{name}.csv").read_bytes() == printed.encode()
 
     @pytest.mark.parametrize("kind", ["gaussian", "deterministic"])
     def test_codebook_build_matches_golden(self, tmp_path, config_file_tiny, kind):

@@ -374,7 +374,10 @@ class TestMethods:
             tau_prime(stacked, 0)
         with pytest.raises(InvalidInput):
             tau_prime(stacked, 6)
-        with pytest.raises(InvalidInput):
+
+    def test_unknown_method_rejected(self):
+        stacked = stacked_for(build_gaussian_codebook(3, 5, 10).columns)
+        with pytest.raises(InvalidInput, match="annealing"):
             tau_prime(stacked, 2, method="annealing")
 
 
@@ -387,11 +390,6 @@ class TestCurve:
         for order, report in enumerate(curve, start=1):
             single = tau_prime(stacked, order)
             assert report.tau_prime == pytest.approx(single.tau_prime, rel=1e-12, abs=1e-15)
-
-    def test_unknown_method_rejected(self):
-        stacked = stacked_for(build_gaussian_codebook(3, 5, 10).columns)
-        with pytest.raises(InvalidInput):
-            tau_prime_curve(stacked, 2, method="annealing")
 
 
 class TestAdversarial:
