@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .config import _is_integer
+from .config import _check_count, _is_integer
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix, as_hpd, hpd_sqrt, operator_norm
 
@@ -86,8 +86,7 @@ def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
     N(0, 1/2) real and imaginary parts, so E[y y^H] = Sigma exactly and
     scaling Sigma by c**2 scales the samples by c under the same seed.
     """
-    if not _is_integer(K) or K < 1:
-        raise InvalidInput(f"K must be a positive integer, got {K!r}")
+    _check_count("K", K)
     spd = as_hpd(Sigma)
     rng = np.random.default_rng(seed)
     M = spd.dim
@@ -128,8 +127,8 @@ def perturb_hermitian(W0, rho: float, seed) -> HermitianMatrix:
     independent standard Gaussian real and imaginary parts.  A zero draw has
     probability zero and raises InvalidInput.
     """
-    if rho < 0:
-        raise InvalidInput("perturbation magnitude must be nonnegative")
+    if not 0 <= rho < np.inf:
+        raise InvalidInput(f"perturbation magnitude must be finite and nonnegative, got {rho!r}")
     base = HermitianMatrix(W0)
     if rho == 0.0:
         return base
@@ -150,8 +149,8 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     absolute standard Gaussians normalized to unit l2 norm; an all-zero
     draw has probability zero and raises InvalidInput.
     """
-    if not _is_integer(S) or not 1 <= S <= N:
-        raise InvalidInput(f"sparsity {S!r} is not an integer in [1, {N}]")
+    _check_count("N", N)
+    _check_count("S", S, high=N)
     rng = np.random.default_rng(seed)
     support = rng.choice(N, size=S, replace=False)
     vals = np.abs(rng.standard_normal(S))

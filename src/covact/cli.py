@@ -16,8 +16,8 @@ import numpy as np
 
 from .channel import draw_sparse_fading, sample_covariance, simulate_measurements, stream
 from .codebook import MeasurementOperator, build_deterministic_codebook, build_gaussian_codebook, load_codebook_csv, save_codebook_csv
-from .config import ExperimentConfig, parse_config
-from .errors import CovactError, InvalidInput
+from .config import ExperimentConfig, _check_count, parse_config
+from .errors import CovactError
 from .estimators import save_estimate_csv, save_trace_csv
 from .experiments import (
     SKC_POSITIVE_TOL,
@@ -74,12 +74,14 @@ def _tau_report(args, cfg):
     return order, tau_prime(stacked, order, method=args.method)
 
 
-def _cmd_codebook(args, cfg) -> list:
-    if args.action == "build":
-        out = _out_path(args, "codebook.csv")
-        save_codebook_csv(_build_codebook(cfg, args.kind, args.file), out)
-        print(f"wrote {out}")
-        return []
+def _cmd_build(args, cfg) -> list:
+    out = _out_path(args, "codebook.csv")
+    save_codebook_csv(_build_codebook(cfg, args.kind, args.file), out)
+    print(f"wrote {out}")
+    return []
+
+
+def _cmd_check(args, cfg) -> list:
     order, report = _tau_report(args, cfg)
     holds = report.tau_prime > args.tol
     print(f"order = {order}  tau_prime = {report.tau_prime:.6e}  holds = {holds}")
@@ -96,8 +98,7 @@ def _cmd_tau(args, cfg) -> list:
 
 
 def _cmd_estimate(args, cfg) -> list:
-    if args.antennas < 0:
-        raise InvalidInput(f"--antennas must be nonnegative, got {args.antennas}")
+    _check_count("--antennas", args.antennas, low=0)
     op = MeasurementOperator(_build_codebook(cfg))
     Sigma = _noise_covariance(cfg)
     sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
@@ -183,26 +184,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    codebook = argparse.ArgumentParser(add_help=False)
-    codebook.add_argument("--kind", choices=["gaussian", "deterministic"], default="gaussian")
-    codebook.add_argument("--file", type=str, default=None, help="read the codebook from CSV")
-    codebook.add_argument("--order", type=int, default=None, help="default: the config's skc_order")
-    codebook.add_argument("--method", choices=["exact", "heuristic"], default="exact")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--kind", choices=["gaussian", "deterministic"], default="gaussian")
+    source.add_argument("--file", type=str, default=None, help="read the codebook from CSV")
+    order = argparse.ArgumentParser(add_help=False, parents=[source])
+    order.add_argument("--order", type=int, default=None, help="default: the config's skc_order")
+    order.add_argument("--method", choices=["exact", "heuristic"], default="exact")
+    draw = argparse.ArgumentParser(add_help=False)
+    draw.add_argument("--sparsity", type=int, default=None, help="default: the config's skc_order")
+    draw.add_argument("--antennas", type=int, default=0, help="0 uses the exact covariance")
+    draw.set_defaults(func=_cmd_estimate)
 
-    p_cb = sub.add_parser("codebook", parents=[codebook], help="build or check a codebook")
-    p_cb.add_argument("action", choices=["build", "check"])
-    p_cb.add_argument("--tol", type=float, default=SKC_ZERO_TOL)
-    p_cb.set_defaults(func=_cmd_codebook)
+    p_cb = sub.add_parser("codebook", help="build or check a codebook").add_subparsers(dest="action", required=True)
+    p_cb.add_parser("build", parents=[source], help="write codebook.csv").set_defaults(func=_cmd_build)
+    p_check = p_cb.add_parser("check", parents=[order], help="whether tau' at the order exceeds --tol")
+    p_check.add_argument("--tol", type=float, default=SKC_ZERO_TOL)
+    p_check.set_defaults(func=_cmd_check)
 
-    p_tau = sub.add_parser("tau", parents=[codebook], help="robustness constant of a codebook")
+    p_tau = sub.add_parser("tau", parents=[order], help="robustness constant of a codebook")
     p_tau.set_defaults(func=_cmd_tau)
 
-    p_est = sub.add_parser("estimate", help="run one estimator on a synthetic draw")
-    p_est.add_argument("estimator", choices=["nnls", "ml"])
-    p_est.add_argument("--sparsity", type=int, default=None, help="default: the config's skc_order")
-    p_est.add_argument("--antennas", type=int, default=0, help="0 uses the exact covariance")
-    p_est.add_argument("--init-nnls", action="store_true", help="initialize ml from the nnls estimate")
-    p_est.set_defaults(func=_cmd_estimate)
+    p_est = sub.add_parser("estimate", help="run one estimator on a synthetic draw").add_subparsers(dest="estimator", required=True)
+    p_est.add_parser("nnls", parents=[draw], help="non-negative least squares")
+    p_ml = p_est.add_parser("ml", parents=[draw], help="relaxed maximum likelihood")
+    p_ml.add_argument("--init-nnls", action="store_true", help="initialize ml from the nnls estimate")
 
     p_bounds = sub.add_parser("bounds", help="emit the radius / antenna-count table")
     p_bounds.set_defaults(func=_cmd_run, panel="bounds")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _is_integer, _write_csv
+from .config import _check_count, _write_csv
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix
 
@@ -35,8 +35,7 @@ def _sieve(limit: int) -> list[int]:
 
 def nth_prime(k: int) -> int:
     """The k-th prime number, with nth_prime(1) == 2.  Valid for k <= 10^4."""
-    if not _is_integer(k) or not 1 <= k <= _PRIME_CAP:
-        raise InvalidInput(f"prime index {k!r} is not an integer in [1, {_PRIME_CAP}]")
+    _check_count("prime index", k, high=_PRIME_CAP)
     # 104729 is the 10^4-th prime; the sieve runs once per process.
     return _sieve(110_000)[k - 1]
 
@@ -68,11 +67,6 @@ class Codebook:
         return self.columns.shape[1]
 
 
-def _check_size(M, N) -> None:
-    if not (_is_integer(M) and _is_integer(N)) or M < 1 or N < 1:
-        raise InvalidInput(f"M and N must be positive integers, got {M!r} and {N!r}")
-
-
 def build_deterministic_codebook(M: int, N: int) -> Codebook:
     """Prime-phase codebook with entries of modulus m**-0.5.
 
@@ -82,7 +76,8 @@ def build_deterministic_codebook(M: int, N: int) -> Codebook:
     the signed kernel condition but has a poor robustness constant, so it is
     kept out of the simulation defaults.
     """
-    _check_size(M, N)
+    _check_count("M", M)
+    _check_count("N", N)
     n_pad = max(M * M - N, 0)
     denom = N + n_pad + 1 - M * M
     m_idx = np.arange(1, M + 1, dtype=float)
@@ -100,7 +95,8 @@ def build_gaussian_codebook(M: int, N: int, seed) -> Codebook:
     Entries have unit second absolute moment: real and imaginary parts are
     independent N(0, 1/2).  ``seed`` may be an int or a numpy Generator.
     """
-    _check_size(M, N)
+    _check_count("M", M)
+    _check_count("N", N)
     rng = np.random.default_rng(seed)
     cols = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) / np.sqrt(2)
     return Codebook(cols)

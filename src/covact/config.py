@@ -44,13 +44,9 @@ class ExperimentConfig:
     eta: float = 1.0
 
     def __post_init__(self):
+        # skc_order lies in [1, N - 1], as the codebook search certifies order skc_order + 1; N is checked first.
         for name in ("M", "N", "skc_order", "trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise InvalidInput(f"{name} must be an integer of at least 1, got {value!r}")
-        # The codebook search certifies order skc_order + 1, so that must not exceed N.
-        if self.skc_order >= self.N:
-            raise InvalidInput("skc_order must lie in [1, N - 1]")
+            _check_count(name, getattr(self, name), high=self.N - 1 if name == "skc_order" else math.inf)
         if not _is_integer(self.seed) or self.seed < 0:
             raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, valid, rule in (
@@ -92,6 +88,13 @@ class ExperimentConfig:
 def _is_integer(value) -> bool:
     """Whether value is an int or a NumPy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low=1, high=math.inf) -> None:
+    """Raise InvalidInput, naming ``name`` and ``value``, unless value is an integer (by _is_integer) in [low, high]."""
+    if not (_is_integer(value) and low <= value <= high):
+        at_most = f" and at most {high}" if high < math.inf else ""
+        raise InvalidInput(f"{name} must be an integer of at least {low}{at_most}, got {value!r}")
 
 
 def _format_row(values) -> str:

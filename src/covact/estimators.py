@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import MeasurementOperator, vectorize_hermitian
-from .config import _is_integer, _write_csv
+from .config import _check_count, _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
 from .hermitian import HermitianMatrix, HpdMatrix, as_hpd
 
@@ -42,10 +42,9 @@ class NnlsOptions:
     kkt_tol: float = 1e-9
 
     def __post_init__(self):
-        if not _is_integer(self.max_iterations) or self.max_iterations < 1:
-            raise InvalidInput(f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}")
-        if not self.kkt_tol > 0:
-            raise InvalidInput("kkt_tol must be positive")
+        _check_count("max_iterations", self.max_iterations)
+        if not 0 < self.kkt_tol < math.inf:
+            raise InvalidInput(f"kkt_tol must be finite and positive, got {self.kkt_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +75,9 @@ class MlOptions:
     objective_tol: float = 1e-10
 
     def __post_init__(self):
-        if not _is_integer(self.while_iterations) or self.while_iterations < 1:
-            raise InvalidInput(f"while_iterations must be an integer of at least 1, got {self.while_iterations!r}")
-        if not self.objective_tol >= 0:
-            raise InvalidInput("objective_tol must be nonnegative")
+        _check_count("while_iterations", self.while_iterations)
+        if not 0 <= self.objective_tol < math.inf:
+            raise InvalidInput(f"objective_tol must be finite and nonnegative, got {self.objective_tol!r}")
         if self.permutation is not None:
             perm = np.asarray(self.permutation)
             if not np.array_equal(np.sort(perm), np.arange(perm.size)):

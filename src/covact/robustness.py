@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_complex_gaussian, stream
-from .config import _is_integer
+from .config import _check_count
 from .errors import InvalidInput
 from .gtuple import LN2, PenaltyTuple
 from .hermitian import as_hpd
@@ -49,22 +49,21 @@ class BoundInputs:
     sup_diag: float
 
     def __post_init__(self):
-        if not 0 < self.lambda_min <= self.lambda_max:
-            raise InvalidInput("need 0 < lambda_min <= lambda_max")
+        if not 0 < self.lambda_min <= self.lambda_max < math.inf:
+            raise InvalidInput("need 0 < lambda_min <= lambda_max < inf")
         if not 0 < self.beta < self.lambda_min:
             raise InvalidInput("need 0 < beta < lambda_min")
         if not 0 < self.eta < math.inf:
             raise InvalidInput("eta must be finite and positive")
-        if not self.tau >= 0:
-            raise InvalidInput("tau must be nonnegative")
-        if self.dim < 1:
-            raise InvalidInput("dimension must be at least 1")
+        if not 0 <= self.tau < math.inf:
+            raise InvalidInput("tau must be finite and nonnegative")
+        _check_count("dim", self.dim)
         if not 0 < self.p < 1:
             raise InvalidInput("target probability must lie in (0, 1)")
         if not 0 < self.c < math.inf:
             raise InvalidInput("Bernstein constant must be finite and positive")
-        if not self.sup_diag > 0:
-            raise InvalidInput("sup_diag must be positive")
+        if not 0 < self.sup_diag < math.inf:
+            raise InvalidInput("sup_diag must be finite and positive")
 
 
 def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) -> float:
@@ -150,8 +149,7 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
 
 def empirical_concentration(SigmaPrime, K: int, xi: float, trials: int, seed) -> float:
     """Fraction of trials with Frobenius deviation of the sample covariance <= xi."""
-    if not _is_integer(trials) or trials < 1:
-        raise InvalidInput(f"trials must be a positive integer, got {trials!r}")
+    _check_count("trials", trials)
     spd = as_hpd(SigmaPrime)
     hits = 0
     for t in range(trials):

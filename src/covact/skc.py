@@ -41,7 +41,7 @@ import numpy as np
 from . import workers
 from .channel import FadingVector, stream
 from .codebook import StackedRealMatrix
-from .config import _is_integer
+from .config import _check_count
 from .errors import InvalidInput, NoAdversary, NotConverged, TooLarge
 
 EXACT_BUDGET = 10**7
@@ -297,26 +297,6 @@ def _size_search(G, size):
     return _pattern_search(G, itertools.combinations(range(G.shape[0]), size))
 
 
-def _exact_curve(B, max_size):
-    """Minimum of the squared ratio over patterns of size <= s, for s = 0..max_size.
-
-    Entry s is (value, v, lower): the first pattern in (size,
-    itertools.combinations) order that attains the minimum, its witness and
-    a lower bound on that minimum that holds despite rounding.  The sizes run
-    as ``workers.run_jobs`` jobs, largest C(n, s) first.
-    """
-    G = B.T @ B
-    sizes = range(max_size + 1)
-    searches = workers.run_jobs(_size_search, [(G, s) for s in sizes], [math.comb(G.shape[0], s) for s in sizes])
-    best, lower, curve = (math.inf, None), math.inf, []
-    for size_best, size_lower in searches:
-        if size_best[0] < best[0]:
-            best = size_best
-        lower = min(lower, size_lower)
-        curve.append((*best, max(lower, 0.0)))
-    return curve
-
-
 def _project_sparse(V, S):
     """Rows of V with all but their S most negative entries clipped at 0, rescaled to unit l1 norm; and the nonzero rows."""
     rank = np.argsort(np.argsort(V, axis=1), axis=1)
@@ -369,12 +349,6 @@ def _report(order, val, v, method, lower=0.0) -> SkcReport:
     )
 
 
-def _check_order(stacked: StackedRealMatrix, order: int) -> None:
-    n = stacked.num_users
-    if not _is_integer(order) or not 1 <= order <= n:
-        raise InvalidInput(f"order {order!r} is not an integer in [1, {n}]")
-
-
 def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> SkcReport:
     """Robustness constant of the given order with its adversarial witnesses.
 
@@ -388,7 +362,7 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     bounds and solves only multi-start projected-gradient patterns and
     upper-bounds the constant (its ``lower_bound`` is 0).
     """
-    _check_order(stacked, order)
+    _check_count("order", order, high=stacked.num_users)
     if method not in ("exact", "heuristic"):
         raise InvalidInput(f"unknown method {method!r}")
     if method == "exact":
@@ -400,13 +374,28 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
 
 
 def tau_prime_curve(stacked: StackedRealMatrix, max_order: int) -> list[SkcReport]:
-    """Exact reports for every order 1..max_order, sharing one bound-and-prune pass."""
-    _check_order(stacked, max_order)
-    n = stacked.num_users
-    if (patterns := sum(math.comb(n, s) for s in range(max_order + 1))) > EXACT_BUDGET:
+    """Exact reports for every order 1..max_order, sharing one bound-and-prune pass.
+
+    Report s holds the minimum of the squared ratio over patterns of size
+    <= s: the first pattern in (size, itertools.combinations) order that
+    attains it, its witness and a lower bound on it that holds despite
+    rounding.  The sizes run as ``workers.run_jobs`` jobs, largest C(n, s)
+    first, and are folded in size order.
+    """
+    _check_count("max_order", max_order, high=stacked.num_users)
+    n, sizes = stacked.num_users, range(max_order + 1)
+    costs = [math.comb(n, s) for s in sizes]
+    if (patterns := sum(costs)) > EXACT_BUDGET:
         raise TooLarge(f"the exact method visits sum_(s<={max_order}) C({n},s) = {patterns} sign patterns, over the budget of {EXACT_BUDGET}; use the heuristic")
-    curve = _exact_curve(stacked.values, max_order)
-    return [_report(s, val, v, "exact-enumeration", lower) for s, (val, v, lower) in enumerate(curve[1:], start=1)]
+    G = stacked.values.T @ stacked.values
+    searches = workers.run_jobs(_size_search, [(G, s) for s in sizes], costs)
+    best, lower, reports = (math.inf, None), math.inf, []
+    for size, (size_best, size_lower) in enumerate(searches):
+        if size_best[0] < best[0]:
+            best = size_best
+        lower = min(lower, size_lower)
+        reports.append(_report(size, *best, "exact-enumeration", max(lower, 0.0)))
+    return reports[1:]
 
 
 def adversarial_fading(report: SkcReport) -> FadingVector:

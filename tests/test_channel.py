@@ -1,5 +1,7 @@
 """Measurement-model sampling, sample covariances and perturbations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -166,8 +168,10 @@ class TestPerturb:
         assert operator_norm(HermitianMatrix(b)) == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(InvalidInput):
-            perturb_hermitian(HermitianMatrix(np.eye(2)), -0.1, 0)
+        # Non-finite magnitudes are refused before any arithmetic (no RuntimeWarning).
+        for rho in (-0.1, math.inf, math.nan):
+            with pytest.raises(InvalidInput, match="finite and nonnegative"):
+                perturb_hermitian(HermitianMatrix(np.eye(2)), rho, 0)
 
     def test_zero_draw_rejected(self, monkeypatch):
         class Zeros:

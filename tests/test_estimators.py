@@ -388,8 +388,10 @@ class TestCoordinateDescent:
             (lambda: MlOptions(while_iterations=2.5), "while_iterations"),
             (lambda: NnlsOptions(kkt_tol=math.nan), "kkt_tol"),
             (lambda: NnlsOptions(max_iterations=0), "max_iterations"),
+            (lambda: MlOptions(objective_tol=math.inf), "objective_tol"),
+            (lambda: NnlsOptions(kkt_tol=math.inf), "kkt_tol"),
         ],
-        ids=["ml-nan-tol", "ml-fractional-sweeps", "nnls-nan-tol", "nnls-zero-iterations"],
+        ids=["ml-nan-tol", "ml-fractional-sweeps", "nnls-nan-tol", "nnls-zero-iterations", "ml-inf-tol", "nnls-inf-tol"],
     )
     def test_options_reject_bad_values(self, options, field):
         with pytest.raises(InvalidInput, match=field):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from covact import (
+    BoundInputs,
     InvalidInput,
     MeasurementOperator,
     NotConverged,
@@ -134,6 +135,7 @@ class TestConfig:
         "fn, args",
         [
             (draw_sparse_fading, (6, 2.5, 0)),
+            (draw_sparse_fading, (6.5, 2, 0)),
             (build_gaussian_codebook, (2.5, 6, 0)),
             (build_gaussian_codebook, (2, 6.0, 0)),
             (build_deterministic_codebook, (2.5, 6)),
@@ -144,9 +146,10 @@ class TestConfig:
             (sample_complex_gaussian, (np.eye(2), 2.5, 0)),
             (simulate_measurements, (SMALL_OP.codebook, draw_sparse_fading(4, 1, 0), np.eye(2), 2.5, 0)),
             (empirical_concentration, (np.eye(2), 10, 0.1, 2.5, 0)),
+            (BoundInputs, (0.5, 2.5, 0.25, 1.0, 0.5, 2.5, 0.9, 1.0, 1.0)),
         ],
-        ids=["fading-S", "gaussian-M", "gaussian-N", "deterministic-M", "deterministic-N", "nth_prime", "tau_prime",
-             "tau_prime_curve", "sample_complex_gaussian-K", "simulate_measurements-K", "empirical_concentration-trials"],
+        ids=["fading-S", "fading-N", "gaussian-M", "gaussian-N", "deterministic-M", "deterministic-N", "nth_prime", "tau_prime",
+             "tau_prime_curve", "sample_complex_gaussian-K", "simulate_measurements-K", "empirical_concentration-trials", "bound_inputs-dim"],
     )
     def test_library_counts_must_be_integers(self, fn, args):
         # The rule the config applies to its counts holds at every public function taking one.
@@ -527,8 +530,25 @@ class TestCli:
     def test_negative_antennas_exit_code(self, tmp_path, config_file_tiny, capsys):
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", "nnls", "--antennas", "-5"])
         assert code == 1
-        assert capsys.readouterr().err == "error: --antennas must be nonnegative, got -5\n"
+        assert capsys.readouterr().err == "error: --antennas must be an integer of at least 0, got -5\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [["codebook", "build", "--order", "3"], ["estimate", "nnls", "--init-nnls"]])
+    def test_flags_a_command_ignores_exit_two(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--out", str(tmp_path), *args])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[2:])}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_readme_command_lines_parse(self):
+        # Every `covact ...` line of README's CLI block, comments stripped, parses as written.
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("covact ")]
+        assert len(lines) == 7
+        for words in lines:
+            cli.build_parser().parse_args(words[1:])
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "--seed", "-1", "codebook", "build"]) == 1

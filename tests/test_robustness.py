@@ -48,10 +48,11 @@ class TestBoundInputs:
         with pytest.raises(InvalidInput):
             BoundInputs(0.5, 2.5, 0.25, 1.0, 0.5, 4, 1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("name", ["eta", "c"])
+    @pytest.mark.parametrize("name", ["eta", "c", "lambda_min", "lambda_max", "beta", "tau", "p", "sup_diag"])
     def test_rejects_nan(self, inputs, name):
-        with pytest.raises(InvalidInput):
-            replace(inputs, **{name: math.nan})
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                replace(inputs, **{name: value})
 
 
 class TestDeltaRadius:
