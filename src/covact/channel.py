@@ -52,6 +52,7 @@ class FadingVector:
     sparsity: int
 
     def __post_init__(self):
+        _check_count("sparsity", self.sparsity, low=0)
         arr = np.array(self.x, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInput(f"expected a vector, got shape {arr.shape}")

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import draw_sparse_fading, sample_covariance, simulate_measurements, stream
 from .codebook import MeasurementOperator, build_deterministic_codebook, build_gaussian_codebook, load_codebook_csv, save_codebook_csv
 from .config import ExperimentConfig, _check_count, parse_config
-from .errors import CovactError
+from .errors import CovactError, InvalidInput
 from .estimators import save_estimate_csv, save_trace_csv
 from .experiments import (
     SKC_POSITIVE_TOL,
@@ -67,13 +67,6 @@ def _build_codebook(cfg, kind: str = "gaussian", file: str | None = None):
     return build_gaussian_codebook(cfg.M, cfg.N, stream(cfg.seed, "codebook", 0))
 
 
-def _tau_report(args, cfg):
-    """Order asked for (the config's ``skc_order`` by default) and its tau' report."""
-    order = cfg.skc_order if args.order is None else args.order
-    stacked = MeasurementOperator(_build_codebook(cfg, args.kind, args.file)).stacked_real()
-    return order, tau_prime(stacked, order, method=args.method)
-
-
 def _cmd_build(args, cfg) -> list:
     out = _out_path(args, "codebook.csv")
     save_codebook_csv(_build_codebook(cfg, args.kind, args.file), out)
@@ -81,20 +74,16 @@ def _cmd_build(args, cfg) -> list:
     return []
 
 
-def _cmd_check(args, cfg) -> list:
-    order, report = _tau_report(args, cfg)
-    holds = report.tau_prime > args.tol
-    print(f"order = {order}  tau_prime = {report.tau_prime:.6e}  holds = {holds}")
-    return [] if holds else [f"tau_prime at order {order} is {report.tau_prime:.3e}, not above {args.tol}"]
-
-
 def _cmd_tau(args, cfg) -> list:
-    order, report = _tau_report(args, cfg)
+    """Print tau' at the order (the config's ``skc_order`` by default); it fails unless above ``--tol``."""
+    order = cfg.skc_order if args.order is None else args.order
+    stacked = MeasurementOperator(_build_codebook(cfg, args.kind, args.file)).stacked_real()
+    report = tau_prime(stacked, order, method=args.method)
     text = report.as_text()
     if args.out:
         _out_path(args, f"tau_order{order}.txt").write_text(text)
     print(text, end="")
-    return []
+    return [] if report.tau_prime > args.tol else [f"tau_prime at order {order} is {report.tau_prime:.3e}, not above {args.tol}"]
 
 
 def _cmd_estimate(args, cfg) -> list:
@@ -161,16 +150,23 @@ def _broken_rules(kind: str, text: str, cfg) -> list:
 
 
 def _cmd_run(args, cfg) -> list:
-    """Certify the codebook, run one panel or the bound table; print its CSV or where it was written."""
-    name, run = _RUNS[args.panel]
-    text = run(cfg, verified_codebook(cfg))
-    if args.out:
-        out = _out_path(args, f"{name}.csv")
-        out.write_text(text)
-        print(f"wrote {out}")
-    else:
-        print(text, end="")
-    return _broken_rules(args.panel, text, cfg) if args.check_assert else []
+    """Certify the codebook once, then run each named panel or bound table; print its CSV or where it was written."""
+    kinds = [kind for kind in _RUNS if kind in args.outputs or "all" in args.outputs]
+    if len(kinds) > 1 and not args.out:
+        raise InvalidInput(f"experiment {' '.join(kinds)} writes {len(kinds)} CSV files and needs --out")
+    verified = verified_codebook(cfg)
+    failures = []
+    for kind in kinds:
+        name, run = _RUNS[kind]
+        text = run(cfg, verified)
+        if args.out:
+            out = _out_path(args, f"{name}.csv")
+            out.write_text(text)
+            print(f"wrote {out}")
+        else:
+            print(text, end="")
+        failures += _broken_rules(kind, text, cfg) if args.check_assert else []
+    return failures
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,21 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--kind", choices=["gaussian", "deterministic"], default="gaussian")
     source.add_argument("--file", type=str, default=None, help="read the codebook from CSV")
-    order = argparse.ArgumentParser(add_help=False, parents=[source])
-    order.add_argument("--order", type=int, default=None, help="default: the config's skc_order")
-    order.add_argument("--method", choices=["exact", "heuristic"], default="exact")
     draw = argparse.ArgumentParser(add_help=False)
     draw.add_argument("--sparsity", type=int, default=None, help="default: the config's skc_order")
     draw.add_argument("--antennas", type=int, default=0, help="0 uses the exact covariance")
     draw.set_defaults(func=_cmd_estimate)
 
-    p_cb = sub.add_parser("codebook", help="build or check a codebook").add_subparsers(dest="action", required=True)
+    p_cb = sub.add_parser("codebook", help="build a codebook").add_subparsers(dest="action", required=True)
     p_cb.add_parser("build", parents=[source], help="write codebook.csv").set_defaults(func=_cmd_build)
-    p_check = p_cb.add_parser("check", parents=[order], help="whether tau' at the order exceeds --tol")
-    p_check.add_argument("--tol", type=float, default=SKC_ZERO_TOL)
-    p_check.set_defaults(func=_cmd_check)
 
-    p_tau = sub.add_parser("tau", parents=[order], help="robustness constant of a codebook")
+    p_tau = sub.add_parser("tau", parents=[source], help="robustness constant of a codebook; fails unless above --tol")
+    p_tau.add_argument("--order", type=int, default=None, help="default: the config's skc_order")
+    p_tau.add_argument("--method", choices=["exact", "heuristic"], default="exact")
+    p_tau.add_argument("--tol", type=float, default=SKC_ZERO_TOL)
     p_tau.set_defaults(func=_cmd_tau)
 
     p_est = sub.add_parser("estimate", help="run one estimator on a synthetic draw").add_subparsers(dest="estimator", required=True)
@@ -209,11 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml = p_est.add_parser("ml", parents=[draw], help="relaxed maximum likelihood")
     p_ml.add_argument("--init-nnls", action="store_true", help="initialize ml from the nnls estimate")
 
-    p_bounds = sub.add_parser("bounds", help="emit the radius / antenna-count table")
-    p_bounds.set_defaults(func=_cmd_run, panel="bounds")
-
-    p_exp = sub.add_parser("experiment", help="reproduce one simulation panel")
-    p_exp.add_argument("panel", choices=["a", "b", "c", "d"])
+    p_exp = sub.add_parser("experiment", help="reproduce panels a-d and the radius / antenna-count table")
+    p_exp.add_argument("outputs", nargs="+", choices=[*_RUNS, "all"], help="one or more outputs, or all")
     p_exp.set_defaults(func=_cmd_run)
 
     return parser

@@ -275,10 +275,10 @@ def ml_objective(op: MeasurementOperator, Sigma, W, z) -> float:
 
 
 def _checked_column(a_n, S):
-    """a_n as a complex vector of S's dimension, shaped (1, M, 1), and its conjugate transpose."""
+    """a_n as a finite complex vector of S's dimension, shaped (1, M, 1), and its conjugate transpose."""
     a = np.asarray(a_n, dtype=complex)
-    if a.shape != (S.shape[0],):
-        raise InvalidInput(f"a_n has shape {a.shape}, expected ({S.shape[0]},)")
+    if a.shape != (S.shape[0],) or not np.all(np.isfinite(a)):
+        raise InvalidInput(f"a_n must be a finite vector of shape ({S.shape[0]},), got shape {a.shape}")
     return a[None, :, None], a.conj()[None, None, :]
 
 
@@ -289,8 +289,10 @@ def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     S the tracked inverse of the current fit; the step keeps x_n + t >= 0.
     """
     S = as_hpd(SigmaPrime).values
-    x = np.array([float(x_n)])
-    return float(_steps(S[None], HermitianMatrix(W).values[None], *_checked_column(a_n, S), x, _ONE)[0][0])
+    W = HermitianMatrix(W).values
+    if W.shape != S.shape or not 0 <= x_n < math.inf:
+        raise InvalidInput(f"W must have shape {S.shape} and 0 <= x_n < inf, got shape {W.shape} and x_n = {x_n!r}")
+    return float(_steps(S[None], W[None], *_checked_column(a_n, S), np.array([float(x_n)]), _ONE)[0][0])
 
 
 def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
@@ -300,6 +302,8 @@ def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
     the updated fit stays positive definite; a nonpositive denominator is
     treated as corruption.
     """
+    if not math.isfinite(t):
+        raise InvalidInput(f"t must be finite, got {t!r}")
     S = as_hpd(SigmaPrime).values[None]
     u, uh, q = _project(S, *_checked_column(a_n, S[0]))
     return HpdMatrix(_rank_one(S, u, uh, q, np.array([float(t)]), _ONE)[0])

@@ -204,6 +204,8 @@ def level_set_bound_check(Z, W, gamma: float, tup: PenaltyTuple, dual: bool = Fa
     """
     zpd = as_hpd(Z)
     wpd = as_hpd(W)
+    if zpd.dim != wpd.dim:
+        raise InvalidInput("Z and W must have equal dimensions")
     M = zpd.dim
     fn1 = tup.fn(1.0)
     if gamma < M * fn1:

@@ -150,6 +150,8 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
 def empirical_concentration(SigmaPrime, K: int, xi: float, trials: int, seed) -> float:
     """Fraction of trials with Frobenius deviation of the sample covariance <= xi."""
     _check_count("trials", trials)
+    if not xi >= 0:
+        raise InvalidInput(f"xi must be nonnegative, got {xi!r}")
     spd = as_hpd(SigmaPrime)
     hits = 0
     for t in range(trials):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from covact import (
     Codebook,
@@ -172,12 +172,16 @@ class TestMeasurementOperator:
         np.testing.assert_allclose(adj, expected, atol=1e-12)
 
     @given(z=real_vectors(6), H=hermitian_matrices(3, bound=10.0))
+    @example(z=np.ones(6), H=HermitianMatrix(np.array([[1e-220, 1e-220j, 0], [-1e-220j, 0, 0], [0, 0, 0]])))
     def test_adjoint_inner_product_identity(self, z, H):
         op = MeasurementOperator(build_gaussian_codebook(3, 6, 5))
         lhs = np.real(np.trace(HermitianMatrix(op.apply_raw(z)).values.conj().T @ H.values))
         rhs = float(z @ op.adjoint(H))
-        # Both sides sum the terms z_n a_n^H H a_n; bound rounding by their magnitudes.
-        scale = float(np.abs(z) @ np.linalg.norm(op.codebook.columns, axis=0) ** 2) * np.linalg.norm(H.values)
+        # Both sides sum the terms z_n a_n^H H a_n; bound rounding by their magnitudes.  The
+        # Frobenius norm of H is taken as m * norm(H / m): norm(H) underflows to 0 below ~1e-154.
+        m = float(np.abs(H.values).max())
+        h_norm = m * np.linalg.norm(H.values / m) if m > 0 else 0.0
+        scale = float(np.abs(z) @ np.linalg.norm(op.codebook.columns, axis=0) ** 2) * h_norm
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 

@@ -351,6 +351,20 @@ class TestCoordinateStep:
         with pytest.raises(InvalidInput, match="a_n"):
             coordinate_step(np.ones(2, dtype=complex), HpdMatrix(np.eye(3)), HermitianMatrix(np.eye(3)), 0.0)
 
+    @pytest.mark.parametrize(
+        "a_n, W, x_n, match",
+        [
+            (np.ones(2), np.eye(3), 0.0, "W must have shape"),
+            (np.ones(2), np.eye(2), math.nan, "x_n"),
+            (np.ones(2), np.eye(2), -1.0, "x_n"),
+            (np.array([math.nan, 1.0]), np.eye(2), 0.0, "a_n must be a finite"),
+        ],
+        ids=["W-dimension", "nan-x_n", "negative-x_n", "nan-a_n"],
+    )
+    def test_rejects_invalid_input(self, a_n, W, x_n, match):
+        with pytest.raises(InvalidInput, match=match):
+            coordinate_step(a_n, np.eye(2), W, x_n)
+
 
 class TestShermanMorrison:
     def test_zero_step_identity(self):
@@ -367,6 +381,13 @@ class TestShermanMorrison:
     def test_rejects_column_of_wrong_length(self):
         with pytest.raises(InvalidInput, match="a_n"):
             sherman_morrison_update(HpdMatrix(np.eye(3)), np.ones(4, dtype=complex), 1.0)
+
+    @pytest.mark.parametrize(
+        "a_n, t, match", [(np.array([math.nan, 1.0]), 1.0, "a_n must be a finite"), (np.ones(2), math.nan, "t must be finite")]
+    )
+    def test_rejects_non_finite_input(self, a_n, t, match):
+        with pytest.raises(InvalidInput, match=match):
+            sherman_morrison_update(np.eye(2), a_n, t)
 
     @given(S=hpd_matrices(4), a=complex_arrays(4), t=st.floats(0.1, 2.0))
     def test_matches_direct_inverse(self, S, a, t):

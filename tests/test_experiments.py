@@ -11,6 +11,7 @@ import pytest
 
 from covact import (
     BoundInputs,
+    FadingVector,
     InvalidInput,
     MeasurementOperator,
     NotConverged,
@@ -147,12 +148,18 @@ class TestConfig:
             (simulate_measurements, (SMALL_OP.codebook, draw_sparse_fading(4, 1, 0), np.eye(2), 2.5, 0)),
             (empirical_concentration, (np.eye(2), 10, 0.1, 2.5, 0)),
             (BoundInputs, (0.5, 2.5, 0.25, 1.0, 0.5, 2.5, 0.9, 1.0, 1.0)),
+            (FadingVector, (np.array([1.0, 0.0, 0.0]), 1.5)),
+            (FadingVector, (np.zeros(9), True)),
+            (empirical_concentration, (np.eye(2), 10, math.nan, 3, 0)),
+            (empirical_concentration, (np.eye(2), 10, -1.0, 3, 0)),
         ],
         ids=["fading-S", "fading-N", "gaussian-M", "gaussian-N", "deterministic-M", "deterministic-N", "nth_prime", "tau_prime",
-             "tau_prime_curve", "sample_complex_gaussian-K", "simulate_measurements-K", "empirical_concentration-trials", "bound_inputs-dim"],
+             "tau_prime_curve", "sample_complex_gaussian-K", "simulate_measurements-K", "empirical_concentration-trials", "bound_inputs-dim",
+             "fading_vector-sparsity", "fading_vector-bool-sparsity", "empirical_concentration-nan-xi", "empirical_concentration-negative-xi"],
     )
     def test_library_counts_must_be_integers(self, fn, args):
-        # The rule the config applies to its counts holds at every public function taking one.
+        # The rule the config applies to its counts holds at every public function taking one;
+        # the radius of empirical_concentration must be a nonnegative number.
         with pytest.raises(InvalidInput):
             fn(*args)
 
@@ -449,9 +456,10 @@ class TestCli:
         assert (tmp_path / "codebook.csv").exists()
 
     def test_codebook_check_deterministic_order_one(self, capsys):
-        code = main(["codebook", "check", "--kind", "deterministic", "--order", "1", "--tol", "0"])
+        code = main(["--assert", "tau", "--kind", "deterministic", "--order", "1", "--tol", "0"])
         assert code == 0
-        assert "holds = True" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out.startswith("order = 1\n") and err == ""
 
     def test_tau_command_writes_report(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "--seed", "5", "tau", "--kind", "deterministic", "--order", "1"])
@@ -497,29 +505,48 @@ class TestCli:
         assert (tmp_path / "figure_a.csv").exists()
 
     def test_bounds_command(self, tmp_path, config_file_tiny):
-        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "--assert", "bounds"])
+        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "--assert", "experiment", "bounds"])
         assert code == 0
         assert (tmp_path / "bounds.csv").exists()
 
-    @pytest.mark.parametrize("args, name", [(["experiment", "a"], "figure_a"), (["bounds"], "bounds")])
+    @pytest.mark.parametrize("args, name", [(["experiment", "a"], "figure_a"), (["experiment", "bounds"], "bounds")])
     def test_out_writes_the_printed_bytes_after_one_certification(
-        self, tmp_path, config_file_tiny, capsys, monkeypatch, args, name
+        self, tmp_path, config_file_tiny, capsys, certifications, args, name
     ):
-        calls, real = [], cli.verified_codebook
-
-        def counted(cfg):
-            calls.append(cfg)
-            return real(cfg)
-
-        monkeypatch.setattr(cli, "verified_codebook", counted)
         assert main(["--config", config_file_tiny, *args]) == 0
         printed = capsys.readouterr().out
-        assert len(calls) == 1
+        assert len(certifications) == 1
         assert main(["--config", config_file_tiny, "--out", str(tmp_path), *args]) == 0
         assert capsys.readouterr().out == f"wrote {tmp_path / name}.csv\n"
-        assert len(calls) == 2
+        assert len(certifications) == 2
         assert [p.name for p in tmp_path.iterdir()] == [f"{name}.csv"]
         assert (tmp_path / f"{name}.csv").read_bytes() == printed.encode()
+
+    def test_experiment_all_writes_the_bytes_of_single_calls_after_one_certification(
+        self, tmp_path, config_file_tiny, capsys, certifications
+    ):
+        assert main(["--config", config_file_tiny, "experiment", "a", "b"]) == 1
+        assert capsys.readouterr().err == "error: experiment a b writes 2 CSV files and needs --out\n"
+        assert certifications == []
+        together = tmp_path / "all"
+        assert main(["--config", config_file_tiny, "--out", str(together), "experiment", "all"]) == 0
+        names = [name for name, _ in cli._RUNS.values()]
+        assert capsys.readouterr().out == "".join(f"wrote {together / name}.csv\n" for name in names)
+        assert len(certifications) == 1
+        for kind, (name, _) in cli._RUNS.items():
+            assert main(["--config", config_file_tiny, "--out", str(tmp_path / kind), "experiment", kind]) == 0
+            assert (together / f"{name}.csv").read_bytes() == (tmp_path / kind / f"{name}.csv").read_bytes()
+        assert sorted(p.name for p in together.iterdir()) == sorted(f"{name}.csv" for name in names)
+
+    def test_assert_reports_the_broken_rules_of_every_output(self, tmp_path, config_file_tiny, capsys):
+        cfg = _tiny_with(config_file_tiny, tmp_path, "k_grid", "100")
+        cfg = _tiny_with(cfg, tmp_path, "rho_grid", "0.0003")
+        code = main(["--config", cfg, "--out", str(tmp_path), "--assert", "experiment", "d", "c"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ASSERT FAIL: the log-log slope against rho > 0 needs at least two grid values, got 1\n"
+            "ASSERT FAIL: the R^2 against K needs at least two grid values, got 1\n"
+        )
 
     @pytest.mark.parametrize("kind", ["gaussian", "deterministic"])
     def test_codebook_build_matches_golden(self, tmp_path, config_file_tiny, kind):
@@ -546,7 +573,7 @@ class TestCli:
         text = (Path(__file__).parent.parent / "README.md").read_text()
         block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
         lines = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("covact ")]
-        assert len(lines) == 7
+        assert len(lines) == 8
         for words in lines:
             cli.build_parser().parse_args(words[1:])
 
@@ -556,7 +583,7 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     def test_error_exit_code(self, tmp_path):
-        code = main(["--out", str(tmp_path), "codebook", "check", "--order", "40"])
+        code = main(["--out", str(tmp_path), "tau", "--order", "40"])
         assert code == 1
 
     def test_malformed_codebook_file_exit_code(self, tmp_path, capsys):
@@ -568,11 +595,11 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("M = four\n")
-        assert main(["--config", str(bad), "bounds"]) == 1
+        assert main(["--config", str(bad), "experiment", "bounds"]) == 1
         assert "error: " in capsys.readouterr().err
-        assert main(["--config", str(tmp_path / "missing.cfg"), "bounds"]) == 1
+        assert main(["--config", str(tmp_path / "missing.cfg"), "experiment", "bounds"]) == 1
         bad.write_text("bernstein_c = nan\n")
-        assert main(["--config", str(bad), "--assert", "bounds"]) == 1
+        assert main(["--config", str(bad), "--assert", "experiment", "bounds"]) == 1
         assert "bernstein_c" in capsys.readouterr().err
 
     def test_order_follows_config(self, tmp_path, config_file_tiny):
@@ -598,7 +625,7 @@ class TestCli:
         assert capsys.readouterr().err == f"ASSERT FAIL: {rule} needs at least two grid values, got 1\n"
 
     def test_failed_check_exits_two(self, capsys):
-        code = main(["--assert", "codebook", "check", "--kind", "deterministic", "--order", "2", "--tol", "1e9"])
+        code = main(["--assert", "tau", "--kind", "deterministic", "--order", "2", "--tol", "1e9"])
         assert code == 2
         assert "ASSERT FAIL: " in capsys.readouterr().err
 
@@ -608,6 +635,14 @@ def _tiny_with(config_file, tmp_path, key, value) -> str:
     path = tmp_path / f"{key}.cfg"
     path.write_text(Path(config_file).read_text() + f"{key} = {value}\n")
     return str(path)
+
+
+@pytest.fixture
+def certifications(monkeypatch):
+    """The configs that cli.verified_codebook is called with, one entry per call."""
+    calls, real = [], cli.verified_codebook
+    monkeypatch.setattr(cli, "verified_codebook", lambda cfg: calls.append(cfg) or real(cfg))
+    return calls
 
 
 @pytest.fixture(scope="module")

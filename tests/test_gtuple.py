@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from covact import (
     EmptyLevelSet,
     HpdMatrix,
+    InvalidInput,
     PenaltyTuple,
     check_sufficiently_convex,
     gsum_objective,
@@ -112,6 +113,26 @@ class TestChecker:
         report = check_sufficiently_convex(scaled, GRID)
         assert report.passed, report.violations
 
+    @pytest.mark.parametrize(
+        "prop, fn, slope_ratio, detail",
+        [
+            ("finite_on_grid", lambda x: x - math.log(x) if x < 100 else math.nan, None, "not finite"),
+            ("grows_at_infinity", lambda x: x - math.log(x) if x <= 1 else 2 - 1 / x, None, "has not grown"),
+            ("decreasing_below_one", lambda x: max(x, 0.5) - math.log(max(x, 0.5)), None, "not strictly decreasing"),
+            ("increasing_above_one", lambda x: min(x, 2.0) - math.log(min(x, 2.0)), None, "not strictly increasing"),
+            ("asymmetry", lambda x: x - math.log(x) if x <= 1 else 2 * (x - math.log(x)) - 1, None, "exceeds"),
+            ("convex_above_one", lambda x: x - math.log(x) if x <= 1 else 1 + math.sqrt(x - 1), None, "second difference"),
+            ("slope_ratio", lambda x: max(x, 0.9) - math.log(max(x, 0.9)), None, "vanishing derivative"),
+            ("slope_ratio", lambda x: x - math.log(x), 10.0, "derivative ratio"),
+        ],
+        ids=["finite", "grows-at-infinity", "decreasing", "increasing", "asymmetry", "convex", "slope-vanishing", "slope-ratio"],
+    )
+    def test_each_property_fails_on_its_counterexample(self, tld, prop, fn, slope_ratio, detail):
+        # The checker reads only fn, slope_ratio and slope_range.
+        tup = PenaltyTuple(fn, tld.inv_lower, tld.inv_upper, slope_ratio or tld.slope_ratio, tld.slope_range)
+        report = check_sufficiently_convex(tup, GRID)
+        assert any(name == prop and detail in text for name, _, text in report.violations), report.violations
+
 
 class TestGsumObjective:
     def test_equal_arguments(self, tld):
@@ -153,6 +174,10 @@ class TestLevelSetBounds:
         W = random_hpd(rng, 3)
         with pytest.raises(EmptyLevelSet):
             level_set_bound_check(W, W, 3 * tld.fn(1.0) - 0.5, tld)
+
+    def test_rejects_unequal_dimensions(self, tld):
+        with pytest.raises(InvalidInput, match="equal dimensions"):
+            level_set_bound_check(np.eye(2), np.eye(3), 5.0, tld)
 
     def test_members_satisfy_bounds(self, tld):
         rng = np.random.default_rng(36)
