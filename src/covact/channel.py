@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .config import _check_count, _is_integer
+from .config import _check_count, _check_real, _checked_array, _checked_seed
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix, as_hpd, hpd_sqrt, operator_norm
 
@@ -35,9 +35,7 @@ def stream(seed, *labels) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed.spawn(1)[0] if labels else seed
-    if not _is_integer(seed) or seed < 0:
-        raise InvalidInput(f"seed must be a nonnegative integer or a Generator, got {seed!r}")
-    words = [int(seed)]
+    words = [int(_checked_seed(seed))]
     for label in labels:
         digest = hashlib.blake2s(repr(label).encode(), digest_size=8).digest()
         words.append(int.from_bytes(digest, "big"))
@@ -53,12 +51,8 @@ class FadingVector:
 
     def __post_init__(self):
         _check_count("sparsity", self.sparsity, low=0)
-        arr = np.array(self.x, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InvalidInput(f"expected a vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("fading coefficients must be finite")
-        if np.any(arr < 0):
+        arr = _checked_array("x", self.x, float, (None,), copy=True)
+        if (arr < 0).any():
             raise InvalidInput("fading coefficients must be nonnegative")
         nnz = int(np.count_nonzero(arr))
         if nnz > self.sparsity:
@@ -89,7 +83,7 @@ def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
     """
     _check_count("K", K)
     spd = as_hpd(Sigma)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     M = spd.dim
     g = (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / np.sqrt(2)
     return hpd_sqrt(spd).values @ g
@@ -111,12 +105,7 @@ def simulate_measurements(codebook: Codebook, fading: FadingVector, Sigma, K: in
 
 def sample_covariance(Y) -> HermitianMatrix:
     """Sample covariance (1/K) Y Y^H of the antenna snapshots."""
-    try:
-        Y = np.asarray(Y, dtype=complex)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"expected an M x K matrix of snapshots, got {type(Y).__name__}") from None
-    if Y.ndim != 2 or Y.shape[1] < 1:
-        raise InvalidInput(f"expected an M x K matrix, got shape {Y.shape}")
+    Y = _checked_array("Y", Y, complex, (None, None))
     K = Y.shape[1]
     return HermitianMatrix(Y @ Y.conj().T / K)
 
@@ -128,8 +117,7 @@ def perturb_hermitian(W0, rho: float, seed) -> HermitianMatrix:
     independent standard Gaussian real and imaginary parts.  A zero draw has
     probability zero and raises InvalidInput.
     """
-    if not 0 <= rho < np.inf:
-        raise InvalidInput(f"perturbation magnitude must be finite and nonnegative, got {rho!r}")
+    _check_real("rho", rho, 0, low_closed=True)
     base = HermitianMatrix(W0)
     if rho == 0.0:
         return base
@@ -152,7 +140,7 @@ def draw_sparse_fading(N: int, S: int, seed) -> FadingVector:
     """
     _check_count("N", N)
     _check_count("S", S, high=N)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     support = rng.choice(N, size=S, replace=False)
     vals = np.abs(rng.standard_normal(S))
     norm = np.linalg.norm(vals)

@@ -150,7 +150,7 @@ def _broken_rules(kind: str, text: str, cfg) -> list:
 
 
 def _cmd_run(args, cfg) -> list:
-    """Certify the codebook once, then run each named panel or bound table; print its CSV or where it was written."""
+    """Certify the codebook once, run each named output and print its CSV or where it was written; each broken --assert rule names its output."""
     kinds = [kind for kind in _RUNS if kind in args.outputs or "all" in args.outputs]
     if len(kinds) > 1 and not args.out:
         raise InvalidInput(f"experiment {' '.join(kinds)} writes {len(kinds)} CSV files and needs --out")
@@ -165,7 +165,7 @@ def _cmd_run(args, cfg) -> list:
             print(f"wrote {out}")
         else:
             print(text, end="")
-        failures += _broken_rules(kind, text, cfg) if args.check_assert else []
+        failures += [f"{name}: {rule}" for rule in _broken_rules(kind, text, cfg)] if args.check_assert else []
     return failures
 
 
@@ -221,7 +221,3 @@ def main(argv=None) -> int:
     for failure in failures:
         print(f"ASSERT FAIL: {failure}", file=sys.stderr)
     return 2 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

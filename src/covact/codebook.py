@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_count, _write_csv
+from .config import _check_count, _checked_array, _checked_seed, _write_csv
 from .errors import InvalidInput
 from .hermitian import HermitianMatrix
 
@@ -47,11 +47,7 @@ class Codebook:
     columns: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.columns, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidInput(f"expected an M x N matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("codebook entries must be finite")
+        arr = _checked_array("columns", self.columns, complex, (None, None), copy=True)
         norms = np.linalg.norm(arr, axis=0)
         if np.any(norms == 0.0):
             raise InvalidInput("codebook columns must all be nonzero")
@@ -97,7 +93,7 @@ def build_gaussian_codebook(M: int, N: int, seed) -> Codebook:
     """
     _check_count("M", M)
     _check_count("N", N)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     cols = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) / np.sqrt(2)
     return Codebook(cols)
 
@@ -114,11 +110,7 @@ class StackedRealMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidInput(f"expected a 2M^2 x N matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("stacked operator entries must be finite")
+        arr = _checked_array("values", self.values, float, (None, None), copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -146,14 +138,7 @@ class MeasurementOperator:
 
     def apply_raw(self, z) -> np.ndarray:
         """Evaluate sum_n z_n a_n a_n^H for real z as an M x M ndarray."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.num_users,):
-            raise InvalidInput(
-                f"expected coefficient vector of length {self.num_users}, got shape {z.shape}"
-            )
-        if not np.all(np.isfinite(z)):
-            raise InvalidInput("coefficients must be finite")
-        return self._apply(z)
+        return self._apply(_checked_array("z", z, float, (self.num_users,)))
 
     def _apply(self, z) -> np.ndarray:
         """apply_raw without the check of z, for solver loops that checked it on entry.

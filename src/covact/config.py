@@ -47,32 +47,27 @@ class ExperimentConfig:
         # skc_order lies in [1, N - 1], as the codebook search certifies order skc_order + 1; N is checked first.
         for name in ("M", "N", "skc_order", "trials_fig_b", "trials_fig_c", "trials_fig_d", "while_iterations", "max_codebook_draws"):
             _check_count(name, getattr(self, name), high=self.N - 1 if name == "skc_order" else math.inf)
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
-        for name, valid, rule in (
-            ("s_values", lambda s: _is_integer(s) and 1 <= s <= self.N, "be integers in [1, N]"),
-            ("k_grid", lambda k: _is_integer(k) and k >= 1, "be integers of at least 1"),
-            ("rho_grid", lambda rho: 0 <= rho < math.inf, "be finite and nonnegative"),
-            ("bounds_eps_grid", lambda eps: 0 < eps < math.inf, "be finite and positive"),
+        _checked_seed(self.seed, generator=False)
+        for name, check in (
+            ("s_values", lambda s: _check_count("s_values entry", s, high=self.N)),
+            ("k_grid", lambda k: _check_count("k_grid entry", k)),
+            ("rho_grid", lambda rho: _check_real("rho_grid entry", rho, 0, low_closed=True)),
+            ("bounds_eps_grid", lambda eps: _check_real("bounds_eps_grid entry", eps, 0)),
         ):
-            values = getattr(self, name)
-            if len(values) == 0:
+            if len(getattr(self, name)) == 0:
                 raise InvalidInput(f"{name} must be nonempty")
-            if not all(valid(v) for v in values):
-                raise InvalidInput(f"{name} entries must {rule}")
+            for value in getattr(self, name):
+                check(value)
         for name in ("sigma_scale", "eta", "bernstein_c"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidInput(f"{name} must be finite and positive")
+            _check_real(name, getattr(self, name), 0)
         if self.tau_method not in ("exact", "heuristic"):
             raise InvalidInput("tau_method must be 'exact' or 'heuristic'")
         if not set(self.estimators) <= set(ESTIMATOR_NAMES):
             raise InvalidInput(f"estimators must be among {ESTIMATOR_NAMES}")
         if not self.estimators or len(set(self.estimators)) < len(self.estimators):
             raise InvalidInput("estimators must be nonempty and name each estimator at most once")
-        if not 0 < self.beta_fraction < 1:
-            raise InvalidInput("beta_fraction must lie in (0, 1)")
-        if not 0 < self.target_p < 1:
-            raise InvalidInput("target_p must lie in (0, 1)")
+        for name in ("beta_fraction", "target_p"):
+            _check_real(name, getattr(self, name), 0, 1)
 
     def metadata_lines(self) -> list:
         """Comment lines recording every experiment knob."""
@@ -95,6 +90,45 @@ def _check_count(name: str, value, low=1, high=math.inf) -> None:
     if not (_is_integer(value) and low <= value <= high):
         at_most = f" and at most {high}" if high < math.inf else ""
         raise InvalidInput(f"{name} must be an integer of at least {low}{at_most}, got {value!r}")
+
+
+def _check_real(name: str, value, low=-math.inf, high=math.inf, low_closed=False) -> None:
+    """Raise InvalidInput, naming ``name`` and ``value``, unless value is a float or an integer (by _is_integer) in (low, high).
+
+    ``low_closed`` also admits value == low, for a finite low; infinite bounds stay open, so NaN and infinities never pass.
+    """
+    real = isinstance(value, (float, np.floating)) or _is_integer(value)
+    if not (real and (low <= value if low_closed else low < value) and value < high):
+        words = {(-math.inf, math.inf, False): "", (0, math.inf, False): " and positive", (0, math.inf, True): " and nonnegative"}
+        rule = words.get((low, high, low_closed), f" and in {'[' if low_closed else '('}{low:g}, {high:g})")
+        raise InvalidInput(f"{name} must be finite{rule}, got {value!r}")
+
+
+def _checked_seed(seed, generator=True):
+    """seed, unchanged; InvalidInput unless it is a nonnegative integer (by _is_integer) or, if ``generator``, a NumPy Generator."""
+    if not ((generator and isinstance(seed, np.random.Generator)) or (_is_integer(seed) and seed >= 0)):
+        raise InvalidInput(f"seed must be a nonnegative integer{' or a Generator' if generator else ''}, got {seed!r}")
+    return seed
+
+
+def _checked_array(name: str, values, dtype, shape: tuple, copy=False) -> np.ndarray:
+    """values as a finite ndarray of ``dtype`` (a fresh copy if ``copy``) with one axis per entry of ``shape``.
+
+    An int entry of ``shape`` fixes the length of its axis; None admits any length of at least 1.  A failed
+    conversion, other axes or a non-finite entry raises InvalidInput naming ``name``.
+    """
+    try:
+        arr = (np.array if copy else np.asarray)(values, dtype=dtype)
+    except (TypeError, ValueError):
+        got = f"a non-numeric {type(values).__name__}"
+    else:
+        if arr.ndim != len(shape) or arr.size == 0 or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+            got = f"shape {arr.shape}"
+        elif not np.isfinite(arr).all():
+            got = "a non-finite entry"
+        else:
+            return arr
+    raise InvalidInput(f"{name} must be a finite {dtype.__name__} array of shape {str(shape).replace('None', '*')}, got {got}")
 
 
 def _format_row(values) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import MeasurementOperator, vectorize_hermitian
-from .config import _check_count, _write_csv
+from .config import _check_count, _check_real, _checked_array, _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
 from .hermitian import HermitianMatrix, HpdMatrix, as_hpd
 
@@ -43,8 +43,7 @@ class NnlsOptions:
 
     def __post_init__(self):
         _check_count("max_iterations", self.max_iterations)
-        if not 0 < self.kkt_tol < math.inf:
-            raise InvalidInput(f"kkt_tol must be finite and positive, got {self.kkt_tol!r}")
+        _check_real("kkt_tol", self.kkt_tol, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +75,7 @@ class MlOptions:
 
     def __post_init__(self):
         _check_count("while_iterations", self.while_iterations)
-        if not 0 <= self.objective_tol < math.inf:
-            raise InvalidInput(f"objective_tol must be finite and nonnegative, got {self.objective_tol!r}")
+        _check_real("objective_tol", self.objective_tol, 0, low_closed=True)
         if self.permutation is not None:
             perm = np.asarray(self.permutation)
             if not np.array_equal(np.sort(perm), np.arange(perm.size)):
@@ -126,11 +124,9 @@ def _boundary(op: MeasurementOperator, Sigma, W, z=None):
     if spd.dim != op.pilot_len or wherm.dim != op.pilot_len:
         raise InvalidInput("Sigma and W must match the pilot length")
     if z is not None:
-        z = np.array(z, dtype=float)
-        if z.shape != (op.num_users,):
-            raise InvalidInput(f"coefficients have shape {z.shape}, expected ({op.num_users},)")
-        if not np.all(np.isfinite(z)) or np.any(z < 0):
-            raise InvalidInput("coefficients must be finite and nonnegative")
+        z = _checked_array("z", z, float, (op.num_users,), copy=True)
+        if (z < 0).any():
+            raise InvalidInput("z entries must be nonnegative")
     return spd, wherm, z
 
 
@@ -276,9 +272,7 @@ def ml_objective(op: MeasurementOperator, Sigma, W, z) -> float:
 
 def _checked_column(a_n, S):
     """a_n as a finite complex vector of S's dimension, shaped (1, M, 1), and its conjugate transpose."""
-    a = np.asarray(a_n, dtype=complex)
-    if a.shape != (S.shape[0],) or not np.all(np.isfinite(a)):
-        raise InvalidInput(f"a_n must be a finite vector of shape ({S.shape[0]},), got shape {a.shape}")
+    a = _checked_array("a_n", a_n, complex, (S.shape[0],))
     return a[None, :, None], a.conj()[None, None, :]
 
 
@@ -290,8 +284,9 @@ def coordinate_step(a_n, SigmaPrime, W, x_n: float) -> float:
     """
     S = as_hpd(SigmaPrime).values
     W = HermitianMatrix(W).values
-    if W.shape != S.shape or not 0 <= x_n < math.inf:
-        raise InvalidInput(f"W must have shape {S.shape} and 0 <= x_n < inf, got shape {W.shape} and x_n = {x_n!r}")
+    _check_real("x_n", x_n, 0, low_closed=True)
+    if W.shape != S.shape:
+        raise InvalidInput(f"W must have shape {S.shape}, got shape {W.shape}")
     return float(_steps(S[None], W[None], *_checked_column(a_n, S), np.array([float(x_n)]), _ONE)[0][0])
 
 
@@ -302,8 +297,7 @@ def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
     the updated fit stays positive definite; a nonpositive denominator is
     treated as corruption.
     """
-    if not math.isfinite(t):
-        raise InvalidInput(f"t must be finite, got {t!r}")
+    _check_real("t", t)
     S = as_hpd(SigmaPrime).values[None]
     u, uh, q = _project(S, *_checked_column(a_n, S[0]))
     return HpdMatrix(_rank_one(S, u, uh, q, np.array([float(t)]), _ONE)[0])
@@ -433,11 +427,8 @@ def threshold_detect(z, eps: float, true_support) -> DetectionResult:
     ``above_threshold`` collects indices with z_n > eps; ``largest`` takes
     the |true_support| largest entries with ties broken by lowest index.
     """
-    if not eps > 0:
-        raise InvalidInput("threshold must be positive")
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInput("estimate entries must be finite")
+    _check_real("eps", eps, 0)
+    z = _checked_array("z", z, float, (None,))
     support = frozenset(int(i) for i in true_support)
     above = frozenset(np.flatnonzero(z > eps).tolist())
     order = np.argsort(-z, kind="stable")

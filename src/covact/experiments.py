@@ -25,7 +25,7 @@ import numpy as np
 from . import workers
 from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, simulate_measurements, stream
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
-from .config import ExperimentConfig, _format_row
+from .config import ExperimentConfig, _checked_array, _format_row
 from .errors import InvalidInput, SetupFailed
 from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent_batch, nnls_estimate
 from .gtuple import trace_logdet_tuple
@@ -310,9 +310,10 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
 
 def _fit_points(x, y, positive=False):
     """x and y as float vectors that pin down a least-squares line (positive ones for a log-log fit)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2 or not (np.isfinite(x).all() and np.isfinite(y).all()) or x.min() == x.max():
-        raise InvalidInput(f"a line fit needs finite x and y of one length with two distinct x, got {x.tolist()} and {y.tolist()}")
+    x = _checked_array("x", x, float, (None,))
+    y = _checked_array("y", y, float, x.shape)
+    if x.size < 2 or x.min() == x.max():
+        raise InvalidInput(f"a line fit needs two distinct x, got {x.tolist()}")
     if positive and min(x.min(), y.min()) <= 0:
         raise InvalidInput(f"a log-log fit needs positive values, got {x.tolist()} and {y.tolist()}")
     return x, y

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import _checked_array
 from .errors import EmptyLevelSet, InvalidInput
 from .hermitian import as_hpd, hpd_sqrt
 
@@ -123,8 +124,8 @@ def check_sufficiently_convex(tup: PenaltyTuple, grid) -> PenaltyCheckReport:
     flagged when the penalty fails to rise at least 1 above its minimum at
     the grid ends.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 8 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+    grid = _checked_array("grid", grid, float, (None,))
+    if grid.size < 8 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise InvalidInput("grid must be a sorted positive vector with at least 8 points")
     violations = []
     fn1 = tup.fn(1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import _checked_array
 from .errors import InvalidInput, NotPositiveDefinite
 
 # Relative floor under which the smallest eigenvalue disqualifies a matrix
@@ -32,11 +33,9 @@ class HermitianMatrix:
         if isinstance(values, HermitianMatrix):
             self.values = values.values
             return
-        arr = np.asarray(values, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        arr = _checked_array("matrix", values, complex, (None, None))
+        if arr.shape[0] != arr.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("matrix entries must be finite")
         arr = (arr + arr.conj().T) / 2
         arr.setflags(write=False)
         self.values = arr

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_complex_gaussian, stream
-from .config import _check_count
+from .config import _check_count, _check_real
 from .errors import InvalidInput
 from .gtuple import LN2, PenaltyTuple
 from .hermitian import as_hpd
@@ -49,21 +49,14 @@ class BoundInputs:
     sup_diag: float
 
     def __post_init__(self):
-        if not 0 < self.lambda_min <= self.lambda_max < math.inf:
-            raise InvalidInput("need 0 < lambda_min <= lambda_max < inf")
-        if not 0 < self.beta < self.lambda_min:
-            raise InvalidInput("need 0 < beta < lambda_min")
-        if not 0 < self.eta < math.inf:
-            raise InvalidInput("eta must be finite and positive")
-        if not 0 <= self.tau < math.inf:
-            raise InvalidInput("tau must be finite and nonnegative")
+        for name in ("lambda_min", "lambda_max", "eta", "c", "sup_diag"):
+            _check_real(name, getattr(self, name), 0)
+        if self.lambda_min > self.lambda_max:
+            raise InvalidInput(f"lambda_min {self.lambda_min!r} exceeds lambda_max {self.lambda_max!r}")
+        _check_real("beta", self.beta, 0, self.lambda_min)
+        _check_real("tau", self.tau, 0, low_closed=True)
         _check_count("dim", self.dim)
-        if not 0 < self.p < 1:
-            raise InvalidInput("target probability must lie in (0, 1)")
-        if not 0 < self.c < math.inf:
-            raise InvalidInput("Bernstein constant must be finite and positive")
-        if not 0 < self.sup_diag < math.inf:
-            raise InvalidInput("sup_diag must be finite and positive")
+        _check_real("p", self.p, 0, 1)
 
 
 def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) -> float:
@@ -77,8 +70,7 @@ def delta_radius(kind: str, eps: float, inputs: BoundInputs, tup: PenaltyTuple) 
     """
     if kind not in DELTA_KINDS:
         raise InvalidInput(f"unknown radius kind {kind!r}")
-    if not 0 < eps < math.inf:
-        raise InvalidInput("eps must be finite and positive")
+    _check_real("eps", eps, 0)
     lam1, lamM = inputs.lambda_min, inputs.lambda_max
     beta, eta, M = inputs.beta, inputs.eta, inputs.dim
     ratio = (lam1 - beta) / (lamM + beta)
@@ -125,8 +117,7 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
     """
     if estimator not in ("nnls", "ml"):
         raise InvalidInput(f"unknown estimator {estimator!r}")
-    if not 0 < eps < math.inf:
-        raise InvalidInput("eps must be finite and positive")
+    _check_real("eps", eps, 0)
     M, s, c, p = inputs.dim, inputs.sup_diag, inputs.c, inputs.p
     lead = -math.log((1.0 - p) / (M * (M + 1))) / c
     if estimator == "nnls":
@@ -150,8 +141,7 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
 def empirical_concentration(SigmaPrime, K: int, xi: float, trials: int, seed) -> float:
     """Fraction of trials with Frobenius deviation of the sample covariance <= xi."""
     _check_count("trials", trials)
-    if not xi >= 0:
-        raise InvalidInput(f"xi must be nonnegative, got {xi!r}")
+    _check_real("xi", xi, 0, low_closed=True)
     spd = as_hpd(SigmaPrime)
     hits = 0
     for t in range(trials):

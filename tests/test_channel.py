@@ -21,6 +21,14 @@ from covact import (
 )
 from covact import channel
 
+BAD_SEEDS = (-1, 2.7, True)
+# The samplers that seed NumPy with their seed argument directly, each as a function of that seed.
+SAMPLERS = {
+    "draw_sparse_fading": lambda seed: draw_sparse_fading(6, 2, seed).x,
+    "sample_complex_gaussian": lambda seed: sample_complex_gaussian(np.eye(2), 3, seed),
+    "build_gaussian_codebook": lambda seed: build_gaussian_codebook(2, 3, seed).columns,
+}
+
 
 class TestStreams:
     def test_reproducible(self):
@@ -33,10 +41,23 @@ class TestStreams:
         b = stream(7, "x", 4).standard_normal(5)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [-1, 2.7, True])
-    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+    @pytest.mark.parametrize(
+        "draw, seed",
+        [pytest.param(lambda seed: stream(seed, "x"), seed, id=str(seed)) for seed in BAD_SEEDS]
+        + [pytest.param(draw, seed, id=f"{name}-{seed}") for name, draw in SAMPLERS.items() for seed in BAD_SEEDS],
+    )
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, draw, seed):
         with pytest.raises(InvalidInput, match="seed"):
-            stream(seed, "x")
+            draw(seed)
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_samplers_draw_the_bits_of_numpy_generators(self, name):
+        # The seed check passes the seed on unchanged: an int, a NumPy integer and the Generator
+        # NumPy builds from that int all draw the same bits.
+        for seed in (0, 5, 2024, 2**40):
+            bits = SAMPLERS[name](seed)
+            assert np.array_equal(SAMPLERS[name](np.int64(seed)), bits)
+            assert np.array_equal(SAMPLERS[name](np.random.default_rng(seed)), bits)
 
     def test_numpy_integer_seed(self):
         assert np.array_equal(stream(np.int64(5), "x").standard_normal(5), stream(5, "x").standard_normal(5))

@@ -3,6 +3,8 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,23 +13,33 @@ import pytest
 
 from covact import (
     BoundInputs,
+    Codebook,
     FadingVector,
+    HermitianMatrix,
     InvalidInput,
     MeasurementOperator,
+    NnlsOptions,
     NotConverged,
     build_deterministic_codebook,
     build_gaussian_codebook,
+    check_sufficiently_convex,
     cli,
+    coordinate_step,
+    delta_radius,
     draw_sparse_fading,
     empirical_concentration,
     experiments,
+    ml_objective,
     nth_prime,
+    perturb_hermitian,
     sample_complex_gaussian,
     simulate_measurements,
     skc,
     stream,
     tau_prime,
     tau_prime_curve,
+    threshold_detect,
+    trace_logdet_tuple,
 )
 from covact.cli import main
 from covact.config import ExperimentConfig, parse_config
@@ -160,6 +172,32 @@ class TestConfig:
     def test_library_counts_must_be_integers(self, fn, args):
         # The rule the config applies to its counts holds at every public function taking one;
         # the radius of empirical_concentration must be a nonnegative number.
+        with pytest.raises(InvalidInput):
+            fn(*args)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (Codebook, ([["a", "b"]],)),
+            (FadingVector, (["a"], 1)),
+            (HermitianMatrix, ([["a"]],)),
+            (ml_objective, (SMALL_OP, np.eye(2), np.eye(2), ["a"] * 4)),
+            (coordinate_step, (["a", "b"], np.eye(2), np.eye(2), 0.0)),
+            (NnlsOptions, (300, "a")),
+            (perturb_hermitian, (np.eye(2), None, 0)),
+            (delta_radius, ("nice", "x", BoundInputs(0.5, 2.5, 0.25, 1.0, 0.5, 2, 0.9, 1.0, 1.0), trace_logdet_tuple())),
+            (threshold_detect, (np.ones(3), None, {0})),
+            (threshold_detect, (np.ones((2, 3)), 0.5, {0})),
+            (check_sufficiently_convex, (trace_logdet_tuple(), [0.1, 0.2, 0.5, 0.8, math.nan, 1.5, 2.0, 5.0, 10.0])),
+            (check_sufficiently_convex, (trace_logdet_tuple(), [0.1, 0.2, 0.5, 0.8, 1.0, 1.5, 2.0, 5.0, math.inf])),
+        ],
+        ids=["codebook-text", "fading_vector-text", "hermitian-text", "ml_objective-text-z", "coordinate_step-text-a_n",
+             "nnls_options-text-kkt_tol", "perturb_hermitian-none-rho", "delta_radius-text-eps", "threshold_detect-none-eps",
+             "threshold_detect-matrix-z", "check_sufficiently_convex-nan-grid", "check_sufficiently_convex-inf-grid"],
+    )
+    def test_library_arrays_and_magnitudes_must_be_finite_numbers(self, fn, args):
+        # The array and magnitude rules raise InvalidInput for text, None, extra axes and non-finite grid points,
+        # never a NumPy or comparison error, and never a report that blames the penalty for the grid.
         with pytest.raises(InvalidInput):
             fn(*args)
 
@@ -544,8 +582,8 @@ class TestCli:
         code = main(["--config", cfg, "--out", str(tmp_path), "--assert", "experiment", "d", "c"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "ASSERT FAIL: the log-log slope against rho > 0 needs at least two grid values, got 1\n"
-            "ASSERT FAIL: the R^2 against K needs at least two grid values, got 1\n"
+            "ASSERT FAIL: figure_c: the log-log slope against rho > 0 needs at least two grid values, got 1\n"
+            "ASSERT FAIL: figure_d: the R^2 against K needs at least two grid values, got 1\n"
         )
 
     @pytest.mark.parametrize("kind", ["gaussian", "deterministic"])
@@ -576,6 +614,13 @@ class TestCli:
         assert len(lines) == 8
         for words in lines:
             cli.build_parser().parse_args(words[1:])
+
+    def test_python_m_covact_is_the_cli(self):
+        # From a checkout, with src on the path, ``python -m covact`` runs the covact command.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        done = subprocess.run([sys.executable, "-m", "covact", "--help"], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: covact ")
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "--seed", "-1", "codebook", "build"]) == 1
@@ -622,7 +667,7 @@ class TestCli:
     def test_one_point_grid_fails_assert(self, tmp_path, config_file_tiny, capsys, panel, key, value, rule):
         code = main(["--config", _tiny_with(config_file_tiny, tmp_path, key, value), "--assert", "experiment", panel])
         assert code == 2
-        assert capsys.readouterr().err == f"ASSERT FAIL: {rule} needs at least two grid values, got 1\n"
+        assert capsys.readouterr().err == f"ASSERT FAIL: figure_{panel}: {rule} needs at least two grid values, got 1\n"
 
     def test_failed_check_exits_two(self, capsys):
         code = main(["--assert", "tau", "--kind", "deterministic", "--order", "2", "--tol", "1e9"])

@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -390,6 +391,76 @@ class TestCurve:
         for order, report in enumerate(curve, start=1):
             single = tau_prime(stacked, order)
             assert report.tau_prime == pytest.approx(single.tau_prime, rel=1e-12, abs=1e-15)
+
+
+def exact_solve(A, b):
+    """Solution of the square system A x = b in Fractions by Gauss-Jordan elimination, or None if A is singular."""
+    n = len(A)
+    rows = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_curve(stacked, max_order):
+    """Squared robustness constants of orders 1..max_order in exact arithmetic.
+
+    G = B^T B is formed exactly from the float entries of B.  For a sign
+    pattern s, the minimum of u^T Q u, Q = diag(s) G diag(s), over the
+    simplex is attained at a minimizer of least support F, where the bordered
+    KKT system [2 Q_FF, -1; 1^T, 0] [u_F; mu] = [0; 1] is nonsingular and
+    u_F >= 0; there u^T Q u = mu / 2.  So the minimum is the least mu / 2 over
+    the supports whose system has a nonnegative solution; order s takes the
+    least over the patterns with at most s negative signs.
+    """
+    n = stacked.num_users
+    B = [[Fraction(x) for x in row] for row in stacked.values.tolist()]
+    G = [[sum(row[i] * row[j] for row in B) for j in range(n)] for i in range(n)]
+    supports = [F for k in range(1, n + 1) for F in itertools.combinations(range(n), k)]
+    curve, best = [], None
+    for size in range(max_order + 1):
+        for J in itertools.combinations(range(n), size):
+            sig = sign_row(n, J)
+            for F in supports:
+                k = len(F)
+                kkt = [[2 * int(sig[i] * sig[j]) * G[i][j] for j in F] + [-1] for i in F] + [[1] * k + [0]]
+                sol = exact_solve(kkt, [0] * k + [1])
+                if sol is not None and min(sol[:k]) >= 0 and (best is None or sol[k] / 2 < best):
+                    best = sol[k] / 2
+        curve.append(best)
+    return curve[1:]
+
+
+class TestExactOracle:
+    CASES = (
+        [pytest.param(build_gaussian_codebook(2, 4, seed).columns, 3, id=f"2x4-seed{seed}") for seed in range(3)]
+        + [pytest.param(TIES, 3, id="ties")]
+        + [pytest.param(build_gaussian_codebook(2, 5, seed).columns, 2, id=f"2x5-seed{seed}") for seed in range(3)]
+    )
+
+    @pytest.mark.parametrize("columns, max_order", CASES)
+    def test_reports_bracket_the_exact_constant(self, columns, max_order):
+        # Every certified bracket holds the exact constant, within the rounding margin the
+        # search prunes by, and so does the exact value of its witness; the heuristic never
+        # reports a value below it.
+        stacked = stacked_for(columns)
+        B = [[Fraction(x) for x in row] for row in stacked.values.tolist()]
+        margin = Fraction(skc._rounding_margin(stacked.values.T @ stacked.values))
+        curve = tau_prime_curve(stacked, max_order)
+        for order, report, exact in zip(range(1, max_order + 1), curve, exact_curve(stacked, max_order), strict=True):
+            assert Fraction(report.lower_bound) ** 2 <= exact
+            assert abs(Fraction(report.tau_prime) ** 2 - exact) <= margin
+            v = [Fraction(z) - Fraction(x) for z, x in zip(report.witness_z, report.witness_x)]
+            witness_value = sum(sum(b * vi for b, vi in zip(row, v)) ** 2 for row in B) / sum(abs(vi) for vi in v) ** 2
+            assert exact <= witness_value <= exact + margin
+            assert Fraction(tau_prime(stacked, order, method="heuristic").tau_prime) ** 2 >= exact - margin
 
 
 class TestAdversarial:
