@@ -51,6 +51,7 @@ from .estimators import (
     ml_coordinate_descent_batch,
     ml_objective,
     nnls_estimate,
+    nnls_estimate_batch,
     sherman_morrison_update,
     threshold_detect,
 )
@@ -122,6 +123,7 @@ __all__ = [
     "ml_coordinate_descent_batch",
     "ml_objective",
     "nnls_estimate",
+    "nnls_estimate_batch",
     "nth_prime",
     "operator_norm",
     "parse_config",

@@ -7,23 +7,28 @@ trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma) over z >= 0 by cyclic
 coordinate descent with exact per-coordinate steps, tracking the inverse via
 rank-one updates and refreshing it periodically to bound drift.
 
-The descent has one loop, which runs a batch of trials at once: the
-coefficients are a (T, N) array and the tracked inverses a (T, M, M) stack.
-Every operation on a trial's 4 x 4 matrices is a stacked NumPy call that
-computes each slice with the same arithmetic as the unstacked call, so a
-trial's result does not depend on the batch it runs in.  The public
-single-trial functions (ml_objective, coordinate_step,
+Each estimator has one loop, which runs a batch of trials at once.  The
+NNLS loop works on a (T, 2 M^2) stack of data vectors, the descent on
+(T, N) coefficients and a (T, M, M) stack of tracked inverses.  Every
+operation on a trial's data is a stacked NumPy call that computes each
+slice with the same arithmetic as the unstacked call, so a trial's result
+does not depend on the batch it runs in.  NNLS solves the least-squares
+systems of all trials with the same passive-set size in one call of the
+gufunc numpy.linalg._umath_linalg.lstsq, the very call np.linalg.lstsq makes
+for one system, with its cutoff and its mapping of a failed SVD to
+LinAlgError; a test pins it to the public function's bits.  The public
+single-trial functions (nnls_estimate, ml_objective, coordinate_step,
 sherman_morrison_update, ml_coordinate_descent, kkt_residual) are batches of
 one of the same kernels.  Inputs are checked once per observation at the
-public entry, never inside the sweep loop.
+public entry, never inside the loops.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .codebook import MeasurementOperator, vectorize_hermitian
 from .config import _check_count, _check_real, _checked_array, _write_csv
@@ -34,6 +39,7 @@ from .hermitian import HermitianMatrix, HpdMatrix, as_hpd
 _REFRESH_EVERY = 25
 # Trial indices of a batch of one.
 _ONE = np.zeros(1, dtype=int)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -139,51 +145,121 @@ def _kkt_violation(g, z):
     return np.where(z <= 1e-12, np.maximum(-g, 0.0), np.abs(g)).max(axis=-1, initial=0.0)
 
 
-def _nnls_active_set(E, d, opts: NnlsOptions):
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(A, b):
+    """np.linalg.lstsq(A[g], b[g], rcond=None)[0] for every g of stacks A (G, m, k) and b (G, m), in one call.
+
+    This is the call np.linalg.lstsq makes itself: one LAPACK gelsd solve per
+    system, its cutoff rcond = eps * max(m, k) and its errstate, which turns
+    a failed SVD into LinAlgError.
+    """
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(A, b[..., None], _EPS * max(A.shape[-2:]), signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
+def _passive_solutions(E, D, passive):
+    """Per row i, the least-squares solution of E[:, passive[i]] s = D[i], scattered into a zero row.
+
+    Rows with the same number of passive columns are solved in one _lstsq call.
+    """
+    s = np.zeros(passive.shape)
+    counts = passive.sum(axis=1)
+    for k in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == k)
+        cols = np.nonzero(passive[rows])[1].reshape(rows.size, k)  # ascending, as E[:, passive[i]] takes them
+        s[rows[:, None], cols] = _lstsq(np.swapaxes(E.T[cols], 1, 2), D[rows])
+    return s
+
+
+def _times_rows(E, R):
+    """E^T r for each row r of R, each as E.T @ r computes it."""
+    return (R[:, None, :] @ E)[:, 0]
+
+
+def _norms(R):
+    """sqrt(r @ r) for each row r of R."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
+def _nnls_active_set(E, D, opts: NnlsOptions) -> list[NnlsResult]:
+    """Lawson-Hanson active-set loop on each row of the stack D (T, m).
+
+    The trials take their outer steps in lockstep: each adds its own entering
+    column (the first largest gradient entry that is neither passive nor
+    banned), runs its own inner loop, bans an entering column that cannot
+    leave zero until its residual improves, and keeps its best iterate.  A
+    trial whose gradient shows no entering column is finished and dropped
+    from the live rows; if live rows remain when the budget is spent,
+    NotConverged names the lowest of them by its row and carries its best
+    iterate.  Every product is a stacked call that computes each row with
+    the unstacked call's arithmetic, so row i returns the bits of a batch of
+    one.
+    """
     n = E.shape[1]
-    z = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    banned = np.zeros(n, dtype=bool)  # degenerate entries, cleared on progress
-    w = E.T @ d  # negative gradient E^T (d - E z) of 0.5 ||E z - d||^2, here at z = 0
-    resid = best_resid = math.sqrt(d @ d)
+    ids = np.arange(len(D))
+    results = [None] * len(D)
+    z = np.zeros((len(D), n))
+    passive = np.zeros(z.shape, dtype=bool)
+    banned = np.zeros(z.shape, dtype=bool)  # degenerate entries, cleared on progress
+    w = _times_rows(E, D)  # negative gradient E^T (d - E z) of 0.5 ||E z - d||^2, here at z = 0
+    resid = best_resid = _norms(D)
     best_z = z.copy()
     outer = 0
     while True:
         w_free = np.where(passive | banned, -np.inf, w)
-        j = int(w_free.argmax())  # the first largest w of an entry neither passive nor banned
-        if not w_free[j] > opts.kkt_tol:
-            break
+        j = w_free.argmax(axis=1)  # per row, the first largest w of an entry neither passive nor banned
+        done = ~(w_free.max(axis=1) > opts.kkt_tol)
+        if done.any():
+            # w and resid were last computed at the returned z.
+            kkt = _kkt_violation(-w[done], z[done])
+            for i, zi, ri, ki in zip(ids[done], z[done], resid[done], kkt):
+                results[i] = NnlsResult(z=zi, residual=float(ri), kkt_residual=float(ki), iterations=outer)
+            keep = ~done
+            ids, D, z, passive, banned, w, j = ids[keep], D[keep], z[keep], passive[keep], banned[keep], w[keep], j[keep]
+            resid, best_resid, best_z = resid[keep], best_resid[keep], best_z[keep]
+            if not ids.size:
+                return results
         if outer >= opts.max_iterations:
-            raise NotConverged("active-set iteration budget exhausted", z=best_z, residual=best_resid)
+            raise NotConverged(
+                f"trial {ids[0]}: active-set iteration budget exhausted", z=best_z[0], residual=float(best_resid[0])
+            )
         outer += 1
-        passive[j] = True
+        inner = np.arange(ids.size)  # rows still in the inner loop
+        passive[inner, j] = True
         for _ in range(opts.max_iterations):
-            s_passive = np.linalg.lstsq(E[:, passive], d, rcond=None)[0]
-            s = np.zeros(n)
-            s[passive] = s_passive
-            if s_passive.size and s_passive.min() > 0:
-                z = s
+            P = passive[inner]
+            s = _passive_solutions(E, D[inner], P)
+            solved = P.any(axis=1) & (np.where(P, s, 1.0).min(axis=1) > 0)  # every passive coefficient positive
+            z[inner[solved]] = s[solved]
+            if solved.all():
                 break
-            shrink = passive & (s <= 0) & (z > 0)
-            if not shrink.any():
-                # The entering column cannot leave zero; ban it until the
-                # iterate moves, otherwise the outer loop would re-add it.
-                passive[j] = False
-                banned[j] = True
-                z[~passive] = 0.0
+            inner, P, s, zi = inner[~solved], P[~solved], s[~solved], z[inner[~solved]]
+            shrink = P & (s <= 0) & (zi > 0)
+            stuck = ~shrink.any(axis=1)
+            # The entering column cannot leave zero; ban it until the
+            # iterate moves, otherwise the outer loop would re-add it.
+            rows = inner[stuck]
+            passive[rows, j[rows]] = False
+            banned[rows, j[rows]] = True
+            z[rows] = np.where(passive[rows], zi[stuck], 0.0)
+            inner, zi, s = inner[~stuck], zi[~stuck], s[~stuck]
+            if not inner.size:
                 break
-            alpha = float((z[shrink] / (z[shrink] - s[shrink])).min())
-            z = z + alpha * (s - z)
-            passive &= z > 1e-14
-            z[~passive] = 0.0
-        r = d - E @ z
-        w = E.T @ r
-        resid = math.sqrt(r @ r)
-        if resid < best_resid - 1e-15 * max(1.0, best_resid):
-            best_resid, best_z = resid, z.copy()
-            banned[:] = False
-    # w and resid were last computed at the returned z.
-    return z, resid, float(_kkt_violation(-w, z)), outer
+            ratio = np.divide(zi, zi - s, out=np.full(zi.shape, np.inf), where=shrink[~stuck])
+            zi = zi + ratio.min(axis=1)[:, None] * (s - zi)
+            passive[inner] &= zi > 1e-14
+            z[inner] = np.where(passive[inner], zi, 0.0)
+        r = D - (E @ z[:, :, None])[:, :, 0]
+        w = _times_rows(E, r)
+        resid = _norms(r)
+        better = resid < best_resid - 1e-15 * np.maximum(1.0, best_resid)
+        best_resid = np.where(better, resid, best_resid)
+        best_z[better] = z[better]
+        banned[better] = False
 
 
 def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = None) -> NnlsResult:
@@ -193,13 +269,21 @@ def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = 
     solution the KKT conditions of the stacked real least-squares problem
     hold to ``opts.kkt_tol``: the gradient is >= -kkt_tol on the active
     (z_n = 0) coordinates and has magnitude <= kkt_tol on the free ones.
+    A batch of one for nnls_estimate_batch.
     """
-    opts = opts or NnlsOptions()
-    spd, wherm, _ = _boundary(op, Sigma, W)
-    E = op.stacked_real().values
-    d = vectorize_hermitian(wherm.values - spd.values, op.pilot_len)
-    z, residual, kkt, iters = _nnls_active_set(E, d, opts)
-    return NnlsResult(z=z, residual=residual, kkt_residual=kkt, iterations=iters)
+    return nnls_estimate_batch(op, Sigma, [W], opts)[0]
+
+
+def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws, opts: NnlsOptions | None = None) -> list[NnlsResult]:
+    """NNLS on many observations of one operator and noise covariance at once.
+
+    Trial i runs on ``Ws[i]`` and returns, bit for bit, the NnlsResult that
+    a batch of one would.  NotConverged names the trial by its index in
+    ``Ws``.
+    """
+    spd = as_hpd(Sigma)
+    D = [vectorize_hermitian(_boundary(op, spd, W)[1].values - spd.values, op.pilot_len) for W in Ws]
+    return _nnls_active_set(op.stacked_real().values, np.array(D), opts or NnlsOptions()) if Ws else []
 
 
 def _ht(X):

@@ -10,9 +10,9 @@ Hermitian direction and figure (d) replaces it by a finite-antenna sample
 covariance.
 
 Panels (b)-(d) deal their (grid point, trial) pairs into one share per CPU
-(``workers.run_shares``); a share draws its observations, runs NNLS per trial
-and every ML run of the share as one batch.  The CSVs are identical for any
-number of worker processes.
+(``workers.run_shares``); a share draws its observations, then runs every
+NNLS solve of the share as one batch and every ML run as another.  The CSVs
+are identical for any number of worker processes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, s
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
 from .config import ExperimentConfig, _checked_array, _format_row
 from .errors import InvalidInput, SetupFailed
-from .estimators import MlOptions, NnlsOptions, ml_coordinate_descent_batch, nnls_estimate
+from .estimators import MlOptions, ml_coordinate_descent_batch, nnls_estimate_batch
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
@@ -127,15 +127,16 @@ def _run_estimators(op, Sigma, observations, names, cfg, perm_streams) -> list:
 
     One dict per observation, keys in the order of ``names``.  "nnls" gives
     an NnlsResult; "ml" (cold start) and "ml_nnls" (started at the NNLS
-    estimate) give an MlTrace.  NNLS runs per observation; every ML run of
-    every observation then goes through one batch.  Both ML runs of an
-    observation visit the coordinates in one permutation drawn from its
+    estimate) give an MlTrace.  Every NNLS run goes through one batch, and
+    every ML run of every observation then through another.  Both ML runs of
+    an observation visit the coordinates in one permutation drawn from its
     stream in ``perm_streams``.
     """
     results = [{} for _ in observations]
     if "nnls" in names or "ml_nnls" in names:
-        for res, W in zip(results, observations):
-            res["nnls"] = nnls_estimate(op, Sigma, W, NnlsOptions())
+        nnls = nnls_estimate_batch(op, Sigma, observations)
+        for res, result in zip(results, nnls):
+            res["nnls"] = result
     runs = []  # (results dict, estimator name, W, options) of each ML run
     for res, W, rng_perm in zip(results, observations, perm_streams):
         perm = rng_perm.permutation(op.num_users)
@@ -216,8 +217,8 @@ def _panel_share(cfg, verified, name, pairs) -> list:
 
     ``observe(cfg, op, Sigma, point, trial)`` returns the (fading, W) pair of
     one trial; its coordinate order comes from the stream (seed, "figure-x",
-    point, trial, "perm") of panel ``name`` "figure_x".  Every ML run of the
-    share goes through one batch.
+    point, trial, "perm") of panel ``name`` "figure_x".  Every NNLS solve of
+    the share goes through one batch, and every ML run through another.
     """
     _, names, observe, statistic = _PANELS[name]
     names = names or tuple(cfg.estimators)

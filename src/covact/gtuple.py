@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import _checked_array
+from .config import _check_real, _checked_array
 from .errors import EmptyLevelSet, InvalidInput
 from .hermitian import as_hpd, hpd_sqrt
 
@@ -203,6 +203,7 @@ def level_set_bound_check(Z, W, gamma: float, tup: PenaltyTuple, dual: bool = Fa
     [lam_min(Z) inv_lower(y), lam_max(Z) inv_upper(y)].  The caller is
     responsible for membership itself (gsum_objective(Z, W, tup) <= gamma).
     """
+    _check_real("gamma", gamma)
     zpd = as_hpd(Z)
     wpd = as_hpd(W)
     if zpd.dim != wpd.dim:

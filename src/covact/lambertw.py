@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .config import _check_real
 from .errors import DomainError, InvalidInput
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -52,9 +53,8 @@ def lambert_w(branch: int, y: float) -> float:
     """
     if branch not in (0, -1):
         raise InvalidInput(f"branch must be 0 or -1, got {branch}")
+    _check_real("y", y)
     y = float(y)
-    if not math.isfinite(y):
-        raise InvalidInput("argument must be finite")
     # Absorb sub-ulp excursions below the branch point into the branch point.
     if y < _BRANCH_POINT:
         if y >= _BRANCH_POINT * (1.0 + 1e-12):

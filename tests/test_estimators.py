@@ -28,11 +28,13 @@ from covact import (
     ml_coordinate_descent_batch,
     ml_objective,
     nnls_estimate,
+    nnls_estimate_batch,
     sherman_morrison_update,
     threshold_detect,
 )
+from covact import estimators
 from covact.codebook import vectorize_hermitian
-from covact.estimators import _kkt_violation, _nnls_active_set, save_estimate_csv, save_trace_csv
+from covact.estimators import _kkt_violation, _lstsq, save_estimate_csv, save_trace_csv
 
 from conftest import complex_arrays, hermitian_matrices, hpd_matrices, random_hermitian, random_hpd
 
@@ -111,6 +113,12 @@ def nnls_active_set_reference(E, d, opts):
             best = (resid, z.copy())
             banned[:] = False
     return z, resid, float(_kkt_violation(-w, z)), outer
+
+
+def _nnls_active_set(E, d, opts):
+    """The NNLS kernel on a batch of one: (z, residual, kkt_residual, iterations) of data vector d."""
+    (res,) = estimators._nnls_active_set(E, d[None], opts)
+    return res.z, res.residual, res.kkt_residual, res.iterations
 
 
 def assert_nnls_matches_reference(E, d, opts=NnlsOptions()):
@@ -262,6 +270,183 @@ class TestNnls:
         with pytest.raises(NotConverged):
             _nnls_active_set(E, d, NnlsOptions(max_iterations=1))
         assert_nnls_matches_reference(E, d, NnlsOptions(max_iterations=1))
+
+
+def assert_batch_matches_reference(E, D, opts):
+    """Every row of one kernel batch returns the reference's bits for that row alone.
+
+    If rows exhaust the budget, the batch raises NotConverged for the lowest
+    of them, naming that row and carrying the reference's best iterate; the
+    other rows are then checked in a batch of their own.  Returns the
+    reference result (or error) of each row.
+    """
+    expected = []
+    for d in D:
+        try:
+            expected.append(nnls_active_set_reference(E, d, opts))
+        except NotConverged as exc:
+            expected.append(exc)
+    failing = [i for i, e in enumerate(expected) if isinstance(e, NotConverged)]
+    if failing:
+        first = failing[0]
+        with pytest.raises(NotConverged, match=f"^trial {first}: active-set iteration budget exhausted$") as caught:
+            estimators._nnls_active_set(E, D, opts)
+        assert np.array_equal(caught.value.z, expected[first].z) and caught.value.residual == expected[first].residual
+    rows = [i for i in range(len(D)) if i not in failing]
+    if rows:
+        for i, res in zip(rows, estimators._nnls_active_set(E, D[rows], opts)):
+            z, *rest = expected[i]
+            assert np.array_equal(res.z, z) and (res.residual, res.kkt_residual, res.iterations) == tuple(rest), i
+    return expected
+
+
+class TestBatchedNnls:
+    """The NNLS kernel on stacks of data vectors against the per-trial reference, bit for bit."""
+
+    def test_mixed_batch_matches_reference_row_by_row(self):
+        rng = np.random.default_rng(21)
+        E = rng.standard_normal((12, 9))
+        D = [E @ (rng.uniform(0.5, 2.0, 9) * (rng.permutation(9) < size)) + 0.01 * rng.standard_normal(12) for size in range(1, 8)]
+        D = np.array(D + [np.zeros(12), 10.0 * rng.standard_normal(12), rng.standard_normal(12)])
+        expected = assert_batch_matches_reference(E, D, NnlsOptions())
+        # The rows end on passive sets of several sizes, the zero row without a single iteration.
+        assert len({np.count_nonzero(z) for z, *_ in expected}) >= 5
+        assert expected[7][1:] == (0.0, 0.0, 0)
+        # An outer step adds one passive column, so under a budget of 3 the
+        # rows whose solutions have more nonzeros exhaust it; the others finish.
+        capped = assert_batch_matches_reference(E, D, NnlsOptions(max_iterations=3))
+        exhausted = [isinstance(e, NotConverged) for e in capped]
+        assert exhausted == [np.count_nonzero(e[0]) > 3 for e in expected] and 0 < sum(exhausted) < len(D)
+
+    def test_batch_with_a_banned_column(self):
+        # The matrix of test_matches_reference_when_a_column_is_banned: the
+        # first row bans column 1, the others never need to.
+        E = np.array([[1.0, -1.0], [0.0, 1e-16], [0.0, 0.0]])
+        D = np.array([[1.0, 1e8, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [-1.0, 0.0, 3.0], [1.0, 1e8, 0.0]])
+        expected = assert_batch_matches_reference(E, D, NnlsOptions())
+        assert expected[0][0].tolist() == [1.0, 0.0] and expected[0][3] == 2
+        # The banning rows need two outer steps; the others finish within one.
+        capped = assert_batch_matches_reference(E, D, NnlsOptions(max_iterations=1))
+        assert [isinstance(e, NotConverged) for e in capped] == [True, False, False, False, True]
+
+    def test_batch_where_a_step_empties_the_passive_set(self):
+        # Columns 0-2 are nearly parallel.  On the first data vector an inner
+        # step drops every passive column at once; the next lstsq has no
+        # column, and the entering column is banned as when it cannot leave zero.
+        E = np.array(
+            [
+                [-2.1239705899729655, 2.21482072897128, -2.1239705890890295, -1.4517165964571983, -0.1838168016169913],
+                [-0.5495917260101165, 0.5730998126738674, -0.5495917269774175, 0.09739438431358367, 0.06510919403732737],
+            ]
+        )
+        D = np.array([[1.0829990184383975, -0.6699227899994218], [1.0, 0.0], [0.0, 0.0], [-1.0, 2.0]])
+        expected = assert_batch_matches_reference(E, D, NnlsOptions())
+        assert expected[0][3] == 9
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 10),
+        n=st.integers(1, 12),
+        parallel=st.booleans(),
+        trials=st.integers(1, 6),
+        max_iterations=st.sampled_from([1, 2, 3, 300]),
+    )
+    def test_matches_reference_on_stacks(self, seed, m, n, parallel, trials, max_iterations):
+        # Stacks of the instances of test_matches_reference_loop_bit_for_bit: one E, a data vector per row.
+        rng = np.random.default_rng(seed)
+        E = rng.standard_normal((m, n))
+        D = np.array([rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4) for _ in range(trials)])
+        if parallel and n > 1:
+            E[:, 1] = -E[:, 0] * rng.uniform(0.5, 2.0)
+        assert_batch_matches_reference(E, D, NnlsOptions(max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("kkt_tol", [1e-11, 1e-6])
+    def test_result_does_not_depend_on_the_batch(self, kkt_tol):
+        op, Sigma, Ws, _ = mixed_batch(47)
+        opts = NnlsOptions(kkt_tol=kkt_tol)
+        together = nnls_estimate_batch(op, Sigma, Ws, opts)
+        order = np.random.default_rng(48).permutation(len(Ws))
+        shuffled = nnls_estimate_batch(op, Sigma, [Ws[i] for i in order], opts)
+        for i, j in enumerate(order):
+            for other in (nnls_estimate(op, Sigma, Ws[j], opts), shuffled[i]):
+                assert np.array_equal(other.z, together[j].z)
+                assert (other.residual, other.kkt_residual, other.iterations) == (
+                    together[j].residual, together[j].kkt_residual, together[j].iterations
+                )
+
+    def test_not_converged_names_trial_with_its_best_iterate(self):
+        # Trials 0 and 1 (one and two active users) finish within a budget
+        # of three outer steps; trial 2 (three users and a perturbed
+        # covariance) is the first to exhaust it.
+        op, Sigma, Ws, _ = mixed_batch(49, trials=4)
+        opts = NnlsOptions(max_iterations=3)
+        for W in Ws[:2]:
+            nnls_estimate(op, Sigma, W, opts)
+        d = vectorize_hermitian(Ws[2].values - Sigma.values, op.pilot_len)
+        with pytest.raises(NotConverged) as expected:
+            nnls_active_set_reference(op.stacked_real().values, d, opts)
+        with pytest.raises(NotConverged, match="^trial 2: active-set iteration budget exhausted$") as caught:
+            nnls_estimate_batch(op, Sigma, Ws, opts)
+        assert np.array_equal(caught.value.z, expected.value.z)
+        assert caught.value.residual == expected.value.residual
+
+    def test_empty_batch(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 50))
+        assert nnls_estimate_batch(op, HpdMatrix(np.eye(3)), []) == []
+
+    def test_rejects_invalid_observation_in_batch(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 52))
+        with pytest.raises(InvalidInput, match="pilot length"):
+            nnls_estimate_batch(op, HpdMatrix(np.eye(3)), [np.eye(3), np.eye(2)])
+
+
+class TestStackedLstsq:
+    """The stacked private lstsq gufunc call returns the public np.linalg.lstsq bits.
+
+    A NumPy release that changes numpy.linalg._umath_linalg.lstsq must fail
+    here rather than move a byte of the NNLS results.
+    """
+
+    def test_column_subsets_of_every_size(self):
+        rng = np.random.default_rng(53)
+        E = rng.standard_normal((32, 17))
+        for k in range(1, 18):
+            cols = np.array([np.sort(rng.permutation(17)[:k]) for _ in range(4)] + [np.arange(k)])
+            D = rng.standard_normal((len(cols), 32))
+            # E.T[cols] swapped to (G, 32, k) is a strided view, as the kernel passes it.
+            x = _lstsq(np.swapaxes(E.T[cols], 1, 2), D)
+            for g, (c, d) in enumerate(zip(cols, D)):
+                assert x[g].tobytes() == np.linalg.lstsq(E[:, c], d, rcond=None)[0].tobytes(), (k, c)
+
+    def test_rank_deficient_system(self):
+        rng = np.random.default_rng(54)
+        E = rng.standard_normal((32, 17))
+        E[:, 5] = 2.0 * E[:, 3]
+        E[:, 9] = E[:, 3] - E[:, 7]
+        cols = np.array([[1, 3, 5, 7, 9, 12], [0, 2, 4, 6, 8, 10]])
+        assert np.linalg.matrix_rank(E[:, cols[0]]) == 4
+        D = rng.standard_normal((2, 32))
+        x = _lstsq(np.swapaxes(E.T[cols], 1, 2), D)
+        for g in range(2):
+            assert x[g].tobytes() == np.linalg.lstsq(E[:, cols[g]], D[g], rcond=None)[0].tobytes()
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_cutoff_takes_the_larger_dimension(self, wide):
+        # The singular value ratio 5.8e-16 lies between 2 eps and 4 eps, so
+        # the rank, hence the solution, depends on the cutoff being eps * max(m, k).
+        A = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0 + 2.6e-15, 1.0, 1.0]]) / 2
+        A, b = (A, np.array([1.0, 2.0])) if wide else (A.T.copy(), np.array([1.0, 2.0, -1.0, 0.5]))
+        eps = np.finfo(float).eps
+        assert not np.array_equal(np.linalg.lstsq(A, b, rcond=2 * eps)[0], np.linalg.lstsq(A, b, rcond=4 * eps)[0])
+        assert _lstsq(A[None], b[None])[0].tobytes() == np.linalg.lstsq(A, b, rcond=None)[0].tobytes()
+
+    def test_failed_svd_raises_as_the_public_call(self):
+        A = np.ones((1, 4, 2))
+        A[0, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
+            np.linalg.lstsq(A[0], np.ones(4), rcond=None)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
+            _lstsq(A, np.ones((1, 4)))
 
 
 class TestMlObjective:

@@ -360,19 +360,33 @@ class TestPanels:
         # Every ML run of every grid point and of its two trials goes through the one batch.
         assert batches == [len(getattr(tiny_config, grid)) * 2 * ml_runs_per_trial]
 
+    @pytest.mark.parametrize("run, grid", [(run_figure_b, "s_values"), (run_figure_c, "rho_grid"), (run_figure_d, "k_grid")])
+    def test_serial_panel_runs_one_nnls_batch(self, tiny_config, tiny_verified, monkeypatch, run, grid):
+        batches, real = [], experiments.nnls_estimate_batch
+
+        def counted(op, Sigma, Ws, opts=None):
+            batches.append(len(Ws))
+            return real(op, Sigma, Ws, opts)
+
+        monkeypatch.setattr(experiments, "nnls_estimate_batch", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run(tiny_config, tiny_verified)
+        # Every NNLS solve of every grid point and of its two trials goes through the one batch.
+        assert batches == [len(getattr(tiny_config, grid)) * 2]
+
     def test_worker_failure_reaches_the_caller(self, tiny_config, tiny_verified, monkeypatch):
         cfg = replace(tiny_config, s_values=(1, 2, 3))
         op = MeasurementOperator(tiny_verified.codebook)
         _, failing = experiments._observe_b(cfg, op, experiments._noise_covariance(cfg), 2, 0)
-        z, real = np.arange(cfg.N, dtype=float), experiments.nnls_estimate
+        z, real = np.arange(cfg.N, dtype=float), experiments.nnls_estimate_batch
 
-        def nnls_failing_at_s2(op, Sigma, W, opts):
-            if np.array_equal(W.values, failing.values):
+        def nnls_failing_at_s2(op, Sigma, Ws, opts=None):
+            if any(np.array_equal(W.values, failing.values) for W in Ws):
                 raise NotConverged("NNLS budget spent at S = 2", z=z, residual=0.25)
-            return real(op, Sigma, W, opts)
+            return real(op, Sigma, Ws, opts)
 
         # Worker processes are forked, so they inherit both patches.
-        monkeypatch.setattr(experiments, "nnls_estimate", nnls_failing_at_s2)
+        monkeypatch.setattr(experiments, "nnls_estimate_batch", nnls_failing_at_s2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         with pytest.raises(NotConverged) as caught:
             run_figure_b(cfg, tiny_verified)

@@ -175,6 +175,12 @@ class TestLevelSetBounds:
         with pytest.raises(EmptyLevelSet):
             level_set_bound_check(W, W, 3 * tld.fn(1.0) - 0.5, tld)
 
+    @pytest.mark.parametrize("gamma", ["x", math.nan])
+    def test_rejects_a_non_real_or_non_finite_gamma(self, tld, gamma):
+        # A text gamma used to raise a raw TypeError, a NaN one lambert_w's "argument must be finite".
+        with pytest.raises(InvalidInput, match="gamma must be finite"):
+            level_set_bound_check(np.eye(3), np.eye(3), gamma, tld)
+
     def test_rejects_unequal_dimensions(self, tld):
         with pytest.raises(InvalidInput, match="equal dimensions"):
             level_set_bound_check(np.eye(2), np.eye(3), 5.0, tld)

@@ -84,3 +84,9 @@ class TestDomain:
     def test_invalid_branch(self):
         with pytest.raises(InvalidInput):
             lambert_w(1, 0.5)
+
+    @pytest.mark.parametrize("y", ["0.5", math.nan, math.inf, None])
+    def test_rejects_a_non_real_or_non_finite_argument(self, y):
+        # Text used to be converted (lambert_w(0, "0.5") returned 0.3517).
+        with pytest.raises(InvalidInput, match="y must be finite"):
+            lambert_w(0, y)
