@@ -75,7 +75,11 @@ def _cmd_build(args, cfg) -> list:
 
 
 def _cmd_tau(args, cfg) -> list:
-    """Print tau' at the order (the config's ``skc_order`` by default); it fails unless above ``--tol``."""
+    """Print tau' at the order (the config's ``skc_order`` by default).
+
+    It fails unless the certified ``lower_bound`` is above ``--tol``; the
+    heuristic's is 0, so it compares its ``tau_prime``, an upper bound.
+    """
     order = cfg.skc_order if args.order is None else args.order
     stacked = MeasurementOperator(_build_codebook(cfg, args.kind, args.file)).stacked_real()
     report = tau_prime(stacked, order, method=args.method)
@@ -83,7 +87,9 @@ def _cmd_tau(args, cfg) -> list:
     if args.out:
         _out_path(args, f"tau_order{order}.txt").write_text(text)
     print(text, end="")
-    return [] if report.tau_prime > args.tol else [f"tau_prime at order {order} is {report.tau_prime:.3e}, not above {args.tol}"]
+    name = "lower_bound" if args.method == "exact" else "tau_prime"
+    value = getattr(report, name)
+    return [] if value > args.tol else [f"{name} at order {order} is {value:.3e}, not above {args.tol}"]
 
 
 def _cmd_estimate(args, cfg) -> list:

@@ -82,7 +82,10 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
 
     A draw is accepted when the robustness constant stays above
     ``SKC_POSITIVE_TOL`` through the configured order and falls below
-    ``SKC_ZERO_TOL`` one past it.  Hopeless draws are rejected early by a
+    ``SKC_ZERO_TOL`` one past it.  With ``tau_method="exact"`` the
+    certified ``lower_bound`` at the order must exceed ``SKC_POSITIVE_TOL``;
+    the heuristic's lower_bound is 0, so it compares its ``tau_prime``, an
+    upper bound on the constant.  Hopeless draws are rejected early by a
     kernel sign screen and a heuristic upper bound on the constant before
     the configured (possibly exact) computation runs.  Raises SetupFailed
     after ``max_codebook_draws`` attempts.
@@ -101,7 +104,8 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
             reports = tau_prime_curve(stacked, order + 1)
         else:  # the screen is already the heuristic's report at ``order``
             reports = [screen if s == order else tau_prime(stacked, s, method="heuristic") for s in range(1, order + 2)]
-        if reports[order - 1].tau_prime > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:
+        at_order = reports[order - 1].lower_bound if cfg.tau_method == "exact" else reports[order - 1].tau_prime
+        if at_order > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:
             return VerifiedCodebook(
                 codebook=cb,
                 reports=tuple(reports),

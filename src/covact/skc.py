@@ -12,18 +12,20 @@ The exact method bounds and prunes every sign pattern with |J| <= S.
 Accelerated projected gradient (FISTA, with sort-based simplex projection)
 runs over a pool of patterns of one size at once, refilled from the
 enumeration as patterns finish, and gives each pattern the Frank-Wolfe lower
-bound f(u) + min g - g^T u.  Patterns are then taken in ascending order of
-that bound and solved exactly by an active-set loop until the next bound
-exceeds the smallest value reached so far (by FISTA or exactly) by a
-floating-point margin; no pattern left unsolved can reach that value, so the
-minimizer, its value and its witness are those of the full enumeration, and
-the smallest bound over all patterns certifies the bracket lower_bound <=
-tau'.  Each size |J| is searched on its own, in worker processes where the
-process may use more CPUs, and the sizes are folded in order: the bits do not
-depend on the number of processes.  The heuristic runs multi-start projected
-gradient over the same program and passes only the sign patterns of its
-final iterates to the same bound-and-solve step, so its value is an upper
-bound on the constant (its lower_bound is 0).
+bound f(u) + min g - g^T u at the best multiple c u of its iterate u, which
+is min(g)^2 / (4 f(u)) when min g >= 0.  Patterns are then taken in
+ascending order of that bound and solved exactly by an active-set loop
+until the next bound exceeds the smallest value reached so far (by FISTA or
+exactly) by a floating-point margin; no pattern left unsolved can reach
+that value, so the minimizer, its value and its witness are those of the
+full enumeration, and the smallest bound over all patterns certifies the
+bracket lower_bound <= tau'.  Each size |J| is searched on its own, in
+worker processes where the process may use more CPUs, and the sizes are
+folded in order: the bits do not depend on the number of processes.  The
+heuristic runs multi-start projected gradient over the same program and
+passes only the sign patterns of its final iterates to the same
+bound-and-solve step, so its value is an upper bound on the constant (its
+lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -46,8 +48,8 @@ from .errors import InvalidInput, NoAdversary, NotConverged, TooLarge
 
 EXACT_BUDGET = 10**7
 WITNESS_ZERO_TOL = 1e-10
-# A certified order needs tau' above SKC_POSITIVE_TOL; tau' below
-# SKC_ZERO_TOL counts as zero (the condition fails).
+# A certified order needs the exact lower_bound (the heuristic's tau') above
+# SKC_POSITIVE_TOL; tau' below SKC_ZERO_TOL counts as zero (the condition fails).
 SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
 # Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
@@ -208,9 +210,29 @@ def _rounding_margin(G):
     """Covers the rounding of computed bounds and QP values (u^T Q u and 2 Q u at ||u||_1 = 1).
 
     Each is a few length-n dot products of entries up to max |G|, off by at
-    most about n * eps * max |G| (Higham's gamma_n).
+    most about n * eps * max |G| (Higham's gamma_n).  The bound m^2 / f at
+    an iterate takes m = min(Q u) and f = u^T Q u each moved by the margin
+    toward the weaker side, so their rounding cannot raise it; its own
+    square and division round by a few eps of a value below max |G|, which
+    the margin subtracted from the final lower bound covers.
     """
     return 16 * G.shape[0] * np.finfo(float).eps * float(np.abs(G).max())
+
+
+def _iterate_bounds(G, s, u, margin):
+    """f = u^T Q u and a lower bound on min v^T Q v over the simplex, for each row u of u and Q = diag(s) G diag(s) of its row of s.
+
+    The bound is the larger of the Frank-Wolfe bound 2 m - f at u,
+    m = min(Q u), and its best value 2 c m - c^2 f over the multiples c u,
+    m^2 / f when m >= 0 (v^T Q v >= (u^T Q v)^2 / f >= m^2 / f on the
+    simplex, by Cauchy-Schwarz); both hold at any u.  The second moves m and
+    f by ``margin`` toward the weaker side; as Q is positive semidefinite,
+    it is never below 0.
+    """
+    qu = s * ((s * u) @ G)
+    f = np.einsum("ij,ij->i", u, qu)
+    m = qu.min(axis=1)
+    return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
 
 
 def _fista_bounds(G, patterns, margin):
@@ -220,11 +242,11 @@ def _fista_bounds(G, patterns, margin):
     u^T Q u any iterate reached) and, keyed by pattern index, the sign rows s
     of the patterns not pruned.  A pool of up to _BLOCK patterns iterates as
     one array, each row with its own step count and momentum; every _CHUNK
-    steps a row takes the Frank-Wolfe bound min(2 Q u) - u^T Q u at its
-    iterate u (valid at any u, as Q is positive semidefinite), and it leaves
-    once that bound exceeds the incumbent plus ``margin`` (pruned), its value
-    f = u^T Q u falls within it (it can no longer be pruned) or after
-    _MAX_ITERS steps, the next patterns taking its place.
+    steps a row takes the larger of its bound so far and _iterate_bounds at
+    its iterate u (the Frank-Wolfe bound at the best multiple of u), and it
+    leaves once that bound exceeds the incumbent plus ``margin`` (pruned),
+    its value f = u^T Q u falls within it (it can no longer be pruned) or
+    after _MAX_ITERS steps, the next patterns taking its place.
     """
     n = G.shape[0]
     # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
@@ -250,9 +272,8 @@ def _fista_bounds(G, patterns, margin):
             np.add(u_next, np.multiply(w, np.subtract(u_next, u, out=u), out=u), out=y)
             u = u_next
         steps += _CHUNK
-        qu = s * ((s * u) @ G)
-        f = np.einsum("ij,ij->i", u, qu)
-        lower, upper = np.maximum(lower, 2.0 * qu.min(axis=1) - f), np.minimum(upper, f)
+        f, bound = _iterate_bounds(G, s, u, margin)
+        lower, upper = np.maximum(lower, bound), np.minimum(upper, f)
         incumbent = min(incumbent, float(f.min()))
         live = (lower <= incumbent + margin) & (upper > incumbent + margin) & (steps < _MAX_ITERS)
         done_idx.append(idx[~live])
@@ -356,10 +377,10 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
     when the patterns it visits, sum_{s <= order} C(n, s), exceed
-    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 2.7-3.0 s
-    on two Xeon cores, 4.2-4.6 s on one; 5 x 24 visits 1,271,626 in 34 s and
-    49 s).  ``method="heuristic"``
-    bounds and solves only multi-start projected-gradient patterns and
+    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 2.0 s on
+    two Xeon cores, 3.4-3.8 s on one; 5 x 24 at order 8 visits 1,271,626 in
+    19 s and 30 s; 5 x 25 at order 9 visits 3,850,756 in 42 s and 72 s).
+    ``method="heuristic"`` bounds and solves only multi-start projected-gradient patterns and
     upper-bounds the constant (its ``lower_bound`` is 0).
     """
     _check_count("order", order, high=stacked.num_users)

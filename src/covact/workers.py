@@ -3,6 +3,7 @@
 import ctypes
 import itertools
 import os
+import signal
 
 
 def openblas_function(name):
@@ -15,7 +16,13 @@ def openblas_function(name):
     return None
 
 
-def _one_blas_thread():
+def _init_worker(parent):
+    # A worker dies with its parent (prctl(PR_SET_PDEATHSIG, SIGKILL), Linux
+    # only), and exits at once if the parent died before that call.
+    if (prctl := getattr(ctypes.CDLL(None), "prctl", None)) is not None:
+        prctl(1, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
     # The workers already fill the CPUs; BLAS threads of their own would only compete.
     if (setter := openblas_function("set_num_threads")) is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], None
@@ -26,8 +33,9 @@ def run_jobs(fn, jobs, costs):
     """``[fn(*job) for job in jobs]``, in up to one process per usable CPU and per job, largest ``costs`` first.
 
     With one CPU (e.g. under ``taskset -c 0``) or one job, no process is
-    started.  Each worker runs BLAS on one thread.  A job's exception is
-    raised in the caller once the pool has shut down.
+    started.  Each worker runs BLAS on one thread and is killed when the
+    caller's process ends.  A job's exception is raised in the caller once
+    the pool has shut down.
     """
     order = sorted(range(len(jobs)), key=costs.__getitem__, reverse=True)
     if (workers := min(len(os.sched_getaffinity(0)), len(jobs))) <= 1:
@@ -39,7 +47,7 @@ def run_jobs(fn, jobs, costs):
         # fork: a worker starts in milliseconds with NumPy and the job's data
         # already loaded, and covact starts no thread that fork could break.
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)) as pool:
             results = list(pool.map(fn, *zip(*(jobs[i] for i in order))))
     return [result for _, result in sorted(zip(order, results))]
 

@@ -20,6 +20,7 @@ from covact import (
     MeasurementOperator,
     NnlsOptions,
     NotConverged,
+    SetupFailed,
     build_deterministic_codebook,
     build_gaussian_codebook,
     check_sufficiently_convex,
@@ -262,6 +263,21 @@ class TestHeuristicSearch:
             assert (report.tau_prime, report.lower_bound, report.method) == (single.tau_prime, 0.0, "heuristic")
             assert np.array_equal(report.witness_z, single.witness_z)
             assert np.array_equal(report.witness_x, single.witness_x)
+
+    def test_exact_search_accepts_only_a_certified_bound(self, default_config, verified, monkeypatch):
+        # A tolerance inside the published draw's bracket at order 7: the exact
+        # search needs the certified lower end above it, the heuristic only
+        # its tau', an upper bound.
+        report = verified.report(7)
+        tol = (report.lower_bound + report.tau_prime) / 2
+        assert report.lower_bound < tol < report.tau_prime
+        monkeypatch.setattr(experiments, "SKC_POSITIVE_TOL", tol)
+        cfg = replace(default_config, max_codebook_draws=verified.draws_used)
+        with pytest.raises(SetupFailed):
+            verified_codebook(cfg)
+        found = verified_codebook(replace(cfg, tau_method="heuristic"))
+        assert found.draws_used == verified.draws_used
+        assert np.array_equal(found.codebook.columns, verified.codebook.columns)
 
     def test_computes_each_order_once_per_draw(self, default_config, monkeypatch):
         # The heuristic screen's report at skc_order is reused in the accepted draw's curve.
@@ -512,6 +528,22 @@ class TestCli:
         assert code == 0
         out, err = capsys.readouterr()
         assert out.startswith("order = 1\n") and err == ""
+
+    def test_exact_tau_fails_unless_its_lower_bound_is_above_tol(self, capsys):
+        report = tau_prime(MeasurementOperator(build_deterministic_codebook(4, 17)).stacked_real(), 1)
+        tol = (report.lower_bound + report.tau_prime) / 2
+        assert report.lower_bound < tol < report.tau_prime
+        args = ["--assert", "tau", "--kind", "deterministic", "--order", "1", "--tol", repr(tol)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"ASSERT FAIL: lower_bound at order 1 is {report.lower_bound:.3e}, not above {tol}\n"
+        assert main([*args, "--method", "heuristic"]) == 0
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_tau_matches_golden(self, capsys, seed):
+        # tau', its certified lower end and both witnesses at 17 digits, on the
+        # default configuration's first draw beyond the published seed.
+        assert main(["--seed", str(seed), "tau", "--order", "8"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "cli" / f"tau_seed{seed}" / "stdout.txt").read_text()
 
     def test_tau_command_writes_report(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "--seed", "5", "tau", "--kind", "deterministic", "--order", "1"])

@@ -175,7 +175,9 @@ class TestBoundAndPrune:
         monkeypatch.setattr(skc, "_BLOCK", block)
         self.assert_matches_full_enumeration(stacked_for(build_gaussian_codebook(M, N, seed).columns), max_order)
 
-    @pytest.mark.parametrize("M,N,size,seed", [(2, 5, 2, 1), (3, 8, 3, 6)])
+    # In the 3 x 10 case (N = M^2 + 1) one pattern of the size holds the
+    # one-dimensional kernel of B, so its iterates drive f = u^T Q u to 0.
+    @pytest.mark.parametrize("M,N,size,seed", [(2, 5, 2, 1), (3, 8, 3, 6), (3, 10, 4, 3)])
     def test_pool_bounds_are_valid(self, M, N, size, seed):
         G = stacked_for(build_gaussian_codebook(M, N, seed).columns).values
         G = G.T @ G
@@ -421,21 +423,32 @@ def exact_curve(stacked, max_order):
     least over the patterns with at most s negative signs.
     """
     n = stacked.num_users
-    B = [[Fraction(x) for x in row] for row in stacked.values.tolist()]
-    G = [[sum(row[i] * row[j] for row in B) for j in range(n)] for i in range(n)]
-    supports = [F for k in range(1, n + 1) for F in itertools.combinations(range(n), k)]
+    G = exact_gram(stacked)
     curve, best = [], None
     for size in range(max_order + 1):
         for J in itertools.combinations(range(n), size):
-            sig = sign_row(n, J)
-            for F in supports:
-                k = len(F)
-                kkt = [[2 * int(sig[i] * sig[j]) * G[i][j] for j in F] + [-1] for i in F] + [[1] * k + [0]]
-                sol = exact_solve(kkt, [0] * k + [1])
-                if sol is not None and min(sol[:k]) >= 0 and (best is None or sol[k] / 2 < best):
-                    best = sol[k] / 2
+            value = exact_pattern_minimum(G, sign_row(n, J))
+            best = value if best is None else min(best, value)
         curve.append(best)
     return curve[1:]
+
+
+def exact_gram(stacked):
+    """G = B^T B in Fractions, formed exactly from the float entries of B."""
+    B = [[Fraction(x) for x in row] for row in stacked.values.tolist()]
+    return [[sum(row[i] * row[j] for row in B) for j in range(stacked.num_users)] for i in range(stacked.num_users)]
+
+
+def exact_pattern_minimum(G, sig):
+    """Minimum of u^T Q u over the simplex, Q = diag(sig) G diag(sig), in Fractions (see exact_curve)."""
+    n, best = len(G), None
+    for F in (F for k in range(1, n + 1) for F in itertools.combinations(range(n), k)):
+        k = len(F)
+        kkt = [[2 * int(sig[i] * sig[j]) * G[i][j] for j in F] + [-1] for i in F] + [[1] * k + [0]]
+        sol = exact_solve(kkt, [0] * k + [1])
+        if sol is not None and min(sol[:k]) >= 0 and (best is None or sol[k] / 2 < best):
+            best = sol[k] / 2
+    return best
 
 
 class TestExactOracle:
@@ -461,6 +474,46 @@ class TestExactOracle:
             witness_value = sum(sum(b * vi for b, vi in zip(row, v)) ** 2 for row in B) / sum(abs(vi) for vi in v) ** 2
             assert exact <= witness_value <= exact + margin
             assert Fraction(tau_prime(stacked, order, method="heuristic").tau_prime) ** 2 >= exact - margin
+
+    @given(
+        st.integers(2, 3),
+        st.integers(4, 6),
+        st.integers(0, 2**16),
+        st.booleans(),
+        st.sets(st.integers(0, 5)),
+        st.sampled_from(["simplex", "scaled", "kernel"]),
+        arrays(np.float64, 6, elements=st.floats(0.0, 1.0)),
+        st.floats(1 / 8, 2),
+    )
+    @example(2, 4, 0, True, {1}, "kernel", np.zeros(6), 1.0)
+    @example(3, 6, 5, True, {0, 3}, "kernel", np.zeros(6), 1.0)
+    @example(2, 5, 26, False, {0, 2, 4}, "kernel", np.zeros(6), 1.0)
+    @example(2, 6, 37, False, {1, 2}, "kernel", np.full(6, 1e-9), 1.0)
+    def test_iterate_bound_is_below_the_exact_minimum(self, M, N, seed, parallel, J, kind, w, scale):
+        # u near the kernel of B diag(s) has f = u^T Q u = 0 up to rounding: with
+        # columns 0 and 1 equal, B (e_0 + e_1) = 0 and a pattern flipping exactly
+        # one of them has such a u; 2 x 5 and 2 x 6 have a kernel of their own,
+        # and the 2 x 5 and 2 x 6 examples round min(Q u) above 0 there.
+        columns = build_gaussian_codebook(M, N, seed).columns.copy()
+        if parallel:
+            columns[:, 1] = columns[:, 0]
+        stacked = stacked_for(columns)
+        G = stacked.values.T @ stacked.values
+        margin = skc._rounding_margin(G)
+        sig = sign_row(N, J & set(range(N)))
+        if kind == "kernel":
+            # Near the kernel: the last right singular vector, plus a small w.
+            u = np.abs(np.linalg.svd(stacked.values * sig)[2][-1]) + 1e-6 * w[:N]
+        else:  # an all-zero draw becomes the simplex's centre
+            u = w[:N] + (w[:N].sum() == 0)
+        u /= u.sum()
+        if kind == "scaled":
+            # Off the simplex: the bounds hold at any u >= 0.
+            u *= scale
+        f, bound = skc._iterate_bounds(G, sig[None], u[None], margin)
+        assert Fraction(float(bound[0])) <= exact_pattern_minimum(exact_gram(stacked), sig) + Fraction(margin)
+        qu = sig * ((sig * u[None]) @ G)
+        assert bound[0] >= 2.0 * qu.min() - f[0]
 
 
 class TestAdversarial:

@@ -1,12 +1,20 @@
 """Jobs in worker processes."""
 
+import contextlib
 import ctypes
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from covact import workers
+
+SRC = Path(workers.__file__).parents[1]
 
 
 def blas_threads(_):
@@ -40,3 +48,47 @@ def test_shares_come_back_in_item_order(monkeypatch, cpus, count):
     # Item i is in share i mod shares, which holds every shares-th item from there.
     assert results == [(item, tuple(items[i % shares :: shares])) for i, item in enumerate(items)]
     assert multiprocessing.active_children() == []
+
+
+# Runs two sleeping jobs on two workers; each job prints its worker's pid.
+ORPHANED_POOL = """
+import os, time
+from covact import workers
+
+def sleeper(_):
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+workers.run_jobs(sleeper, [(0,), (1,)], [0, 1])
+"""
+
+
+def gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "prctl", None) is None, reason="no prctl in this libc")
+def test_workers_die_with_their_parent():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    parent = subprocess.Popen([sys.executable, "-c", ORPHANED_POOL], stdout=subprocess.PIPE, text=True, env=env)
+    pids = []
+    try:
+        pids = [int(parent.stdout.readline()) for _ in range(2)]
+        parent.send_signal(signal.SIGTERM)
+        parent.wait(timeout=5)
+        deadline = time.monotonic() + 5
+        while not all(map(gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if not gone(pid)] == []
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        for pid in [pid for pid in pids if not gone(pid)]:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
