@@ -25,7 +25,10 @@ folded in order: the bits do not depend on the number of processes.  The
 heuristic runs multi-start projected gradient over the same program and
 passes only the sign patterns of its final iterates to the same
 bound-and-solve step, so its value is an upper bound on the constant (its
-lower_bound is 0).
+lower_bound is 0).  Its bounds certify nothing, so FISTA bounds its
+patterns for at most 200 steps, not 1,000: fewer steps only weaken the
+bounds, which prunes fewer patterns but never one within the margin of the
+best value, so the minimizer and its first tie are still solved exactly.
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -53,10 +56,12 @@ WITNESS_ZERO_TOL = 1e-10
 SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
 # Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
-# pattern's bounds every _CHUNK of its iterations and stops it after _MAX_ITERS.
+# pattern's bounds every _CHUNK of its iterations and stops it after _MAX_ITERS,
+# or _HEURISTIC_BOUND_ITERS for the heuristic, whose bounds certify nothing.
 _BLOCK = 512
 _CHUNK = 25
 _MAX_ITERS = 1000
+_HEURISTIC_BOUND_ITERS = 200
 # FISTA momentum weight (t_k - 1) / t_(k+1) of iteration k, from t_0 = 1.
 _T = list(itertools.accumulate(range(_MAX_ITERS), lambda t, _: 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), initial=1.0))
 _MOMENTUM = np.array([(t - 1.0) / t_next for t, t_next in itertools.pairwise(_T)])
@@ -235,7 +240,7 @@ def _iterate_bounds(G, s, u, margin):
     return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
 
 
-def _fista_bounds(G, patterns, margin):
+def _fista_bounds(G, patterns, margin, max_iters=_MAX_ITERS):
     """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
 
     Returns the bounds in pattern order, the incumbent (the smallest value
@@ -246,7 +251,7 @@ def _fista_bounds(G, patterns, margin):
     its iterate u (the Frank-Wolfe bound at the best multiple of u), and it
     leaves once that bound exceeds the incumbent plus ``margin`` (pruned),
     its value f = u^T Q u falls within it (it can no longer be pruned) or
-    after _MAX_ITERS steps, the next patterns taking its place.
+    after ``max_iters`` steps, the next patterns taking its place.
     """
     n = G.shape[0]
     # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
@@ -275,7 +280,7 @@ def _fista_bounds(G, patterns, margin):
         f, bound = _iterate_bounds(G, s, u, margin)
         lower, upper = np.maximum(lower, bound), np.minimum(upper, f)
         incumbent = min(incumbent, float(f.min()))
-        live = (lower <= incumbent + margin) & (upper > incumbent + margin) & (steps < _MAX_ITERS)
+        live = (lower <= incumbent + margin) & (upper > incumbent + margin) & (steps < max_iters)
         done_idx.append(idx[~live])
         done_lower.append(lower[~live])
         kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= incumbent + margin)))
@@ -285,12 +290,13 @@ def _fista_bounds(G, patterns, margin):
     return bounds, kept, incumbent
 
 
-def _pattern_search(G, patterns):
+def _pattern_search(G, patterns, max_iters=_MAX_ITERS):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
-    FISTA bounds them, pruning against the smallest value its iterates reach;
-    they are then solved in ascending bound order until the next bound passes
-    that value, or the best exact value if smaller, plus the rounding margin.
+    FISTA bounds them in up to ``max_iters`` steps, pruning against the
+    smallest value its iterates reach; they are then solved in ascending
+    bound order until the next bound passes that value, or the best exact
+    value if smaller, plus the rounding margin.
     Returns the (value, v) pair of the first pattern in the given order that
     attains the minimum, and a lower bound on every pattern's minimum that
     holds despite rounding.
@@ -298,7 +304,7 @@ def _pattern_search(G, patterns):
     margin = _rounding_margin(G)
     # Only patterns within the margin of the incumbent are solved below; as
     # the incumbent only falls, they all kept their sign rows.
-    bounds, signs, top = _fista_bounds(G, patterns, margin)
+    bounds, signs, top = _fista_bounds(G, patterns, margin, max_iters)
     solved, best = {}, (math.inf, None)
     for i in np.argsort(bounds, kind="stable"):
         if bounds[i] > top + margin:
@@ -380,7 +386,9 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 2.0 s on
     two Xeon cores, 3.4-3.8 s on one; 5 x 24 at order 8 visits 1,271,626 in
     19 s and 30 s; 5 x 25 at order 9 visits 3,850,756 in 42 s and 72 s).
-    ``method="heuristic"`` bounds and solves only multi-start projected-gradient patterns and
+    ``method="heuristic"`` solves only the multi-start projected-gradient
+    patterns whose bounds, after at most 200 FISTA steps, come within the
+    margin of the best value (so the cap cannot move the report), and
     upper-bounds the constant (its ``lower_bound`` is 0).
     """
     _check_count("order", order, high=stacked.num_users)
@@ -390,7 +398,7 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
         return tau_prime_curve(stacked, order)[-1]
     G = stacked.values.T @ stacked.values
     candidates = _heuristic_candidates(stacked.values, G, order, seed=order)
-    best, _ = _pattern_search(G, candidates)
+    best, _ = _pattern_search(G, candidates, _HEURISTIC_BOUND_ITERS)
     return _report(order, *best, "heuristic")
 
 

@@ -280,7 +280,10 @@ class TestHeuristicSearch:
         assert np.array_equal(found.codebook.columns, verified.codebook.columns)
 
     def test_computes_each_order_once_per_draw(self, default_config, monkeypatch):
-        # The heuristic screen's report at skc_order is reused in the accepted draw's curve.
+        # The heuristic screen's report at skc_order is reused in the accepted
+        # draw's curve.  The other orders are worker jobs that call tau_prime;
+        # one CPU runs them in this process, where counted sees them.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, real = [], experiments.tau_prime
 
         def counted(stacked, order, method="exact"):
@@ -292,6 +295,24 @@ class TestHeuristicSearch:
         found = verified_codebook(replace(default_config, tau_method="heuristic"))
         assert len({(id(stacked), order) for stacked, order, _ in calls}) == len(calls)
         assert sum(order != default_config.skc_order for _, order, _ in calls) == len(found.reports) - 1
+
+    def test_worker_processes_give_the_serial_reports(self, default_config, monkeypatch):
+        cfg = replace(default_config, tau_method="heuristic")
+
+        def search():
+            found = verified_codebook(cfg)
+            return found.draws_used, [report.as_text() for report in found.reports]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = search()
+        assert multiprocessing.active_children() == []
+        # A local wrapper around tau_prime, as the benchmark's tracer installs,
+        # cannot be pickled; the jobs must not hand it to the pool.
+        real = experiments.tau_prime
+        monkeypatch.setattr(experiments, "tau_prime", lambda *args, **kwargs: real(*args, **kwargs))
+        assert search() == pooled
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert search() == pooled
 
 
 class TestKernelScreen:
@@ -544,6 +565,12 @@ class TestCli:
         # default configuration's first draw beyond the published seed.
         assert main(["--seed", str(seed), "tau", "--order", "8"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "cli" / f"tau_seed{seed}" / "stdout.txt").read_text()
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_heuristic_tau_matches_golden(self, capsys, seed):
+        # The heuristic's tau' and witnesses at 17 digits on the same draws.
+        assert main(["--seed", str(seed), "tau", "--method", "heuristic", "--order", "8"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "cli" / f"tau_heuristic_seed{seed}" / "stdout.txt").read_text()
 
     def test_tau_command_writes_report(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "--seed", "5", "tau", "--kind", "deterministic", "--order", "1"])

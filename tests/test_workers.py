@@ -50,13 +50,15 @@ def test_shares_come_back_in_item_order(monkeypatch, cpus, count):
     assert multiprocessing.active_children() == []
 
 
-# Runs two sleeping jobs on two workers; each job prints its worker's pid.
+# Runs two sleeping jobs on two workers; each job prints its worker's pid in
+# one write, so the two lines cannot interleave (print writes the pid and the
+# newline separately).
 ORPHANED_POOL = """
 import os, time
 from covact import workers
 
 def sleeper(_):
-    print(os.getpid(), flush=True)
+    os.write(1, f"{os.getpid()}\\n".encode())
     time.sleep(60)
 
 os.sched_getaffinity = lambda pid: {0, 1}
