@@ -74,6 +74,20 @@ class ChannelRealization:
     E: np.ndarray
 
 
+def _standard_complex_normal(rng, shape) -> np.ndarray:
+    """Independent CN(0, 1) entries: N(0, 1/2) real and imaginary parts, drawn real parts first.
+
+    The parts are scaled by 1/sqrt(2) straight into the real and imaginary
+    views; NumPy's division of (re + 1j im) by sqrt(2) multiplies both parts
+    by that same reciprocal, so the bits are those of the division.
+    """
+    parts = rng.standard_normal((2, *shape))
+    parts *= 1.0 / np.sqrt(2)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
 def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
     """K i.i.d. columns of a CN(0, Sigma) vector, shape (M, K).
 
@@ -84,9 +98,7 @@ def sample_complex_gaussian(Sigma, K: int, seed) -> np.ndarray:
     _check_count("K", K)
     spd = as_hpd(Sigma)
     rng = np.random.default_rng(_checked_seed(seed))
-    M = spd.dim
-    g = (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / np.sqrt(2)
-    return hpd_sqrt(spd).values @ g
+    return hpd_sqrt(spd).values @ _standard_complex_normal(rng, (spd.dim, K))
 
 
 def simulate_measurements(codebook: Codebook, fading: FadingVector, Sigma, K: int, seed) -> ChannelRealization:
@@ -97,8 +109,7 @@ def simulate_measurements(codebook: Codebook, fading: FadingVector, Sigma, K: in
     E = sample_complex_gaussian(Sigma, K, stream(seed, "noise"))
     if E.shape[0] != codebook.pilot_len:
         raise InvalidInput("noise covariance dimension does not match the pilot length")
-    N = codebook.num_users
-    H = (rng_h.standard_normal((N, K)) + 1j * rng_h.standard_normal((N, K))) / np.sqrt(2)
+    H = _standard_complex_normal(rng_h, (codebook.num_users, K))
     Y = codebook.columns @ (np.sqrt(fading.x)[:, None] * H) + E
     return ChannelRealization(Y=Y, H=H, E=E)
 

@@ -31,7 +31,7 @@ from .estimators import MlOptions, ml_coordinate_descent_batch, nnls_estimate_ba
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
-from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, tau_prime, tau_prime_curve
+from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, tau_prime, tau_prime_curve, tau_prime_heuristic
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +77,6 @@ def _kernel_screen(stacked, order: int) -> bool:
     return float((small * cols / (1.0 - small)).min()) > SKC_POSITIVE_TOL
 
 
-def _heuristic_report(stacked, order: int) -> SkcReport:
-    # A worker job: pickled by name, it finds ``tau_prime`` even where a caller wrapped it.
-    return tau_prime(stacked, order, method="heuristic")
-
-
 def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
     """Draw Gaussian codebooks until one has the configured order exactly.
 
@@ -107,9 +102,8 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
             continue
         if cfg.tau_method == "exact":
             reports = tau_prime_curve(stacked, order + 1)
-        else:  # the screen is already the heuristic's report at ``order``; the other orders are jobs
-            others = [s for s in range(1, order + 2) if s != order]
-            reports = workers.run_jobs(_heuristic_report, [(stacked, s) for s in others], others)
+        else:  # the screen is already the heuristic's report at ``order``
+            reports = tau_prime_heuristic(stacked, [s for s in range(1, order + 2) if s != order])
             reports.insert(order - 1, screen)
         at_order = reports[order - 1].lower_bound if cfg.tau_method == "exact" else reports[order - 1].tau_prime
         if at_order > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:

@@ -29,6 +29,11 @@ lower_bound is 0).  Its bounds certify nothing, so FISTA bounds its
 patterns for at most 200 steps, not 1,000: fewer steps only weaken the
 bounds, which prunes fewer patterns but never one within the margin of the
 best value, so the minimizer and its first tie are still solved exactly.
+The heuristic reports of several orders come from one in-process pass: the
+starts of every order iterate as the rows of one array, each row with its
+own sparsity, and the candidates of every order share one FISTA pool, each
+order pruned against its own incumbent, so each report has the bits of a
+call for its order alone (which is the pass with one order).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -240,23 +245,30 @@ def _iterate_bounds(G, s, u, margin):
     return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
 
 
-def _fista_bounds(G, patterns, margin, max_iters=_MAX_ITERS):
+def _fista_bounds(G, patterns, margin, max_iters=_MAX_ITERS, sizes=None):
     """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
 
-    Returns the bounds in pattern order, the incumbent (the smallest value
-    u^T Q u any iterate reached) and, keyed by pattern index, the sign rows s
-    of the patterns not pruned.  A pool of up to _BLOCK patterns iterates as
-    one array, each row with its own step count and momentum; every _CHUNK
-    steps a row takes the larger of its bound so far and _iterate_bounds at
-    its iterate u (the Frank-Wolfe bound at the best multiple of u), and it
-    leaves once that bound exceeds the incumbent plus ``margin`` (pruned),
-    its value f = u^T Q u falls within it (it can no longer be pruned) or
-    after ``max_iters`` steps, the next patterns taking its place.
+    ``sizes``, when given, splits the patterns into consecutive groups of
+    those sizes; otherwise they are one group.  Returns the bounds in
+    pattern order, each group's incumbent (the smallest value u^T Q u any
+    iterate of the group reached) and, keyed by pattern index, the sign rows
+    s of the patterns not pruned.  A pool of up to _BLOCK patterns iterates
+    as one array, each row with its own step count and momentum; every
+    _CHUNK steps a row takes the larger of its bound so far and
+    _iterate_bounds at its iterate u (the Frank-Wolfe bound at the best
+    multiple of u), and it leaves once that bound exceeds its group's
+    incumbent plus ``margin`` (pruned), its value f = u^T Q u falls within
+    it (it can no longer be pruned) or after ``max_iters`` steps, the next
+    patterns taking its place.  Rows never meet outside their group's
+    incumbent, so a group that enters in one fill follows the path it would
+    follow alone.
     """
     n = G.shape[0]
     # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
     G_step = G / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
-    patterns, count, done_idx, done_lower, kept, incumbent = iter(patterns), 0, [], [], {}, math.inf
+    ends = np.cumsum(sizes if sizes is not None else [], dtype=np.intp)
+    incumbent = np.full(max(ends.size, 1), math.inf)
+    patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [], [], {}
     idx = steps = np.empty(0, dtype=np.intp)
     lower = upper = np.empty(0)
     s = u = y = np.empty((0, n))
@@ -279,89 +291,114 @@ def _fista_bounds(G, patterns, margin, max_iters=_MAX_ITERS):
         steps += _CHUNK
         f, bound = _iterate_bounds(G, s, u, margin)
         lower, upper = np.maximum(lower, bound), np.minimum(upper, f)
-        incumbent = min(incumbent, float(f.min()))
-        live = (lower <= incumbent + margin) & (upper > incumbent + margin) & (steps < max_iters)
+        group = np.searchsorted(ends, idx, side="right")
+        np.minimum.at(incumbent, group, f)
+        cut = incumbent[group] + margin
+        live = (lower <= cut) & (upper > cut) & (steps < max_iters)
         done_idx.append(idx[~live])
         done_lower.append(lower[~live])
-        kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= incumbent + margin)))
+        kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= cut)))
         idx, steps, lower, upper, s, u, y = (a[live] for a in (idx, steps, lower, upper, s, u, y))
     bounds = np.empty(count)
     bounds[np.concatenate(done_idx)] = np.concatenate(done_lower)
     return bounds, kept, incumbent
 
 
-def _pattern_search(G, patterns, max_iters=_MAX_ITERS):
+def _pattern_search(G, patterns, max_iters=_MAX_ITERS, sizes=None):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
-    FISTA bounds them in up to ``max_iters`` steps, pruning against the
-    smallest value its iterates reach; they are then solved in ascending
-    bound order until the next bound passes that value, or the best exact
-    value if smaller, plus the rounding margin.
-    Returns the (value, v) pair of the first pattern in the given order that
-    attains the minimum, and a lower bound on every pattern's minimum that
-    holds despite rounding.
+    ``sizes`` splits the patterns into consecutive groups as in
+    _fista_bounds (one group when None), and each group is searched on its
+    own: FISTA bounds its patterns in up to ``max_iters`` steps, pruning
+    against the smallest value the group's iterates reach; they are then
+    solved in ascending bound order until the next bound passes that value,
+    or the group's best exact value if smaller, plus the rounding margin.
+    Returns, for each group, the (value, v) pair of its first pattern in the
+    given order that attains the group's minimum, and a lower bound on every
+    pattern's minimum of the group that holds despite rounding.
     """
     margin = _rounding_margin(G)
-    # Only patterns within the margin of the incumbent are solved below; as
-    # the incumbent only falls, they all kept their sign rows.
-    bounds, signs, top = _fista_bounds(G, patterns, margin, max_iters)
-    solved, best = {}, (math.inf, None)
-    for i in np.argsort(bounds, kind="stable"):
-        if bounds[i] > top + margin:
-            break
-        val, v = _pattern_minimum(G, signs[i])
-        bounds[i] = max(bounds[i], 2.0 * float((signs[i] * (G @ v)).min()) - val)
-        solved[i] = (val, v)
-        top = min(top, val)
-    for i in sorted(solved):
-        if solved[i][0] < best[0]:
-            best = solved[i]
-    return best, float(bounds.min()) - margin
+    # Only patterns within the margin of their incumbent are solved below; as
+    # an incumbent only falls, they all kept their sign rows.
+    bounds, signs, tops = _fista_bounds(G, patterns, margin, max_iters, sizes)
+    ends = itertools.accumulate(sizes) if sizes is not None else [bounds.size]
+    results, start = [], 0
+    for top, end in zip(tops, ends):
+        solved, best = {}, (math.inf, None)
+        for i in start + np.argsort(bounds[start:end], kind="stable"):
+            if bounds[i] > top + margin:
+                break
+            val, v = _pattern_minimum(G, signs[i])
+            bounds[i] = max(bounds[i], 2.0 * float((signs[i] * (G @ v)).min()) - val)
+            solved[i] = (val, v)
+            top = min(top, val)
+        for i in sorted(solved):
+            if solved[i][0] < best[0]:
+                best = solved[i]
+        results.append((best, float(bounds[start:end].min()) - margin))
+        start = end
+    return results
 
 
 def _size_search(G, size):
     """_pattern_search over every flip-index tuple of one size, in itertools.combinations order."""
-    return _pattern_search(G, itertools.combinations(range(G.shape[0]), size))
+    return _pattern_search(G, itertools.combinations(range(G.shape[0]), size))[0]
 
 
 def _project_sparse(V, S):
-    """Rows of V with all but their S most negative entries clipped at 0, rescaled to unit l1 norm; and the nonzero rows."""
-    rank = np.argsort(np.argsort(V, axis=1), axis=1)
-    V = np.where((V < 0) & (rank < S), V, np.maximum(V, 0.0))
+    """Rows of V with all but their S most negative entries clipped at 0, rescaled to unit l1 norm; and the nonzero rows.
+
+    S holds one sparsity per row.  An entry's rank is its place in its
+    row's argsort, scattered back through that permutation: the inverse
+    permutation, so the ranks of argsort(argsort(V)), ties included.
+    """
+    order = np.argsort(V, axis=1)
+    rank = np.empty_like(order)
+    rank[np.arange(V.shape[0])[:, None], order] = np.arange(V.shape[1])
+    V = np.where((V < 0) & (rank < S[:, None]), V, np.maximum(V, 0.0))
     nrm = np.abs(V).sum(axis=1)
     return V / np.where(nrm > 0, nrm, 1.0)[:, None], nrm > 0
 
 
-def _heuristic_candidates(B, G, S, seed):
-    """Sorted sign patterns of multi-start projected gradient on the ratio program.
+def _heuristic_candidates(B, G, orders):
+    """Sorted sign patterns of multi-start projected gradient on the ratio program, for each order.
 
-    The starts iterate as the rows of one array.  A start stops once a step
-    moves it by at most 1e-14, or projects to zero (it then keeps its last
-    iterate); a start that itself projects to zero is dropped.
+    Order S starts from the three smallest right singular vectors of B and
+    their negatives, then from random S-sparse sign vectors of the stream
+    (S, "skc-heuristic"), _HEURISTIC_STARTS in all.  The starts of every
+    order iterate as the rows of one array, each row projected with its own
+    S.  A start stops once a step moves it by at most 1e-14, or projects to
+    zero (it then keeps its last iterate); a start that itself projects to
+    zero is dropped.
     """
     n = G.shape[0]
     lam_max = float(np.linalg.eigvalsh(G)[-1])
     step = 1.0 / max(lam_max, 1e-30)
-    rng = stream(seed, "skc-heuristic")
 
     _, _, vt = np.linalg.svd(B, full_matrices=False)
-    starts = [sign * row for row in vt[-min(3, vt.shape[0]) :] for sign in (1.0, -1.0)]
-    while len(starts) < _HEURISTIC_STARTS:
-        v = np.abs(rng.standard_normal(n))
-        v[rng.choice(n, size=min(S, n), replace=False)] *= -1.0
-        starts.append(v)
+    singular = [sign * row for row in vt[-min(3, vt.shape[0]) :] for sign in (1.0, -1.0)]
+    starts = []
+    for S in orders:
+        rng = stream(S, "skc-heuristic")
+        starts += singular
+        for _ in range(_HEURISTIC_STARTS - len(singular)):
+            v = np.abs(rng.standard_normal(n))
+            v[rng.choice(n, size=min(S, n), replace=False)] *= -1.0
+            starts.append(v)
 
-    V, nonzero = _project_sparse(np.array(starts), S)
-    V = V[nonzero]
+    owner, sparsity = np.repeat(np.arange(len(orders)), _HEURISTIC_STARTS), np.repeat(orders, _HEURISTIC_STARTS)
+    V, nonzero = _project_sparse(np.array(starts).reshape(-1, n), sparsity)
+    V, owner, sparsity = V[nonzero], owner[nonzero], sparsity[nonzero]
     live = np.arange(len(V))
     for _ in range(_HEURISTIC_ITERS):
         X = V[live]
-        X_new, nonzero = _project_sparse(X - step * 2.0 * (X @ G), S)
+        X_new, nonzero = _project_sparse(X - step * 2.0 * (X @ G), sparsity[live])
         V[live[nonzero]] = X_new[nonzero]
         live = live[nonzero & (np.abs(X_new - X).max(axis=1) > 1e-14)]
         if not live.size:
             break
-    return sorted({(), *(tuple(np.flatnonzero(v < 0).tolist()) for v in V)})
+    negative = V < 0
+    return [sorted({(), *(tuple(np.flatnonzero(v).tolist()) for v in negative[owner == k])}) for k in range(len(orders))]
 
 
 def _report(order, val, v, method, lower=0.0) -> SkcReport:
@@ -396,10 +433,33 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
         raise InvalidInput(f"unknown method {method!r}")
     if method == "exact":
         return tau_prime_curve(stacked, order)[-1]
+    return tau_prime_heuristic(stacked, [order])[0]
+
+
+def tau_prime_heuristic(stacked: StackedRealMatrix, orders) -> list[SkcReport]:
+    """Heuristic reports of the given orders, in one pass; each as ``tau_prime(stacked, order, "heuristic")``.
+
+    The candidates of every order come from one stacked projected-gradient
+    run, and the orders are bounded together in as few pool fills as fit
+    _BLOCK candidates without splitting an order across two fills, each
+    order pruning against its own incumbent.  Every row and every incumbent
+    then follows the path it follows when the order runs alone, so the
+    reports are the same to the last bit.
+    """
+    for order in orders:
+        _check_count("order", order, high=stacked.num_users)
     G = stacked.values.T @ stacked.values
-    candidates = _heuristic_candidates(stacked.values, G, order, seed=order)
-    best, _ = _pattern_search(G, candidates, _HEURISTIC_BOUND_ITERS)
-    return _report(order, *best, "heuristic")
+    fills = []
+    for candidates in _heuristic_candidates(stacked.values, G, orders):
+        if not fills or sum(map(len, fills[-1])) + len(candidates) > _BLOCK:
+            fills.append([])
+        fills[-1].append(candidates)
+    searches = [
+        search
+        for fill in fills
+        for search in _pattern_search(G, itertools.chain.from_iterable(fill), _HEURISTIC_BOUND_ITERS, [len(c) for c in fill])
+    ]
+    return [_report(order, *best, "heuristic") for order, (best, _) in zip(orders, searches, strict=True)]
 
 
 def tau_prime_curve(stacked: StackedRealMatrix, max_order: int) -> list[SkcReport]:

@@ -1,5 +1,6 @@
 """Independent jobs in forked worker processes, one per CPU the process may use."""
 
+import contextlib
 import ctypes
 import itertools
 import os
@@ -23,10 +24,28 @@ def _init_worker(parent):
         prctl(1, signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)
-    # The workers already fill the CPUs; BLAS threads of their own would only compete.
-    if (setter := openblas_function("set_num_threads")) is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the block, its own count restored after; nothing without OpenBLAS.
+
+    Forked workers inherit the one thread: the workers already fill the CPUs,
+    and setting the count in a worker would restart OpenBLAS's thread server
+    there, whose idle threads spin.
+    """
+    getter, setter = openblas_function("get_num_threads"), openblas_function("set_num_threads")
+    if getter is None or setter is None:
+        yield
+        return
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    count = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(count)
 
 
 def run_jobs(fn, jobs, costs):
@@ -47,7 +66,10 @@ def run_jobs(fn, jobs, costs):
         # fork: a worker starts in milliseconds with NumPy and the job's data
         # already loaded, and covact starts no thread that fork could break.
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)) as pool:
+        with (
+            _one_blas_thread(),
+            ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(os.getpid(),)) as pool,
+        ):
             results = list(pool.map(fn, *zip(*(jobs[i] for i in order))))
     return [result for _, result in sorted(zip(order, results))]
 

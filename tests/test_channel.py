@@ -20,6 +20,7 @@ from covact import (
     stream,
 )
 from covact import channel
+from covact.hermitian import hpd_sqrt
 
 BAD_SEEDS = (-1, 2.7, True)
 # The samplers that seed NumPy with their seed argument directly, each as a function of that seed.
@@ -131,6 +132,26 @@ class TestSimulate:
         H = (rng_h.standard_normal((9, 8)) + 1j * rng_h.standard_normal((9, 8))) / np.sqrt(2)
         assert np.array_equal(real.H, H)
         assert np.array_equal(real.E, sample_complex_gaussian(Sigma, 8, rng_e))
+
+    @pytest.mark.parametrize("K", [1, 3, 250, 1000, 8000])
+    def test_bits_of_the_full_product(self, K):
+        # CN(0, 1) parts scaled into the complex views give the bits of
+        # (re + 1j im) / sqrt(2), so H, E and Y = A sqrt(diag(x)) H + E keep theirs
+        # at every support size of the simulation's shape.
+        codebook = build_gaussian_codebook(4, 17, stream(2024, "codebook", 3))
+        raw = stream(K, "sigma").standard_normal((2, 4, 4))
+        Sigma = HpdMatrix((raw[0] + 1j * raw[1]) @ (raw[0] + 1j * raw[1]).conj().T / 4 + 1e-4 * np.eye(4))
+        for trial in range(36):
+            S = trial % 18
+            fading = draw_sparse_fading(17, S, stream(K, trial)) if S else FadingVector(np.zeros(17), 0)
+            real = simulate_measurements(codebook, fading, Sigma, K, 1000 * K + trial)
+            rng_h, rng_e = stream(1000 * K + trial, "channel"), stream(1000 * K + trial, "noise")
+            g = (rng_e.standard_normal((4, K)) + 1j * rng_e.standard_normal((4, K))) / np.sqrt(2)
+            H = (rng_h.standard_normal((17, K)) + 1j * rng_h.standard_normal((17, K))) / np.sqrt(2)
+            E = hpd_sqrt(Sigma).values @ g
+            assert np.array_equal(real.H, H)
+            assert np.array_equal(real.E, E)
+            assert np.array_equal(real.Y, codebook.columns @ (np.sqrt(fading.x)[:, None] * H) + E)
 
     def test_deviation_decays_like_sqrt_k(self, codebook):
         # With x = 0 the sample covariance concentrates around Sigma at rate 1/sqrt(K).

@@ -264,6 +264,16 @@ class TestHeuristicSearch:
             assert np.array_equal(report.witness_z, single.witness_z)
             assert np.array_equal(report.witness_x, single.witness_x)
 
+    def test_reports_match_golden(self, default_config):
+        # draws_used and every report at 17 digits for seeds 0-9, recorded
+        # while each order's heuristic still ran as its own tau_prime call.
+        text = "\n".join(
+            f"seed = {seed}\ndraws_used = {found.draws_used}\n" + "".join(r.as_text() for r in found.reports)
+            for seed in range(10)
+            for found in [verified_codebook(replace(default_config, seed=seed, tau_method="heuristic"))]
+        )
+        assert text == (GOLDEN / "heuristic_search.txt").read_text()
+
     def test_exact_search_accepts_only_a_certified_bound(self, default_config, verified, monkeypatch):
         # A tolerance inside the published draw's bracket at order 7: the exact
         # search needs the certified lower end above it, the heuristic only
@@ -281,20 +291,22 @@ class TestHeuristicSearch:
 
     def test_computes_each_order_once_per_draw(self, default_config, monkeypatch):
         # The heuristic screen's report at skc_order is reused in the accepted
-        # draw's curve.  The other orders are worker jobs that call tau_prime;
-        # one CPU runs them in this process, where counted sees them.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        calls, real = [], experiments.tau_prime
+        # draw's curve; the other orders come from one stacked call.
+        calls, real, real_stacked = [], experiments.tau_prime, experiments.tau_prime_heuristic
 
         def counted(stacked, order, method="exact"):
-            calls.append((stacked, order, method))  # keeps each stacked alive, so ids stay distinct
+            calls.append((stacked, order))  # keeps each stacked alive, so ids stay distinct
             return real(stacked, order, method=method)
 
+        def counted_stacked(stacked, orders):
+            calls.extend((stacked, order) for order in orders)
+            return real_stacked(stacked, orders)
+
         monkeypatch.setattr(experiments, "tau_prime", counted)
-        monkeypatch.setattr(skc, "tau_prime", counted)
+        monkeypatch.setattr(experiments, "tau_prime_heuristic", counted_stacked)
         found = verified_codebook(replace(default_config, tau_method="heuristic"))
-        assert len({(id(stacked), order) for stacked, order, _ in calls}) == len(calls)
-        assert sum(order != default_config.skc_order for _, order, _ in calls) == len(found.reports) - 1
+        assert len({(id(stacked), order) for stacked, order in calls}) == len(calls)
+        assert sum(order != default_config.skc_order for _, order in calls) == len(found.reports) - 1
 
     def test_worker_processes_give_the_serial_reports(self, default_config, monkeypatch):
         cfg = replace(default_config, tau_method="heuristic")
@@ -303,16 +315,21 @@ class TestHeuristicSearch:
             found = verified_codebook(cfg)
             return found.draws_used, [report.as_text() for report in found.reports]
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the heuristic search started worker processes")
+
+        # The search runs in this process whatever the number of CPUs.
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pooled = search()
+        reports = search()
         assert multiprocessing.active_children() == []
         # A local wrapper around tau_prime, as the benchmark's tracer installs,
-        # cannot be pickled; the jobs must not hand it to the pool.
+        # changes nothing.
         real = experiments.tau_prime
         monkeypatch.setattr(experiments, "tau_prime", lambda *args, **kwargs: real(*args, **kwargs))
-        assert search() == pooled
+        assert search() == reports
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert search() == pooled
+        assert search() == reports
 
 
 class TestKernelScreen:

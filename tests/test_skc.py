@@ -333,7 +333,7 @@ class TestHeuristic:
         G = stacked.values.T @ stacked.values
         for order in orders:
             serial = serial_candidates(stacked.values, order, seed=order)
-            assert skc._heuristic_candidates(stacked.values, G, order, seed=order) == sorted(serial)
+            assert skc._heuristic_candidates(stacked.values, G, [order]) == [sorted(serial)]
             report = tau_prime(stacked, order, method="heuristic")
             val, v = polished(G, serial)
             witness_z, witness_x = _split_witness(v)
@@ -343,9 +343,55 @@ class TestHeuristic:
 
     def test_prunes_most_candidates(self, qp_calls):
         stacked = stacked_for(simulation_size_draw(1))
-        candidates = skc._heuristic_candidates(stacked.values, stacked.values.T @ stacked.values, 7, seed=7)
+        [candidates] = skc._heuristic_candidates(stacked.values, stacked.values.T @ stacked.values, [7])
         tau_prime(stacked, 7, method="heuristic")
         assert 0 < len(qp_calls) < len(candidates) / 4
+
+
+class TestStackedHeuristic:
+    @given(
+        st.tuples(st.integers(1, 60), st.integers(1, 20)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0])),
+                arrays(np.intp, shape[0], elements=st.integers(0, shape[1] + 1)),
+            )
+        )
+    )
+    @example((np.array([[-1.0, -1.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-1.0, -2.0, -1.0, -2.0]]), np.array([2, 1, 3])))
+    def test_rank_scatter_matches_double_argsort(self, case):
+        # Many ties, an all-zero row and a sparsity of its own for every row,
+        # against the ranks of argsort(argsort(V)).
+        V, S = case
+        rank = np.argsort(np.argsort(V, axis=1), axis=1)
+        clipped = np.where((V < 0) & (rank < S[:, None]), V, np.maximum(V, 0.0))
+        nrm = np.abs(clipped).sum(axis=1)
+        projected, nonzero = skc._project_sparse(V, S)
+        assert np.array_equal(nonzero, nrm > 0)
+        assert np.array_equal(projected, clipped / np.where(nrm > 0, nrm, 1.0)[:, None])
+
+    CASES = (
+        [pytest.param(lambda seed=seed: build_gaussian_codebook(2, 4, seed).columns, id=f"2x4-seed{seed}") for seed in range(3)]
+        + [pytest.param(lambda: TIES, id="ties")]
+        + [pytest.param(lambda: simulation_size_draw(1), id="M4N17-seed1")]
+    )
+
+    @pytest.mark.parametrize("block", [1, 20, 60, 512])
+    @pytest.mark.parametrize("columns", CASES)
+    def test_matches_one_order_at_a_time(self, monkeypatch, columns, block):
+        # Small pools split the orders over several fills, and orders with more
+        # candidates than a pool holds refill it on their own.
+        stacked = stacked_for(columns())
+        orders = list(range(1, min(stacked.num_users, 8) + 1))
+        single = [tau_prime(stacked, order, method="heuristic").as_text() for order in orders]
+        monkeypatch.setattr(skc, "_BLOCK", block)
+        assert [report.as_text() for report in skc.tau_prime_heuristic(stacked, orders)] == single
+        assert [report.as_text() for report in skc.tau_prime_heuristic(stacked, orders[::-1])] == single[::-1]
+
+    def test_checks_every_order(self):
+        stacked = stacked_for(build_gaussian_codebook(3, 5, 10).columns)
+        assert skc.tau_prime_heuristic(stacked, []) == []
+        with pytest.raises(InvalidInput):
+            skc.tau_prime_heuristic(stacked, [1, 6])
 
 
 class TestDeterministicCodebook:

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from covact import workers
@@ -31,6 +32,20 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     assert workers.run_jobs(blas_threads, [(0,), (1,)], [0, 1]) == [1, 1]
     # This process keeps its own thread count.
     assert blas_threads(None) == before
+    assert multiprocessing.active_children() == []
+
+
+def thread_count(_):
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_workers_start_no_blas_thread(monkeypatch):
+    # A worker inherits one BLAS thread from the fork; setting the count in the
+    # worker would restart OpenBLAS's thread server there, whose idle threads spin.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    np.ones((300, 300)) @ np.ones((300, 300))  # BLAS threads of this process, if it may use several
+    assert workers.run_jobs(thread_count, [(0,), (1,)], [0, 1]) == [1, 1]
     assert multiprocessing.active_children() == []
 
 
