@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import draw_sparse_fading, sample_covariance, simulate_measurements, stream
+from .channel import stream
 from .codebook import MeasurementOperator, build_deterministic_codebook, build_gaussian_codebook, load_codebook_csv, save_codebook_csv
 from .config import ExperimentConfig, _check_count, parse_config
 from .errors import CovactError, InvalidInput
@@ -22,8 +22,8 @@ from .estimators import save_estimate_csv, save_trace_csv
 from .experiments import (
     SKC_POSITIVE_TOL,
     SKC_ZERO_TOL,
-    _exact_covariance,
     _noise_covariance,
+    _observe,
     _run_estimators,
     linear_fit_r2,
     loglog_slope,
@@ -77,8 +77,9 @@ def _cmd_build(args, cfg) -> list:
 def _cmd_tau(args, cfg) -> list:
     """Print tau' at the order (the config's ``skc_order`` by default).
 
-    It fails unless the certified ``lower_bound`` is above ``--tol``; the
-    heuristic's is 0, so it compares its ``tau_prime``, an upper bound.
+    It fails unless the end that ``SkcReport.accepted_end`` names is above
+    ``--tol``: the certified ``lower_bound``, or the heuristic's
+    ``tau_prime``, an upper bound.
     """
     order = cfg.skc_order if args.order is None else args.order
     stacked = MeasurementOperator(_build_codebook(cfg, args.kind, args.file)).stacked_real()
@@ -87,8 +88,7 @@ def _cmd_tau(args, cfg) -> list:
     if args.out:
         _out_path(args, f"tau_order{order}.txt").write_text(text)
     print(text, end="")
-    name = "lower_bound" if args.method == "exact" else "tau_prime"
-    value = getattr(report, name)
+    name, value = report.accepted_end()
     return [] if value > args.tol else [f"{name} at order {order} is {value:.3e}, not above {args.tol}"]
 
 
@@ -97,12 +97,7 @@ def _cmd_estimate(args, cfg) -> list:
     op = MeasurementOperator(_build_codebook(cfg))
     Sigma = _noise_covariance(cfg)
     sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
-    fading = draw_sparse_fading(cfg.N, sparsity, stream(cfg.seed, "estimate", "fading"))
-    if args.antennas > 0:
-        channel = stream(cfg.seed, "estimate", "channel")
-        W = sample_covariance(simulate_measurements(op.codebook, fading, Sigma, args.antennas, channel).Y)
-    else:
-        W = _exact_covariance(op, Sigma, fading.x)
+    fading, W = _observe(cfg, op, Sigma, sparsity, args.antennas, "estimate")
     name = "ml_nnls" if args.estimator == "ml" and args.init_nnls else args.estimator
     result = _run_estimators(op, Sigma, [W], (name,), cfg, [stream(cfg.seed, "estimate", "perm")])[0][name]
     if args.estimator == "nnls":
@@ -115,8 +110,8 @@ def _cmd_estimate(args, cfg) -> list:
     return []
 
 
-def _broken_rules(kind: str, text: str, cfg) -> list:
-    """Acceptance rules that the CSV of panel ``kind`` (or the bound table) breaks."""
+def _broken_rules(kind: str, text: str, cfg, verified) -> list:
+    """Acceptance rules that the CSV of panel ``kind`` (or the bound table) of the certificate ``verified`` breaks."""
     failures = []
     _, header, rows = parse_csv(text)
     if kind == "c":  # the log-log slope has no point at rho = 0
@@ -126,9 +121,10 @@ def _broken_rules(kind: str, text: str, cfg) -> list:
         for row in rows:
             order = int(row[header.index("S")])
             if kind == "a":
+                end, value = verified.report(order).accepted_end()
+                if order <= cfg.skc_order and value <= SKC_POSITIVE_TOL:
+                    failures.append(f"{end} at S={order} is {value:.3e}, not above {SKC_POSITIVE_TOL}")
                 tau = row[header.index("tau_prime")]
-                if order <= cfg.skc_order and tau <= SKC_POSITIVE_TOL:
-                    failures.append(f"tau_prime at S={order} is {tau:.3e}, not above {SKC_POSITIVE_TOL}")
                 if order > cfg.skc_order and tau >= SKC_ZERO_TOL:
                     failures.append(f"tau_prime at S={order} is {tau:.3e}, not below {SKC_ZERO_TOL}")
             if order <= cfg.skc_order:
@@ -171,7 +167,7 @@ def _cmd_run(args, cfg) -> list:
             print(f"wrote {out}")
         else:
             print(text, end="")
-        failures += [f"{name}: {rule}" for rule in _broken_rules(kind, text, cfg)] if args.check_assert else []
+        failures += [f"{name}: {rule}" for rule in _broken_rules(kind, text, cfg, verified)] if args.check_assert else []
     return failures
 
 

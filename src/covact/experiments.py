@@ -82,10 +82,10 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
 
     A draw is accepted when the robustness constant stays above
     ``SKC_POSITIVE_TOL`` through the configured order and falls below
-    ``SKC_ZERO_TOL`` one past it.  With ``tau_method="exact"`` the
-    certified ``lower_bound`` at the order must exceed ``SKC_POSITIVE_TOL``;
-    the heuristic's lower_bound is 0, so it compares its ``tau_prime``, an
-    upper bound on the constant.  Hopeless draws are rejected early by a
+    ``SKC_ZERO_TOL`` one past it.  At the order it reads the end that
+    ``SkcReport.accepted_end`` names: the certified ``lower_bound`` with
+    ``tau_method="exact"``, the heuristic's ``tau_prime``, an upper bound on
+    the constant, otherwise.  Hopeless draws are rejected early by a
     kernel sign screen and a heuristic upper bound on the constant before
     the configured (possibly exact) computation runs.  Raises SetupFailed
     after ``max_codebook_draws`` attempts.
@@ -105,8 +105,7 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
         else:  # the screen is already the heuristic's report at ``order``
             reports = tau_prime_heuristic(stacked, [s for s in range(1, order + 2) if s != order])
             reports.insert(order - 1, screen)
-        at_order = reports[order - 1].lower_bound if cfg.tau_method == "exact" else reports[order - 1].tau_prime
-        if at_order > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:
+        if reports[order - 1].accepted_end()[1] > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:
             return VerifiedCodebook(
                 codebook=cb,
                 reports=tuple(reports),
@@ -184,9 +183,16 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     return _emit(cfg, ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
 
-def _observe_b(cfg, op, Sigma, order, trial):
-    fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "figure-b", order, trial, "fading"))
-    return fading, _exact_covariance(op, Sigma, fading.x)
+def _observe(cfg, op, Sigma, S, K, *labels):
+    """An S-sparse fading vector and W: A(x) + Sigma when K is 0, else the sample covariance of K antennas.
+
+    They draw from the streams (seed, *labels, "fading") and (seed, *labels, "channel").
+    """
+    fading = draw_sparse_fading(cfg.N, S, stream(cfg.seed, *labels, "fading"))
+    if K == 0:
+        return fading, _exact_covariance(op, Sigma, fading.x)
+    sample = simulate_measurements(op.codebook, fading, Sigma, K, stream(cfg.seed, *labels, "channel"))
+    return fading, sample_covariance(sample.Y)
 
 
 def _observe_c(cfg, op, Sigma, rho, trial):
@@ -199,21 +205,18 @@ def _observe_c(cfg, op, Sigma, rho, trial):
     raise SetupFailed("no fading draw keeps the perturbed observation positive definite")
 
 
-def _observe_d(cfg, op, Sigma, K, trial):
-    fading = draw_sparse_fading(cfg.N, cfg.skc_order, stream(cfg.seed, "figure-d", K, trial, "fading"))
-    sample = simulate_measurements(op.codebook, fading, Sigma, K, stream(cfg.seed, "figure-d", K, trial, "channel"))
-    return fading, sample_covariance(sample.Y)
-
-
 def _inverse_square(err):
     return err**-2
 
 
 # Panel -> (trial-count field, estimators or None for the configured ones, observe, statistic of one error).
 _PANELS = {
-    "figure_b": ("trials_fig_b", None, _observe_b, float),
+    "figure_b": ("trials_fig_b", None, lambda cfg, op, Sigma, S, trial: _observe(cfg, op, Sigma, S, 0, "figure-b", S, trial), float),
     "figure_c": ("trials_fig_c", ("nnls", "ml_nnls"), _observe_c, float),
-    "figure_d": ("trials_fig_d", ("nnls", "ml_nnls"), _observe_d, _inverse_square),
+    "figure_d": (
+        "trials_fig_d", ("nnls", "ml_nnls"),
+        lambda cfg, op, Sigma, K, trial: _observe(cfg, op, Sigma, cfg.skc_order, K, "figure-d", K, trial), _inverse_square,
+    ),
 }
 
 
@@ -281,8 +284,7 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
     order = cfg.skc_order
-    fading = draw_sparse_fading(cfg.N, order, stream(cfg.seed, "bounds", "fading"))
-    X = _exact_covariance(op, Sigma, fading.x).values
+    X = _observe(cfg, op, Sigma, order, 0, "bounds")[1].values
     lam = np.linalg.eigvalsh(X)
     tau = verified.report(order).tau_prime
     inputs = BoundInputs(

@@ -30,10 +30,10 @@ patterns for at most 200 steps, not 1,000: fewer steps only weaken the
 bounds, which prunes fewer patterns but never one within the margin of the
 best value, so the minimizer and its first tie are still solved exactly.
 The heuristic reports of several orders come from one in-process pass: the
-starts of every order iterate as the rows of one array, each row with its
-own sparsity, and the candidates of every order share one FISTA pool, each
-order pruned against its own incumbent, so each report has the bits of a
-call for its order alone (which is the pass with one order).
+starts of every order iterate as the rows of one array, and the candidates
+of every order go through one bound-and-solve call, each order a group with
+its own incumbent; sharing the pool moves only which patterns are pruned,
+so each report keeps the bits of a call for its order alone.
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -100,6 +100,11 @@ class SkcReport:
             "witness_x = " + " ".join(f"{v:.17g}" for v in self.witness_x),
         ]
         return "\n".join(lines) + "\n"
+
+    def accepted_end(self) -> tuple[str, float]:
+        """Name and value of the end an order is accepted on: the certified lower_bound, or the heuristic's tau_prime."""
+        name = "tau_prime" if self.method == "heuristic" else "lower_bound"
+        return name, getattr(self, name)
 
 
 def _simplex_qp(Q, max_iter=400):
@@ -245,30 +250,27 @@ def _iterate_bounds(G, s, u, margin):
     return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
 
 
-def _fista_bounds(G, patterns, margin, max_iters=_MAX_ITERS, sizes=None):
+def _fista_bounds(G, patterns, sizes, margin, max_iters=_MAX_ITERS):
     """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
 
-    ``sizes``, when given, splits the patterns into consecutive groups of
-    those sizes; otherwise they are one group.  Returns the bounds in
-    pattern order, each group's incumbent (the smallest value u^T Q u any
-    iterate of the group reached) and, keyed by pattern index, the sign rows
-    s of the patterns not pruned.  A pool of up to _BLOCK patterns iterates
-    as one array, each row with its own step count and momentum; every
-    _CHUNK steps a row takes the larger of its bound so far and
-    _iterate_bounds at its iterate u (the Frank-Wolfe bound at the best
-    multiple of u), and it leaves once that bound exceeds its group's
-    incumbent plus ``margin`` (pruned), its value f = u^T Q u falls within
-    it (it can no longer be pruned) or after ``max_iters`` steps, the next
-    patterns taking its place.  Rows never meet outside their group's
-    incumbent, so a group that enters in one fill follows the path it would
-    follow alone.
+    ``sizes`` splits the patterns into consecutive groups of those sizes.
+    Returns the bounds in pattern order, each group's incumbent (the
+    smallest value u^T Q u any iterate of the group reached) and, keyed by
+    pattern index, the sign rows s of the patterns not pruned.  A pool of up
+    to _BLOCK patterns iterates as one array, each row with its own step
+    count and momentum; every _CHUNK steps a row takes the larger of its
+    bound so far and _iterate_bounds at its iterate u (the Frank-Wolfe bound
+    at the best multiple of u), and it leaves once that bound exceeds its
+    group's incumbent plus ``margin`` (pruned), its value f = u^T Q u falls
+    within it (it can no longer be pruned) or after ``max_iters`` steps, the
+    next patterns taking its place.
     """
     n = G.shape[0]
     # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
     G_step = G / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
-    ends = np.cumsum(sizes if sizes is not None else [], dtype=np.intp)
-    incumbent = np.full(max(ends.size, 1), math.inf)
-    patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [], [], {}
+    ends = np.cumsum(sizes, dtype=np.intp)
+    incumbent = np.full(ends.size, math.inf)
+    patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [np.empty(0, dtype=np.intp)], [np.empty(0)], {}
     idx = steps = np.empty(0, dtype=np.intp)
     lower = upper = np.empty(0)
     s = u = y = np.empty((0, n))
@@ -304,15 +306,15 @@ def _fista_bounds(G, patterns, margin, max_iters=_MAX_ITERS, sizes=None):
     return bounds, kept, incumbent
 
 
-def _pattern_search(G, patterns, max_iters=_MAX_ITERS, sizes=None):
+def _pattern_search(G, patterns, sizes, max_iters=_MAX_ITERS):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
     ``sizes`` splits the patterns into consecutive groups as in
-    _fista_bounds (one group when None), and each group is searched on its
-    own: FISTA bounds its patterns in up to ``max_iters`` steps, pruning
-    against the smallest value the group's iterates reach; they are then
-    solved in ascending bound order until the next bound passes that value,
-    or the group's best exact value if smaller, plus the rounding margin.
+    _fista_bounds, and each group is searched on its own: FISTA bounds its
+    patterns in up to ``max_iters`` steps, pruning against the smallest
+    value the group's iterates reach; they are then solved in ascending
+    bound order until the next bound passes that value, or the group's best
+    exact value if smaller, plus the rounding margin.
     Returns, for each group, the (value, v) pair of its first pattern in the
     given order that attains the group's minimum, and a lower bound on every
     pattern's minimum of the group that holds despite rounding.
@@ -320,10 +322,9 @@ def _pattern_search(G, patterns, max_iters=_MAX_ITERS, sizes=None):
     margin = _rounding_margin(G)
     # Only patterns within the margin of their incumbent are solved below; as
     # an incumbent only falls, they all kept their sign rows.
-    bounds, signs, tops = _fista_bounds(G, patterns, margin, max_iters, sizes)
-    ends = itertools.accumulate(sizes) if sizes is not None else [bounds.size]
+    bounds, signs, tops = _fista_bounds(G, patterns, sizes, margin, max_iters)
     results, start = [], 0
-    for top, end in zip(tops, ends):
+    for top, end in zip(tops, itertools.accumulate(sizes)):
         solved, best = {}, (math.inf, None)
         for i in start + np.argsort(bounds[start:end], kind="stable"):
             if bounds[i] > top + margin:
@@ -342,7 +343,7 @@ def _pattern_search(G, patterns, max_iters=_MAX_ITERS, sizes=None):
 
 def _size_search(G, size):
     """_pattern_search over every flip-index tuple of one size, in itertools.combinations order."""
-    return _pattern_search(G, itertools.combinations(range(G.shape[0]), size))[0]
+    return _pattern_search(G, itertools.combinations(range(n := G.shape[0]), size), [math.comb(n, size)])[0]
 
 
 def _project_sparse(V, S):
@@ -440,25 +441,17 @@ def tau_prime_heuristic(stacked: StackedRealMatrix, orders) -> list[SkcReport]:
     """Heuristic reports of the given orders, in one pass; each as ``tau_prime(stacked, order, "heuristic")``.
 
     The candidates of every order come from one stacked projected-gradient
-    run, and the orders are bounded together in as few pool fills as fit
-    _BLOCK candidates without splitting an order across two fills, each
-    order pruning against its own incumbent.  Every row and every incumbent
-    then follows the path it follows when the order runs alone, so the
-    reports are the same to the last bit.
+    run and go through one _pattern_search call, each order a group pruned
+    against its own incumbent.  Which rows share a pool fill moves only
+    which patterns are pruned, never one that could attain an order's best
+    value (the argument of the 200-step cap), so the reports are the same to
+    the last bit.
     """
     for order in orders:
         _check_count("order", order, high=stacked.num_users)
     G = stacked.values.T @ stacked.values
-    fills = []
-    for candidates in _heuristic_candidates(stacked.values, G, orders):
-        if not fills or sum(map(len, fills[-1])) + len(candidates) > _BLOCK:
-            fills.append([])
-        fills[-1].append(candidates)
-    searches = [
-        search
-        for fill in fills
-        for search in _pattern_search(G, itertools.chain.from_iterable(fill), _HEURISTIC_BOUND_ITERS, [len(c) for c in fill])
-    ]
+    candidates = _heuristic_candidates(stacked.values, G, orders)
+    searches = _pattern_search(G, itertools.chain.from_iterable(candidates), [len(c) for c in candidates], _HEURISTIC_BOUND_ITERS)
     return [_report(order, *best, "heuristic") for order, (best, _) in zip(orders, searches, strict=True)]
 
 

@@ -7,12 +7,19 @@ import os
 import signal
 
 
+_libraries = []  # the OpenBLAS libraries of this process, once found
+
+
 def openblas_function(name):
-    """The function ``*openblas_<name>*`` of the OpenBLAS library this process loaded, or None."""
-    with open("/proc/self/maps") as maps:
-        libraries = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
-    for library, prefix, suffix in itertools.product(libraries, ("", "scipy_"), ("", "64_")):
-        if (fn := getattr(ctypes.CDLL(library), f"{prefix}openblas_{name}{suffix}", None)) is not None:
+    """The function ``*openblas_<name>*`` of the OpenBLAS library this process loaded, or None.
+
+    /proc/self/maps is read until a library is found, as NumPy may load OpenBLAS later.
+    """
+    if not _libraries:
+        with open("/proc/self/maps") as maps:
+            _libraries.extend(map(ctypes.CDLL, sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})))
+    for library, prefix, suffix in itertools.product(_libraries, ("", "scipy_"), ("", "64_")):
+        if (fn := getattr(library, f"{prefix}openblas_{name}{suffix}", None)) is not None:
             return fn
     return None
 

@@ -431,7 +431,7 @@ class TestPanels:
     def test_worker_failure_reaches_the_caller(self, tiny_config, tiny_verified, monkeypatch):
         cfg = replace(tiny_config, s_values=(1, 2, 3))
         op = MeasurementOperator(tiny_verified.codebook)
-        _, failing = experiments._observe_b(cfg, op, experiments._noise_covariance(cfg), 2, 0)
+        _, failing = experiments._observe(cfg, op, experiments._noise_covariance(cfg), 2, 0, "figure-b", 2, 0)
         z, real = np.arange(cfg.N, dtype=float), experiments.nnls_estimate_batch
 
         def nnls_failing_at_s2(op, Sigma, Ws, opts=None):
@@ -526,15 +526,22 @@ class TestHelpers:
             fit(x, y)
 
 
+def verified_with(ends):
+    """A certificate whose report of order k + 1 has the (tau_prime, lower_bound, method) of ends[k]."""
+    reports = (skc.SkcReport(k + 1, tau, lower, np.zeros(2), np.zeros(2), method) for k, (tau, lower, method) in enumerate(ends))
+    return experiments.VerifiedCodebook(Codebook(np.eye(2)), tuple(reports), 1)
+
+
 class TestBrokenRules:
     """The --assert rules on hand-written panel and bound CSVs (skc_order = 2)."""
 
     @pytest.mark.parametrize(
-        "kind, text, failures",
+        "kind, text, ends, failures",
         [
             (
                 "a",
                 "S,tau_prime,err_nnls,err_ml,err_ml_nnls\n1,0.5,0,1,0\n2,1e-4,0.002,1,0\n3,0.5,1,1,1\n",
+                [(0.5, 0.0, "heuristic"), (1e-4, 0.0, "heuristic"), (0.5, 0.0, "heuristic")],
                 [
                     "tau_prime at S=2 is 1.000e-04, not above 0.001",
                     "err_nnls at S=2 exceeds 1e-3",
@@ -542,17 +549,27 @@ class TestBrokenRules:
                 ],
             ),
             (
+                # The CSV prints the exact method's tau_prime, the upper end of
+                # its bracket; the order is accepted on the certified lower end.
+                "a",
+                "S,tau_prime,err_nnls,err_ml,err_ml_nnls\n1,0.5,0,1,0\n2,0.5,0,1,0\n3,0,1,1,1\n",
+                [(0.5, 0.4, "exact-enumeration"), (0.5, 1e-4, "exact-enumeration"), (0.0, 0.0, "exact-enumeration")],
+                ["lower_bound at S=2 is 1.000e-04, not above 0.001"],
+            ),
+            (
                 "d",
                 "K,inv_sq_err_nnls,inv_sq_err_ml_nnls\n100,1,1\n200,2,9\n300,3,1\n",
+                None,
                 ["R^2 of inv_sq_err_ml_nnls against K is 0.000, below 0.9"],
             ),
-            ("d", "K,inv_sq_err_nnls,inv_sq_err_ml_nnls\n100,1,2\n200,2,4\n400,4,8.5\n", []),
-            ("bounds", "eps,k0_nnls,k0_ml\n1e-06,10,20\n2e-06,10,5\n", ["k0_ml < k0_nnls at eps = 2.000e-06"]),
+            ("d", "K,inv_sq_err_nnls,inv_sq_err_ml_nnls\n100,1,2\n200,2,4\n400,4,8.5\n", None, []),
+            ("bounds", "eps,k0_nnls,k0_ml\n1e-06,10,20\n2e-06,10,5\n", None, ["k0_ml < k0_nnls at eps = 2.000e-06"]),
         ],
-        ids=["a-tau-and-error", "d-r2-fails", "d-r2-passes", "bounds-k0"],
+        ids=["a-tau-and-error", "a-exact-lower-bound", "d-r2-fails", "d-r2-passes", "bounds-k0"],
     )
-    def test_failures(self, kind, text, failures):
-        assert cli._broken_rules(kind, "# seed = 1\n" + text, ExperimentConfig(skc_order=2)) == failures
+    def test_failures(self, kind, text, ends, failures):
+        verified = ends and verified_with(ends)
+        assert cli._broken_rules(kind, "# seed = 1\n" + text, ExperimentConfig(skc_order=2), verified) == failures
 
 
 class TestCli:

@@ -184,7 +184,7 @@ class TestBoundAndPrune:
         patterns = list(itertools.combinations(range(N), size))
         minima = np.array([_pattern_minimum(G, sign_row(N, J))[0] for J in patterns])
         margin = skc._rounding_margin(G)
-        bounds, kept, incumbent = skc._fista_bounds(G, patterns, margin)
+        bounds, kept, incumbent = skc._fista_bounds(G, patterns, [len(patterns)], margin)
         assert bounds.shape == minima.shape
         assert np.all(bounds <= minima + margin)
         assert incumbent >= minima.min() - margin
@@ -375,17 +375,26 @@ class TestStackedHeuristic:
         + [pytest.param(lambda: simulation_size_draw(1), id="M4N17-seed1")]
     )
 
-    @pytest.mark.parametrize("block", [1, 20, 60, 512])
+    @pytest.mark.parametrize("block", [1, 7, 20, 60, 512])
     @pytest.mark.parametrize("columns", CASES)
     def test_matches_one_order_at_a_time(self, monkeypatch, columns, block):
-        # Small pools split the orders over several fills, and orders with more
-        # candidates than a pool holds refill it on their own.
+        # Small pools refill many times: the rows of several orders iterate
+        # together in one fill, and an order's candidates enter over several.
         stacked = stacked_for(columns())
         orders = list(range(1, min(stacked.num_users, 8) + 1))
         single = [tau_prime(stacked, order, method="heuristic").as_text() for order in orders]
         monkeypatch.setattr(skc, "_BLOCK", block)
         assert [report.as_text() for report in skc.tau_prime_heuristic(stacked, orders)] == single
         assert [report.as_text() for report in skc.tau_prime_heuristic(stacked, orders[::-1])] == single[::-1]
+
+    def test_refilled_default_pool_matches_one_order_at_a_time(self):
+        # 5 x 24 at orders 1-12 has more candidates than the default pool holds.
+        stacked = stacked_for(build_gaussian_codebook(5, 24, stream(0, "codebook", 0)).columns)
+        orders = list(range(1, 13))
+        G = stacked.values.T @ stacked.values
+        assert sum(map(len, skc._heuristic_candidates(stacked.values, G, orders))) > skc._BLOCK
+        single = [tau_prime(stacked, order, method="heuristic").as_text() for order in orders]
+        assert [report.as_text() for report in skc.tau_prime_heuristic(stacked, orders)] == single
 
     def test_checks_every_order(self):
         stacked = stacked_for(build_gaussian_codebook(3, 5, 10).columns)

@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+import io
 import multiprocessing
 import os
 import signal
@@ -32,6 +33,27 @@ def test_workers_run_blas_on_one_thread(monkeypatch):
     assert workers.run_jobs(blas_threads, [(0,), (1,)], [0, 1]) == [1, 1]
     # This process keeps its own thread count.
     assert blas_threads(None) == before
+    assert multiprocessing.active_children() == []
+
+
+def test_openblas_is_looked_up_once_per_process(monkeypatch):
+    if workers.openblas_function("get_num_threads") is None:
+        pytest.skip("NumPy's BLAS exports no openblas_get_num_threads")
+    reads = []
+
+    def counted_open(path, *args):
+        # The first read finds no OpenBLAS, as before NumPy has loaded it.
+        reads.append(path)
+        return open(path, *args) if len(reads) > 1 else io.StringIO("")
+
+    monkeypatch.setattr(workers, "_libraries", [])
+    monkeypatch.setattr(workers, "open", counted_open, raising=False)
+    assert workers.openblas_function("get_num_threads") is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for _ in range(2):
+        assert workers.run_jobs(blas_threads, [(0,), (1,)], [0, 1]) == [1, 1]
+    # The miss is not kept; the two pools' getters and setters read the maps file once.
+    assert reads == ["/proc/self/maps"] * 2
     assert multiprocessing.active_children() == []
 
 
