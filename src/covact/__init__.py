@@ -43,7 +43,6 @@ from .estimators import (
     DetectionResult,
     MlOptions,
     MlTrace,
-    NnlsOptions,
     NnlsResult,
     coordinate_step,
     kkt_residual,
@@ -92,7 +91,6 @@ __all__ = [
     "MeasurementOperator",
     "MlOptions",
     "MlTrace",
-    "NnlsOptions",
     "NnlsResult",
     "NoAdversary",
     "NotConverged",

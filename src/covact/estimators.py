@@ -20,7 +20,9 @@ LinAlgError; a test pins it to the public function's bits.  The public
 single-trial functions (nnls_estimate, ml_objective, coordinate_step,
 sherman_morrison_update, ml_coordinate_descent, kkt_residual) are batches of
 one of the same kernels.  Inputs are checked once per observation at the
-public entry, never inside the loops.
+public entry, never inside the loops.  The solvers' budgets and tolerances
+are module constants, one value each; the options of a call are only the
+ML start, visiting order and sweep cap.
 """
 
 from __future__ import annotations
@@ -35,21 +37,17 @@ from .config import _check_count, _check_real, _checked_array, _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
 from .hermitian import HermitianMatrix, HpdMatrix, as_hpd
 
-# Sweeps between from-scratch recomputations of the tracked ML inverse.
+# Sweeps between from-scratch recomputations of the tracked ML inverse, and
+# the least objective gain of a sweep that lets the descent go on.
 _REFRESH_EVERY = 25
+_ML_OBJECTIVE_TOL = 1e-10
+# NNLS: the budget of outer steps (and of inner steps per outer step), and the
+# gradient entry a column needs to enter the passive set.
+_NNLS_MAX_ITERATIONS = 300
+_NNLS_KKT_TOL = 1e-9
 # Trial indices of a batch of one.
 _ONE = np.zeros(1, dtype=int)
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class NnlsOptions:
-    max_iterations: int = 300
-    kkt_tol: float = 1e-9
-
-    def __post_init__(self):
-        _check_count("max_iterations", self.max_iterations)
-        _check_real("kkt_tol", self.kkt_tol, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +68,16 @@ class MlOptions:
     omitted); ``z0`` is the nonnegative initializer (zero when omitted).
     A sweep visits all N coordinates once; the loop stops after
     ``while_iterations`` sweeps or when a full sweep improves the objective
-    by less than ``objective_tol``.  The tracked inverse is recomputed from
-    scratch every 25 sweeps.
+    by less than 1e-10.  The tracked inverse is recomputed from scratch
+    every 25 sweeps.
     """
 
     permutation: np.ndarray | None = None
     z0: np.ndarray | None = None
     while_iterations: int = 100
-    objective_tol: float = 1e-10
 
     def __post_init__(self):
         _check_count("while_iterations", self.while_iterations)
-        _check_real("objective_tol", self.objective_tol, 0, low_closed=True)
         if self.permutation is not None:
             perm = np.asarray(self.permutation)
             if not np.array_equal(np.sort(perm), np.arange(perm.size)):
@@ -185,7 +181,7 @@ def _norms(R):
     return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
-def _nnls_active_set(E, D, opts: NnlsOptions) -> list[NnlsResult]:
+def _nnls_active_set(E, D) -> list[NnlsResult]:
     """Lawson-Hanson active-set loop on each row of the stack D (T, m).
 
     The trials take their outer steps in lockstep: each adds its own entering
@@ -212,7 +208,7 @@ def _nnls_active_set(E, D, opts: NnlsOptions) -> list[NnlsResult]:
     while True:
         w_free = np.where(passive | banned, -np.inf, w)
         j = w_free.argmax(axis=1)  # per row, the first largest w of an entry neither passive nor banned
-        done = ~(w_free.max(axis=1) > opts.kkt_tol)
+        done = ~(w_free.max(axis=1) > _NNLS_KKT_TOL)
         if done.any():
             # w and resid were last computed at the returned z.
             kkt = _kkt_violation(-w[done], z[done])
@@ -223,14 +219,14 @@ def _nnls_active_set(E, D, opts: NnlsOptions) -> list[NnlsResult]:
             resid, best_resid, best_z = resid[keep], best_resid[keep], best_z[keep]
             if not ids.size:
                 return results
-        if outer >= opts.max_iterations:
+        if outer >= _NNLS_MAX_ITERATIONS:
             raise NotConverged(
                 f"trial {ids[0]}: active-set iteration budget exhausted", z=best_z[0], residual=float(best_resid[0])
             )
         outer += 1
         inner = np.arange(ids.size)  # rows still in the inner loop
         passive[inner, j] = True
-        for _ in range(opts.max_iterations):
+        for _ in range(_NNLS_MAX_ITERATIONS):
             P = passive[inner]
             s = _passive_solutions(E, D[inner], P)
             solved = P.any(axis=1) & (np.where(P, s, 1.0).min(axis=1) > 0)  # every passive coefficient positive
@@ -262,19 +258,19 @@ def _nnls_active_set(E, D, opts: NnlsOptions) -> list[NnlsResult]:
         banned[better] = False
 
 
-def nnls_estimate(op: MeasurementOperator, Sigma, W, opts: NnlsOptions | None = None) -> NnlsResult:
+def nnls_estimate(op: MeasurementOperator, Sigma, W) -> NnlsResult:
     """Minimize ||A(z) + Sigma - W||_F over z >= 0.
 
     Returns the minimizer with the attained Frobenius residual.  At the
     solution the KKT conditions of the stacked real least-squares problem
-    hold to ``opts.kkt_tol``: the gradient is >= -kkt_tol on the active
-    (z_n = 0) coordinates and has magnitude <= kkt_tol on the free ones.
-    A batch of one for nnls_estimate_batch.
+    hold to 1e-9: the gradient is >= -1e-9 on the active (z_n = 0)
+    coordinates and has magnitude <= 1e-9 on the free ones.  NotConverged is
+    raised after 300 outer steps.  A batch of one for nnls_estimate_batch.
     """
-    return nnls_estimate_batch(op, Sigma, [W], opts)[0]
+    return nnls_estimate_batch(op, Sigma, [W])[0]
 
 
-def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws, opts: NnlsOptions | None = None) -> list[NnlsResult]:
+def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws) -> list[NnlsResult]:
     """NNLS on many observations of one operator and noise covariance at once.
 
     Trial i runs on ``Ws[i]`` and returns, bit for bit, the NnlsResult that
@@ -283,7 +279,7 @@ def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws, opts: NnlsOptions | 
     """
     spd = as_hpd(Sigma)
     D = [vectorize_hermitian(_boundary(op, spd, W)[1].values - spd.values, op.pilot_len) for W in Ws]
-    return _nnls_active_set(op.stacked_real().values, np.array(D), opts or NnlsOptions()) if Ws else []
+    return _nnls_active_set(op.stacked_real().values, np.array(D)) if Ws else []
 
 
 def _ht(X):
@@ -404,8 +400,8 @@ def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, opts) -> lis
 
     Trial i runs on ``Ws[i]`` with ``opts[i]`` and returns, bit for bit, the
     MlTrace that a batch of one would: every trial keeps its own visiting
-    order, start, stopping test and sweep cap.  Errors raised by the descent
-    name the trial by its index in ``Ws``.
+    order, start and sweep cap.  Errors raised by the descent name the trial
+    by its index in ``Ws``.
     """
     if len(Ws) != len(opts):
         raise InvalidInput(f"{len(Ws)} observations but {len(opts)} option sets")
@@ -427,16 +423,15 @@ def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, opts) -> lis
         raise InvalidInput(f"trial {i}: W has a negative eigenvalue {lam_min[i]:.3e}")
     perms = np.array([np.arange(N) if o.permutation is None else o.permutation for o in opts])
     caps = np.array([o.while_iterations for o in opts])
-    tols = np.array([o.objective_tol for o in opts])
-    return _descend(op, spd.values, Wv, np.array(z), perms, caps, tols)
+    return _descend(op, spd.values, Wv, np.array(z), perms, caps)
 
 
-def _descend(op, Sv, Wv, z, perms, caps, tols) -> list[MlTrace]:
+def _descend(op, Sv, Wv, z, perms, caps) -> list[MlTrace]:
     """The coordinate-descent loop on checked inputs; row i of each array is trial i.
 
     All trials sweep in lockstep, one coordinate position at a time, each
     visiting the column its own permutation puts there.  A trial that stops
-    (objective gain below its tolerance, or its sweep cap reached) is
+    (objective gain below _ML_OBJECTIVE_TOL, or its sweep cap reached) is
     finished and dropped from the active rows, so later sweeps only work on
     the trials still running.  ``z`` is updated in place.
     """
@@ -465,7 +460,7 @@ def _descend(op, Sv, Wv, z, perms, caps, tols) -> list[MlTrace]:
         f_new = _objectives(Z, Wv, ids)
         for i, value in zip(ids, f_new):
             history[i].append(value)
-        done = (f_prev - f_new < tols) | (sweeps >= caps)
+        done = (f_prev - f_new < _ML_OBJECTIVE_TOL) | (sweeps >= caps)
         f_prev = f_new
         if not done.any():
             continue
@@ -487,7 +482,7 @@ def _descend(op, Sv, Wv, z, perms, caps, tols) -> list[MlTrace]:
             )
         keep = ~done
         ids, z, S, Wv, perms = ids[keep], z[keep], S[keep], Wv[keep], perms[keep]
-        f_prev, caps, tols = f_prev[keep], caps[keep], tols[keep]
+        f_prev, caps = f_prev[keep], caps[keep]
         a_all, ah_all = a_all[:, keep], ah_all[:, keep]
     return traces
 

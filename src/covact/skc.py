@@ -10,30 +10,24 @@ simplex, on which the squared objective is a convex quadratic.
 
 The exact method bounds and prunes every sign pattern with |J| <= S.
 Accelerated projected gradient (FISTA, with sort-based simplex projection)
-runs over a pool of patterns of one size at once, refilled from the
-enumeration as patterns finish, and gives each pattern the Frank-Wolfe lower
-bound f(u) + min g - g^T u at the best multiple c u of its iterate u, which
-is min(g)^2 / (4 f(u)) when min g >= 0.  Patterns are then taken in
-ascending order of that bound and solved exactly by an active-set loop
-until the next bound exceeds the smallest value reached so far (by FISTA or
-exactly) by a floating-point margin; no pattern left unsolved can reach
-that value, so the minimizer, its value and its witness are those of the
-full enumeration, and the smallest bound over all patterns certifies the
-bracket lower_bound <= tau'.  Each size |J| is searched on its own, in
-worker processes where the process may use more CPUs, and the sizes are
-folded in order: the bits do not depend on the number of processes.  The
-heuristic runs multi-start projected gradient over the same program and
-passes only the sign patterns of its final iterates to the same
+runs for at most 200 steps over a pool of patterns of one size, refilled
+from the enumeration as patterns finish, and gives each pattern the
+Frank-Wolfe lower bound f(u) + min g - g^T u at the best multiple c u of
+its iterate u, which is min(g)^2 / (4 f(u)) when min g >= 0.  Patterns are
+then solved exactly by an active-set loop in ascending order of that bound
+until the next bound exceeds the smallest value reached so far by a
+floating-point margin, so the minimizer, its value and its witness are
+those of the full enumeration.  The bracket lower_bound <= tau' is read off
+the exact solves of the near-minimal patterns, which every schedule of the
+pool solves (see _pattern_search), so no step cap or pruning time moves a
+bit.  Each size |J| is searched on its own, in worker processes where the
+process may use more CPUs, and the sizes are folded in order: the bits do
+not depend on the number of processes.  The heuristic passes only the sign
+patterns that multi-start projected gradient reaches to the same
 bound-and-solve step, so its value is an upper bound on the constant (its
-lower_bound is 0).  Its bounds certify nothing, so FISTA bounds its
-patterns for at most 200 steps, not 1,000: fewer steps only weaken the
-bounds, which prunes fewer patterns but never one within the margin of the
-best value, so the minimizer and its first tie are still solved exactly.
-The heuristic reports of several orders come from one in-process pass: the
-starts of every order iterate as the rows of one array, and the candidates
-of every order go through one bound-and-solve call, each order a group with
-its own incumbent; sharing the pool moves only which patterns are pruned,
-so each report keeps the bits of a call for its order alone.
+lower_bound is 0); the starts of all orders asked for iterate as one array,
+and their candidates go through one bound-and-solve call, each order a
+group with its own incumbent, which keeps the bits of one call per order.
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -61,12 +55,10 @@ WITNESS_ZERO_TOL = 1e-10
 SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
 # Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
-# pattern's bounds every _CHUNK of its iterations and stops it after _MAX_ITERS,
-# or _HEURISTIC_BOUND_ITERS for the heuristic, whose bounds certify nothing.
+# pattern's bounds every _CHUNK of its iterations and stops it after _MAX_ITERS.
 _BLOCK = 512
 _CHUNK = 25
-_MAX_ITERS = 1000
-_HEURISTIC_BOUND_ITERS = 200
+_MAX_ITERS = 200
 # FISTA momentum weight (t_k - 1) / t_(k+1) of iteration k, from t_0 = 1.
 _T = list(itertools.accumulate(range(_MAX_ITERS), lambda t, _: 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), initial=1.0))
 _MOMENTUM = np.array([(t - 1.0) / t_next for t, t_next in itertools.pairwise(_T)])
@@ -250,7 +242,7 @@ def _iterate_bounds(G, s, u, margin):
     return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
 
 
-def _fista_bounds(G, patterns, sizes, margin, max_iters=_MAX_ITERS):
+def _fista_bounds(G, patterns, sizes, margin):
     """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
 
     ``sizes`` splits the patterns into consecutive groups of those sizes.
@@ -262,8 +254,8 @@ def _fista_bounds(G, patterns, sizes, margin, max_iters=_MAX_ITERS):
     bound so far and _iterate_bounds at its iterate u (the Frank-Wolfe bound
     at the best multiple of u), and it leaves once that bound exceeds its
     group's incumbent plus ``margin`` (pruned), its value f = u^T Q u falls
-    within it (it can no longer be pruned) or after ``max_iters`` steps, the
-    next patterns taking its place.
+    within it (it can no longer be pruned) or after _MAX_ITERS steps, the
+    next patterns taking its place.  No pruned bound sets a lower_bound.
     """
     n = G.shape[0]
     # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
@@ -296,7 +288,7 @@ def _fista_bounds(G, patterns, sizes, margin, max_iters=_MAX_ITERS):
         group = np.searchsorted(ends, idx, side="right")
         np.minimum.at(incumbent, group, f)
         cut = incumbent[group] + margin
-        live = (lower <= cut) & (upper > cut) & (steps < max_iters)
+        live = (lower <= cut) & (upper > cut) & (steps < _MAX_ITERS)
         done_idx.append(idx[~live])
         done_lower.append(lower[~live])
         kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= cut)))
@@ -306,23 +298,37 @@ def _fista_bounds(G, patterns, sizes, margin, max_iters=_MAX_ITERS):
     return bounds, kept, incumbent
 
 
-def _pattern_search(G, patterns, sizes, max_iters=_MAX_ITERS):
+def _pattern_search(G, patterns, sizes):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
     ``sizes`` splits the patterns into consecutive groups as in
     _fista_bounds, and each group is searched on its own: FISTA bounds its
-    patterns in up to ``max_iters`` steps, pruning against the smallest
-    value the group's iterates reach; they are then solved in ascending
-    bound order until the next bound passes that value, or the group's best
-    exact value if smaller, plus the rounding margin.
-    Returns, for each group, the (value, v) pair of its first pattern in the
-    given order that attains the group's minimum, and a lower bound on every
-    pattern's minimum of the group that holds despite rounding.
+    patterns, pruning against the smallest value the group's iterates reach;
+    they are then solved in ascending bound order until the next bound
+    passes that value, or the group's best exact value if smaller, plus the
+    margin 16 rho (rho ~ n eps max |G| bounds the rounding of a computed
+    u^T Q u or Q u).  Returns, for each group, the (value, v) pair of its
+    first pattern in the given order that attains the group's minimum, and
+    its smallest bound less the margin, where a solved pattern's bound is
+    the Frank-Wolfe bound 2 min(s * (G v)) - val at its exact minimizer v.
+    That lower bound on the group's minimum holds despite rounding, and no
+    pool path moves it:
+    - an unsolved pattern's FISTA bound, at most its minimum plus 3 rho,
+      passes the final incumbent plus the margin, so every pattern within
+      13 rho of the incumbent (the minimizer and its ties) is solved;
+    - the minimizer's bound is at most its value plus 3 rho (min(Q u) <=
+      u^T Q u on the simplex), within 5 rho of the incumbent, so the
+      smallest bound is an exact solve's;
+    - the active-set loop ends with (Q u)_j = u^T Q u on the support and
+      (Q u)_j >= u^T Q u off it, up to rounding and its multiplier test of
+      5e-12 max |Q|, so the smallest bound is a near-minimal pattern's (the
+      tests check both).  The step cap, the check interval, the refills and
+      the pruning times only decide which farther patterns are also solved.
     """
     margin = _rounding_margin(G)
     # Only patterns within the margin of their incumbent are solved below; as
     # an incumbent only falls, they all kept their sign rows.
-    bounds, signs, tops = _fista_bounds(G, patterns, sizes, margin, max_iters)
+    bounds, signs, tops = _fista_bounds(G, patterns, sizes, margin)
     results, start = [], 0
     for top, end in zip(tops, itertools.accumulate(sizes)):
         solved, best = {}, (math.inf, None)
@@ -330,7 +336,7 @@ def _pattern_search(G, patterns, sizes, max_iters=_MAX_ITERS):
             if bounds[i] > top + margin:
                 break
             val, v = _pattern_minimum(G, signs[i])
-            bounds[i] = max(bounds[i], 2.0 * float((signs[i] * (G @ v)).min()) - val)
+            bounds[i] = 2.0 * float((signs[i] * (G @ v)).min()) - val
             solved[i] = (val, v)
             top = min(top, val)
         for i in sorted(solved):
@@ -421,13 +427,13 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
     when the patterns it visits, sum_{s <= order} C(n, s), exceed
-    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 2.0 s on
-    two Xeon cores, 3.4-3.8 s on one; 5 x 24 at order 8 visits 1,271,626 in
-    19 s and 30 s; 5 x 25 at order 9 visits 3,850,756 in 42 s and 72 s).
-    ``method="heuristic"`` solves only the multi-start projected-gradient
-    patterns whose bounds, after at most 200 FISTA steps, come within the
-    margin of the best value (so the cap cannot move the report), and
-    upper-bounds the constant (its ``lower_bound`` is 0).
+    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 1.5-2.0 s
+    on two Xeon cores, 2.9-3.1 s on one; 5 x 24 at order 8 visits 1,271,626
+    in 13-17 s and 24-29 s; 5 x 25 at order 9 visits 3,850,756 in 31-38 s
+    and 54-59 s).
+    ``method="heuristic"`` bounds and solves in the same way only the
+    patterns that multi-start projected gradient reaches, and upper-bounds
+    the constant (its ``lower_bound`` is 0).
     """
     _check_count("order", order, high=stacked.num_users)
     if method not in ("exact", "heuristic"):
@@ -444,14 +450,14 @@ def tau_prime_heuristic(stacked: StackedRealMatrix, orders) -> list[SkcReport]:
     run and go through one _pattern_search call, each order a group pruned
     against its own incumbent.  Which rows share a pool fill moves only
     which patterns are pruned, never one that could attain an order's best
-    value (the argument of the 200-step cap), so the reports are the same to
-    the last bit.
+    value (see _pattern_search), so the reports are the same to the last
+    bit.
     """
     for order in orders:
         _check_count("order", order, high=stacked.num_users)
     G = stacked.values.T @ stacked.values
     candidates = _heuristic_candidates(stacked.values, G, orders)
-    searches = _pattern_search(G, itertools.chain.from_iterable(candidates), [len(c) for c in candidates], _HEURISTIC_BOUND_ITERS)
+    searches = _pattern_search(G, itertools.chain.from_iterable(candidates), [len(c) for c in candidates])
     return [_report(order, *best, "heuristic") for order, (best, _) in zip(orders, searches, strict=True)]
 
 

@@ -1,5 +1,6 @@
 """NNLS, relaxed-ML coordinate descent and thresholding detection."""
 
+import contextlib
 import itertools
 import math
 
@@ -16,7 +17,6 @@ from covact import (
     InvalidInput,
     MeasurementOperator,
     MlOptions,
-    NnlsOptions,
     NotConverged,
     NotPositiveDefinite,
     StepRejected,
@@ -65,12 +65,14 @@ def brute_force_nnls(E, d):
     return best[1]
 
 
-def nnls_active_set_reference(E, d, opts):
+def nnls_active_set_reference(E, d):
     """The Lawson-Hanson loop as first written, with index arrays, a masked argmax and norm calls.
 
     _nnls_active_set must return its bits: the same z, residual, KKT residual
-    and iteration count, or NotConverged with the same best iterate.
+    and iteration count, or NotConverged with the same best iterate.  It
+    reads the kernel's budget and KKT tolerance, which tests patch.
     """
+    max_iterations, kkt_tol = estimators._NNLS_MAX_ITERATIONS, estimators._NNLS_KKT_TOL
     n = E.shape[1]
     z = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -80,15 +82,15 @@ def nnls_active_set_reference(E, d, opts):
     best = (resid, z.copy())
     outer = 0
     while True:
-        candidates = ~passive & ~banned & (w > opts.kkt_tol)
+        candidates = ~passive & ~banned & (w > kkt_tol)
         if not candidates.any():
             break
-        if outer >= opts.max_iterations:
+        if outer >= max_iterations:
             raise NotConverged("active-set iteration budget exhausted", z=best[1], residual=best[0])
         outer += 1
         j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
         passive[j] = True
-        for _ in range(opts.max_iterations):
+        for _ in range(max_iterations):
             idx = np.flatnonzero(passive)
             s_passive, *_ = np.linalg.lstsq(E[:, idx], d, rcond=None)
             s = np.zeros(n)
@@ -115,22 +117,30 @@ def nnls_active_set_reference(E, d, opts):
     return z, resid, float(_kkt_violation(-w, z)), outer
 
 
-def _nnls_active_set(E, d, opts):
+@contextlib.contextmanager
+def nnls_budget(max_iterations):
+    """The NNLS kernel's budget of outer steps set to ``max_iterations`` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_NNLS_MAX_ITERATIONS", max_iterations)
+        yield
+
+
+def _nnls_active_set(E, d):
     """The NNLS kernel on a batch of one: (z, residual, kkt_residual, iterations) of data vector d."""
-    (res,) = estimators._nnls_active_set(E, d[None], opts)
+    (res,) = estimators._nnls_active_set(E, d[None])
     return res.z, res.residual, res.kkt_residual, res.iterations
 
 
-def assert_nnls_matches_reference(E, d, opts=NnlsOptions()):
+def assert_nnls_matches_reference(E, d):
     """_nnls_active_set returns the reference's bits, or raises NotConverged with its best iterate."""
     try:
-        expected = nnls_active_set_reference(E, d, opts)
+        expected = nnls_active_set_reference(E, d)
     except NotConverged as exc:
         with pytest.raises(NotConverged) as caught:
-            _nnls_active_set(E, d, opts)
+            _nnls_active_set(E, d)
         assert np.array_equal(caught.value.z, exc.z) and caught.value.residual == exc.residual
         return None
-    z, *rest = _nnls_active_set(E, d, opts)
+    z, *rest = _nnls_active_set(E, d)
     assert np.array_equal(z, expected[0]) and tuple(rest) == expected[1:]
     return expected
 
@@ -191,8 +201,7 @@ class TestNnls:
     def test_kkt_certificate(self, W, seed):
         op = MeasurementOperator(build_gaussian_codebook(3, 10, seed))
         Sigma = HpdMatrix(np.eye(3))
-        opts = NnlsOptions(kkt_tol=1e-9)
-        res = nnls_estimate(op, Sigma, W, opts)
+        res = nnls_estimate(op, Sigma, W)
         assert np.all(res.z >= 0)
         # Recompute the certificate from the stacked problem, independently of the solver.
         E = op.stacked_real().values
@@ -200,7 +209,7 @@ class TestNnls:
         g = E.T @ (E @ res.z - d)
         free = res.z > 1e-12
         worst = max([0.0, *(-g[~free]), *np.abs(g[free])])
-        assert worst <= opts.kkt_tol * 10
+        assert worst <= estimators._NNLS_KKT_TOL * 10
         assert res.kkt_residual == pytest.approx(worst, abs=1e-12)
 
     def test_residual_matches_stacked_objective(self):
@@ -226,8 +235,8 @@ class TestNnls:
         op = MeasurementOperator(build_gaussian_codebook(3, 10, 12))
         Sigma = HpdMatrix(np.eye(3))
         W = random_hermitian(rng, 3, scale=3.0)
-        with pytest.raises(NotConverged) as err:
-            nnls_estimate(op, Sigma, W, NnlsOptions(max_iterations=1))
+        with nnls_budget(max_iterations=1), pytest.raises(NotConverged) as err:
+            nnls_estimate(op, Sigma, W)
         assert err.value.z is not None
         assert err.value.residual is not None
 
@@ -244,7 +253,8 @@ class TestNnls:
         E, d = rng.standard_normal((m, n)), rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
         if parallel and n > 1:
             E[:, 1] = -E[:, 0] * rng.uniform(0.5, 2.0)
-        assert_nnls_matches_reference(E, d, NnlsOptions(max_iterations=max_iterations))
+        with nnls_budget(max_iterations):
+            assert_nnls_matches_reference(E, d)
 
     def test_matches_reference_on_the_panel_operators(self):
         for op, Sigma, W in nnls_instances():
@@ -257,7 +267,7 @@ class TestNnls:
         # coefficient and is banned, so two iterations end with z_1 = 0.
         E = np.array([[1.0, -1.0], [0.0, 1e-16], [0.0, 0.0]])
         z, resid, kkt, iterations = assert_nnls_matches_reference(E, np.array([1.0, 1e8, 0.0]))
-        assert z.tolist() == [1.0, 0.0] and iterations == 2 and kkt > NnlsOptions().kkt_tol
+        assert z.tolist() == [1.0, 0.0] and iterations == 2 and kkt > estimators._NNLS_KKT_TOL
 
     def test_matches_reference_at_zero_data(self):
         E = np.random.default_rng(3).standard_normal((6, 5))
@@ -267,12 +277,13 @@ class TestNnls:
     def test_matches_reference_when_the_budget_runs_out(self):
         rng = np.random.default_rng(11)
         E, d = rng.standard_normal((8, 10)), rng.standard_normal(8)
-        with pytest.raises(NotConverged):
-            _nnls_active_set(E, d, NnlsOptions(max_iterations=1))
-        assert_nnls_matches_reference(E, d, NnlsOptions(max_iterations=1))
+        with nnls_budget(max_iterations=1):
+            with pytest.raises(NotConverged):
+                _nnls_active_set(E, d)
+            assert_nnls_matches_reference(E, d)
 
 
-def assert_batch_matches_reference(E, D, opts):
+def assert_batch_matches_reference(E, D):
     """Every row of one kernel batch returns the reference's bits for that row alone.
 
     If rows exhaust the budget, the batch raises NotConverged for the lowest
@@ -283,18 +294,18 @@ def assert_batch_matches_reference(E, D, opts):
     expected = []
     for d in D:
         try:
-            expected.append(nnls_active_set_reference(E, d, opts))
+            expected.append(nnls_active_set_reference(E, d))
         except NotConverged as exc:
             expected.append(exc)
     failing = [i for i, e in enumerate(expected) if isinstance(e, NotConverged)]
     if failing:
         first = failing[0]
         with pytest.raises(NotConverged, match=f"^trial {first}: active-set iteration budget exhausted$") as caught:
-            estimators._nnls_active_set(E, D, opts)
+            estimators._nnls_active_set(E, D)
         assert np.array_equal(caught.value.z, expected[first].z) and caught.value.residual == expected[first].residual
     rows = [i for i in range(len(D)) if i not in failing]
     if rows:
-        for i, res in zip(rows, estimators._nnls_active_set(E, D[rows], opts)):
+        for i, res in zip(rows, estimators._nnls_active_set(E, D[rows])):
             z, *rest = expected[i]
             assert np.array_equal(res.z, z) and (res.residual, res.kkt_residual, res.iterations) == tuple(rest), i
     return expected
@@ -308,13 +319,14 @@ class TestBatchedNnls:
         E = rng.standard_normal((12, 9))
         D = [E @ (rng.uniform(0.5, 2.0, 9) * (rng.permutation(9) < size)) + 0.01 * rng.standard_normal(12) for size in range(1, 8)]
         D = np.array(D + [np.zeros(12), 10.0 * rng.standard_normal(12), rng.standard_normal(12)])
-        expected = assert_batch_matches_reference(E, D, NnlsOptions())
+        expected = assert_batch_matches_reference(E, D)
         # The rows end on passive sets of several sizes, the zero row without a single iteration.
         assert len({np.count_nonzero(z) for z, *_ in expected}) >= 5
         assert expected[7][1:] == (0.0, 0.0, 0)
         # An outer step adds one passive column, so under a budget of 3 the
         # rows whose solutions have more nonzeros exhaust it; the others finish.
-        capped = assert_batch_matches_reference(E, D, NnlsOptions(max_iterations=3))
+        with nnls_budget(max_iterations=3):
+            capped = assert_batch_matches_reference(E, D)
         exhausted = [isinstance(e, NotConverged) for e in capped]
         assert exhausted == [np.count_nonzero(e[0]) > 3 for e in expected] and 0 < sum(exhausted) < len(D)
 
@@ -323,10 +335,11 @@ class TestBatchedNnls:
         # first row bans column 1, the others never need to.
         E = np.array([[1.0, -1.0], [0.0, 1e-16], [0.0, 0.0]])
         D = np.array([[1.0, 1e8, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [-1.0, 0.0, 3.0], [1.0, 1e8, 0.0]])
-        expected = assert_batch_matches_reference(E, D, NnlsOptions())
+        expected = assert_batch_matches_reference(E, D)
         assert expected[0][0].tolist() == [1.0, 0.0] and expected[0][3] == 2
         # The banning rows need two outer steps; the others finish within one.
-        capped = assert_batch_matches_reference(E, D, NnlsOptions(max_iterations=1))
+        with nnls_budget(max_iterations=1):
+            capped = assert_batch_matches_reference(E, D)
         assert [isinstance(e, NotConverged) for e in capped] == [True, False, False, False, True]
 
     def test_batch_where_a_step_empties_the_passive_set(self):
@@ -340,7 +353,7 @@ class TestBatchedNnls:
             ]
         )
         D = np.array([[1.0829990184383975, -0.6699227899994218], [1.0, 0.0], [0.0, 0.0], [-1.0, 2.0]])
-        expected = assert_batch_matches_reference(E, D, NnlsOptions())
+        expected = assert_batch_matches_reference(E, D)
         assert expected[0][3] == 9
 
     @given(
@@ -358,35 +371,36 @@ class TestBatchedNnls:
         D = np.array([rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4) for _ in range(trials)])
         if parallel and n > 1:
             E[:, 1] = -E[:, 0] * rng.uniform(0.5, 2.0)
-        assert_batch_matches_reference(E, D, NnlsOptions(max_iterations=max_iterations))
+        with nnls_budget(max_iterations):
+            assert_batch_matches_reference(E, D)
 
     @pytest.mark.parametrize("kkt_tol", [1e-11, 1e-6])
-    def test_result_does_not_depend_on_the_batch(self, kkt_tol):
+    def test_result_does_not_depend_on_the_batch(self, monkeypatch, kkt_tol):
+        monkeypatch.setattr(estimators, "_NNLS_KKT_TOL", kkt_tol)
         op, Sigma, Ws, _ = mixed_batch(47)
-        opts = NnlsOptions(kkt_tol=kkt_tol)
-        together = nnls_estimate_batch(op, Sigma, Ws, opts)
+        together = nnls_estimate_batch(op, Sigma, Ws)
         order = np.random.default_rng(48).permutation(len(Ws))
-        shuffled = nnls_estimate_batch(op, Sigma, [Ws[i] for i in order], opts)
+        shuffled = nnls_estimate_batch(op, Sigma, [Ws[i] for i in order])
         for i, j in enumerate(order):
-            for other in (nnls_estimate(op, Sigma, Ws[j], opts), shuffled[i]):
+            for other in (nnls_estimate(op, Sigma, Ws[j]), shuffled[i]):
                 assert np.array_equal(other.z, together[j].z)
                 assert (other.residual, other.kkt_residual, other.iterations) == (
                     together[j].residual, together[j].kkt_residual, together[j].iterations
                 )
 
-    def test_not_converged_names_trial_with_its_best_iterate(self):
+    def test_not_converged_names_trial_with_its_best_iterate(self, monkeypatch):
         # Trials 0 and 1 (one and two active users) finish within a budget
         # of three outer steps; trial 2 (three users and a perturbed
         # covariance) is the first to exhaust it.
         op, Sigma, Ws, _ = mixed_batch(49, trials=4)
-        opts = NnlsOptions(max_iterations=3)
+        monkeypatch.setattr(estimators, "_NNLS_MAX_ITERATIONS", 3)
         for W in Ws[:2]:
-            nnls_estimate(op, Sigma, W, opts)
+            nnls_estimate(op, Sigma, W)
         d = vectorize_hermitian(Ws[2].values - Sigma.values, op.pilot_len)
         with pytest.raises(NotConverged) as expected:
-            nnls_active_set_reference(op.stacked_real().values, d, opts)
+            nnls_active_set_reference(op.stacked_real().values, d)
         with pytest.raises(NotConverged, match="^trial 2: active-set iteration budget exhausted$") as caught:
-            nnls_estimate_batch(op, Sigma, Ws, opts)
+            nnls_estimate_batch(op, Sigma, Ws)
         assert np.array_equal(caught.value.z, expected.value.z)
         assert caught.value.residual == expected.value.residual
 
@@ -588,16 +602,7 @@ class TestCoordinateDescent:
             MlOptions(permutation=perm)
 
     @pytest.mark.parametrize(
-        "options, field",
-        [
-            (lambda: MlOptions(objective_tol=math.nan), "objective_tol"),
-            (lambda: MlOptions(while_iterations=2.5), "while_iterations"),
-            (lambda: NnlsOptions(kkt_tol=math.nan), "kkt_tol"),
-            (lambda: NnlsOptions(max_iterations=0), "max_iterations"),
-            (lambda: MlOptions(objective_tol=math.inf), "objective_tol"),
-            (lambda: NnlsOptions(kkt_tol=math.inf), "kkt_tol"),
-        ],
-        ids=["ml-nan-tol", "ml-fractional-sweeps", "nnls-nan-tol", "nnls-zero-iterations", "ml-inf-tol", "nnls-inf-tol"],
+        "options, field", [(lambda: MlOptions(while_iterations=2.5), "while_iterations")], ids=["ml-fractional-sweeps"]
     )
     def test_options_reject_bad_values(self, options, field):
         with pytest.raises(InvalidInput, match=field):
@@ -756,7 +761,7 @@ def serial_ml(op, Sigma, W, opts):
             sig = fresh_inverse()
         f_new = objective()
         objectives.append(f_new)
-        if f_prev - f_new < opts.objective_tol:
+        if f_prev - f_new < estimators._ML_OBJECTIVE_TOL:
             break
     drift = float(np.linalg.norm(sig @ fit() - np.eye(op.pilot_len)))
     return z, np.asarray(objectives), sweeps, HpdMatrix((sig + sig.conj().T) / 2).values, drift
@@ -764,7 +769,7 @@ def serial_ml(op, Sigma, W, opts):
 
 def mixed_batch(seed, trials=12):
     """Observations and options mixing cold and warm starts, sweep caps,
-    tolerances, exact and perturbed covariances."""
+    exact and perturbed covariances."""
     rng = np.random.default_rng(seed)
     N = 17
     op = MeasurementOperator(build_gaussian_codebook(4, N, seed))
@@ -778,7 +783,6 @@ def mixed_batch(seed, trials=12):
                 permutation=rng.permutation(N),
                 z0=nnls_z(op, Sigma, W) if trial % 2 else None,
                 while_iterations=(60, 30, 9)[trial % 3],
-                objective_tol=(1e-10, 0.0, 1e-6, 1e-10)[trial % 4],
             )
         )
         Ws.append(W)
@@ -801,11 +805,13 @@ class TestBatchedMl:
             assert np.array_equal(trace.sigma_prime.values, sigma_prime)
             assert trace.inverse_drift == drift
             assert trace.kkt_residual == kkt_residual(op, Sigma, W, z)
-            sweeps.append((n_sweeps, o.while_iterations))
-        # The batch holds trials that stop early, pass the refresh and hit their cap.
-        assert any(n < cap for n, cap in sweeps)
-        assert any(n > 25 for n, cap in sweeps)
-        assert any(n == cap for n, cap in sweeps)
+            by_test = objectives[-2] - objectives[-1] < estimators._ML_OBJECTIVE_TOL
+            sweeps.append((n_sweeps, o.while_iterations, by_test))
+        # The batch holds trials that stop by the objective test before their
+        # cap, pass the refresh, and stop at their cap with the test unmet.
+        assert any(by_test and n < cap for n, cap, by_test in sweeps)
+        assert any(n > 25 for n, cap, by_test in sweeps)
+        assert any(n == cap and not by_test for n, cap, by_test in sweeps)
 
     def test_result_does_not_depend_on_the_batch(self):
         op, Sigma, Ws, opts = mixed_batch(43)

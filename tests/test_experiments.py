@@ -18,7 +18,6 @@ from covact import (
     HermitianMatrix,
     InvalidInput,
     MeasurementOperator,
-    NnlsOptions,
     NotConverged,
     SetupFailed,
     build_deterministic_codebook,
@@ -184,7 +183,6 @@ class TestConfig:
             (HermitianMatrix, ([["a"]],)),
             (ml_objective, (SMALL_OP, np.eye(2), np.eye(2), ["a"] * 4)),
             (coordinate_step, (["a", "b"], np.eye(2), np.eye(2), 0.0)),
-            (NnlsOptions, (300, "a")),
             (perturb_hermitian, (np.eye(2), None, 0)),
             (delta_radius, ("nice", "x", BoundInputs(0.5, 2.5, 0.25, 1.0, 0.5, 2, 0.9, 1.0, 1.0), trace_logdet_tuple())),
             (threshold_detect, (np.ones(3), None, {0})),
@@ -193,7 +191,7 @@ class TestConfig:
             (check_sufficiently_convex, (trace_logdet_tuple(), [0.1, 0.2, 0.5, 0.8, 1.0, 1.5, 2.0, 5.0, math.inf])),
         ],
         ids=["codebook-text", "fading_vector-text", "hermitian-text", "ml_objective-text-z", "coordinate_step-text-a_n",
-             "nnls_options-text-kkt_tol", "perturb_hermitian-none-rho", "delta_radius-text-eps", "threshold_detect-none-eps",
+             "perturb_hermitian-none-rho", "delta_radius-text-eps", "threshold_detect-none-eps",
              "threshold_detect-matrix-z", "check_sufficiently_convex-nan-grid", "check_sufficiently_convex-inf-grid"],
     )
     def test_library_arrays_and_magnitudes_must_be_finite_numbers(self, fn, args):
@@ -418,9 +416,9 @@ class TestPanels:
     def test_serial_panel_runs_one_nnls_batch(self, tiny_config, tiny_verified, monkeypatch, run, grid):
         batches, real = [], experiments.nnls_estimate_batch
 
-        def counted(op, Sigma, Ws, opts=None):
+        def counted(op, Sigma, Ws):
             batches.append(len(Ws))
-            return real(op, Sigma, Ws, opts)
+            return real(op, Sigma, Ws)
 
         monkeypatch.setattr(experiments, "nnls_estimate_batch", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -434,10 +432,10 @@ class TestPanels:
         _, failing = experiments._observe(cfg, op, experiments._noise_covariance(cfg), 2, 0, "figure-b", 2, 0)
         z, real = np.arange(cfg.N, dtype=float), experiments.nnls_estimate_batch
 
-        def nnls_failing_at_s2(op, Sigma, Ws, opts=None):
+        def nnls_failing_at_s2(op, Sigma, Ws):
             if any(np.array_equal(W.values, failing.values) for W in Ws):
                 raise NotConverged("NNLS budget spent at S = 2", z=z, residual=0.25)
-            return real(op, Sigma, Ws, opts)
+            return real(op, Sigma, Ws)
 
         # Worker processes are forked, so they inherit both patches.
         monkeypatch.setattr(experiments, "nnls_estimate_batch", nnls_failing_at_s2)

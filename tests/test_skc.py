@@ -223,6 +223,44 @@ class TestBoundAndPrune:
             report = verified.report(order)
             assert report.lower_bound >= 0.999 * report.tau_prime
 
+    @pytest.mark.parametrize("chunk, block", [(10, 64), (50, 1024)])
+    def test_curve_does_not_depend_on_the_bounding_schedule(self, monkeypatch, verified, chunk, block):
+        # Checks every 10 steps in pools of 64, or every 50 in pools of 1024,
+        # prune other patterns at other times; the reports keep their bits.
+        stacked = MeasurementOperator(verified.codebook).stacked_real()
+        monkeypatch.setattr(skc, "_CHUNK", chunk)
+        monkeypatch.setattr(skc, "_BLOCK", block)
+        assert [r.as_text() for r in tau_prime_curve(stacked, 8)] == [r.as_text() for r in verified.reports]
+
+    @pytest.mark.parametrize("M,N,max_order,seed", CASES)
+    def test_bracket_comes_from_the_exact_solves(self, monkeypatch, M, N, max_order, seed):
+        # Each size's lower bound is the smallest Frank-Wolfe bound at the
+        # exact minimizers of the solved patterns, less the margin; every
+        # pattern within the margin of the size's minimum is solved, and the
+        # smallest bound is taken at one of them.  Each solved pattern's
+        # bound is its value to within the margin.
+        G = stacked_for(build_gaussian_codebook(M, N, seed).columns).values
+        G = G.T @ G
+        margin = skc._rounding_margin(G)
+        for size in range(max_order + 1):
+            solved = {}
+
+            def spy(G, sig):
+                val, v = _pattern_minimum(G, sig)
+                solved[tuple(np.flatnonzero(sig < 0))] = (val, 2.0 * float((sig * (G @ v)).min()) - val)
+                return val, v
+
+            monkeypatch.setattr(skc, "_pattern_minimum", spy)
+            _, lower = skc._size_search(G, size)
+            monkeypatch.undo()
+            bound = {J: e for J, (_, e) in solved.items()}
+            assert lower == min(bound.values()) - margin
+            assert all(abs(val - e) <= margin for val, e in solved.values())
+            minima = {J: _pattern_minimum(G, sign_row(N, J))[0] for J in itertools.combinations(range(N), size)}
+            near = {J for J, val in minima.items() if val <= min(minima.values()) + margin}
+            assert near <= set(solved)
+            assert min(bound, key=bound.get) in near
+
     def test_verified_curve_bits(self, verified):
         # The published codebook (seed 2024, draw 3) has a one-dimensional
         # kernel; its certified bracket for orders 1..8 is pinned bit for bit.
