@@ -9,11 +9,13 @@ flipping the signs of the J columns turns each piece into the probability
 simplex, on which the squared objective is a convex quadratic.
 
 The exact method bounds and prunes every sign pattern with |J| <= S.
-Accelerated projected gradient (FISTA, with sort-based simplex projection)
-runs for at most 200 steps over a pool of patterns of one size, refilled
-from the enumeration as patterns finish, and gives each pattern the
-Frank-Wolfe lower bound f(u) + min g - g^T u at the best multiple c u of
-its iterate u, which is min(g)^2 / (4 f(u)) when min g >= 0.  Patterns are
+Accelerated projected gradient (FISTA) runs for at most 200 steps over a
+pool of patterns of one size, refilled from the enumeration as patterns
+finish, on each pattern's nonnegative form min w^T Q w - 2 sum(w) over
+w >= 0, minimized by the simplex minimizer over its value (Bomze 1998), so
+no step projects onto the simplex.  Each pattern takes the Frank-Wolfe
+lower bound f(u) + min g - g^T u at the best multiple c u of its iterate
+u = w / sum(w), which is min(g)^2 / (4 f(u)) when min g >= 0.  Patterns are
 then solved exactly by an active-set loop in ascending order of that bound
 until the next bound exceeds the smallest value reached so far by a
 floating-point margin, so the minimizer, its value and its witness are
@@ -55,7 +57,8 @@ WITNESS_ZERO_TOL = 1e-10
 SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
 # Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
-# pattern's bounds every _CHUNK of its iterations and stops it after _MAX_ITERS.
+# pattern's bounds every _CHUNK of its iterations and stops it before a check
+# past _MAX_ITERS.
 _BLOCK = 512
 _CHUNK = 25
 _MAX_ITERS = 200
@@ -190,29 +193,6 @@ def _split_witness(v):
     return np.maximum(v, 0.0), np.maximum(-v, 0.0)
 
 
-def _project_simplex(V):
-    """Euclidean projection of every row of V onto the probability simplex.
-
-    Sort-based: the row's threshold is the largest (sum of its k largest
-    entries - 1) / k over k, and the projection is max(V - threshold, 0).
-    The maximum runs down the columns of the transposed sorted array; so do
-    the in-order running sums from 128 rows on, where one add per column
-    beats cumsum's one call per row.  The bits do not depend on the route.
-    """
-    minus_top_sums = np.negative(V)
-    minus_top_sums.sort(axis=1)
-    minus_top_sums = minus_top_sums.T.copy()
-    if V.shape[0] >= 128:
-        for prev, row in zip(minus_top_sums[:-1], minus_top_sums[1:]):
-            row += prev
-    else:
-        np.cumsum(minus_top_sums, axis=0, out=minus_top_sums)
-    minus_top_sums += 1.0
-    minus_top_sums /= np.arange(1.0, V.shape[1] + 1)[:, None]
-    out = V + minus_top_sums.min(axis=0)[:, None]
-    return np.maximum(out, 0.0, out=out)
-
-
 def _rounding_margin(G):
     """Covers the rounding of computed bounds and QP values (u^T Q u and 2 Q u at ||u||_1 = 1).
 
@@ -250,49 +230,62 @@ def _fista_bounds(G, patterns, sizes, margin):
     smallest value u^T Q u any iterate of the group reached) and, keyed by
     pattern index, the sign rows s of the patterns not pruned.  A pool of up
     to _BLOCK patterns iterates as one array, each row with its own step
-    count and momentum; every _CHUNK steps a row takes the larger of its
-    bound so far and _iterate_bounds at its iterate u (the Frank-Wolfe bound
-    at the best multiple of u), and it leaves once that bound exceeds its
-    group's incumbent plus ``margin`` (pruned), its value f = u^T Q u falls
-    within it (it can no longer be pruned) or after _MAX_ITERS steps, the
-    next patterns taking its place.  No pruned bound sets a lower_bound.
+    count and momentum, by FISTA on min w^T Q w - 2 sum(w) over w >= 0,
+    which the simplex minimizer u* of value f* > 0 scales to u* / f*
+    (Bomze 1998), from the centre of the simplex at its best multiple.
+    Every _CHUNK steps a row takes the larger of its bound so far and
+    _iterate_bounds at u = w / sum(w) and moves to the best multiple u / f
+    of u, f = u^T Q u, unless f <= 0 (a kernel pattern, where the form is
+    unbounded); it leaves once that bound exceeds its group's incumbent
+    plus ``margin`` (pruned), its value f falls within it (it can no longer
+    be pruned) or before a check past _MAX_ITERS, the next patterns taking
+    its place.  No pruned bound sets a lower_bound.
     """
     n = G.shape[0]
-    # Step length 1 / (2 lam) on the gradient 2 Q y; lam is the largest eigenvalue of G.
-    G_step = G / max(float(np.linalg.eigvalsh(G)[-1]), 1e-30)
+    # Step length 1 / (2 lam) on the gradient 2 Q y - 2; lam is the largest eigenvalue of G.
+    G_step = G / (lam := max(float(np.linalg.eigvalsh(G)[-1]), 1e-30))
     ends = np.cumsum(sizes, dtype=np.intp)
     incumbent = np.full(ends.size, math.inf)
     patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [np.empty(0, dtype=np.intp)], [np.empty(0)], {}
     idx = steps = np.empty(0, dtype=np.intp)
     lower = upper = np.empty(0)
-    s = u = y = np.empty((0, n))
+    s = w = y = np.empty((0, n))
     while (fresh := list(itertools.islice(patterns, _BLOCK - idx.size))) or idx.size:
         if fresh:
             signs = np.ones((m := len(fresh), n))
             rows = np.repeat(np.arange(m), [len(J) for J in fresh])
             signs[rows, np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=rows.size)] = -1.0
             start, far = np.full((m, n), 1.0 / n), np.full(m, np.inf)
+            f = _iterate_bounds(G, signs, start, margin)[0]
+            start /= np.where(f > 0, f, 1.0)[:, None]
             added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), -far, far, signs, start, start)
-            idx, steps, lower, upper, s, u, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, upper, s, u, y), added))
+            idx, steps, lower, upper, s, w, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, upper, s, w, y), added))
             count += m
-        # u_next = P(y - s * ((s * y) @ G_step)), y = u_next + w * (u_next - u), in reused buffers.
+        # w_next = max(y - s * ((s * y) @ G_step) + 1 / lam, 0), y = w_next + k * (w_next - w), in two swapped buffers.
         sy, step = np.empty_like(y), np.empty_like(y)
-        for w in _MOMENTUM[steps + np.arange(_CHUNK)[:, None], None]:
+        for k in _MOMENTUM[steps + np.arange(_CHUNK)[:, None], None]:
             np.matmul(np.multiply(s, y, out=sy), G_step, out=step)
-            u_next = _project_simplex(np.subtract(y, np.multiply(s, step, out=step), out=step))
-            np.add(u_next, np.multiply(w, np.subtract(u_next, u, out=u), out=u), out=y)
-            u = u_next
+            np.subtract(y, np.multiply(s, step, out=step), out=step)
+            np.maximum(np.add(step, 1.0 / lam, out=step), 0.0, out=step)
+            np.add(step, np.multiply(k, np.subtract(step, w, out=w), out=w), out=y)
+            w, step = step, w
         steps += _CHUNK
-        f, bound = _iterate_bounds(G, s, u, margin)
+        # Read each row at u = w / sum(w) (a row at w = 0 at the centre of the simplex) and move
+        # it to u / f, the best multiple of u, unless sum(w) f <= 0.
+        total = w.sum(axis=1, keepdims=True)
+        f, bound = _iterate_bounds(G, s, np.divide(w, total, out=np.full_like(w, 1.0 / n), where=total > 0), margin)
+        ray = total * f[:, None]
+        ray[ray <= 0] = 1.0
+        w, y = w / ray, y / ray
         lower, upper = np.maximum(lower, bound), np.minimum(upper, f)
         group = np.searchsorted(ends, idx, side="right")
         np.minimum.at(incumbent, group, f)
         cut = incumbent[group] + margin
-        live = (lower <= cut) & (upper > cut) & (steps < _MAX_ITERS)
+        live = (lower <= cut) & (upper > cut) & (steps + _CHUNK <= _MAX_ITERS)
         done_idx.append(idx[~live])
         done_lower.append(lower[~live])
         kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= cut)))
-        idx, steps, lower, upper, s, u, y = (a[live] for a in (idx, steps, lower, upper, s, u, y))
+        idx, steps, lower, upper, s, w, y = (a[live] for a in (idx, steps, lower, upper, s, w, y))
     bounds = np.empty(count)
     bounds[np.concatenate(done_idx)] = np.concatenate(done_lower)
     return bounds, kept, incumbent
@@ -427,10 +420,10 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
     when the patterns it visits, sum_{s <= order} C(n, s), exceed
-    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 1.5-2.0 s
-    on two Xeon cores, 2.9-3.1 s on one; 5 x 24 at order 8 visits 1,271,626
-    in 13-17 s and 24-29 s; 5 x 25 at order 9 visits 3,850,756 in 31-38 s
-    and 54-59 s).
+    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 1.0-1.4 s
+    on two Xeon cores, 1.6-2.7 s on one; 5 x 24 at order 8 visits 1,271,626
+    in 9.3-9.7 s and 14-15 s; 5 x 25 at order 9 visits 3,850,756 in 23-25 s
+    and 40-44 s).
     ``method="heuristic"`` bounds and solves in the same way only the
     patterns that multi-start projected gradient reaches, and upper-bounds
     the constant (its ``lower_bound`` is 0).

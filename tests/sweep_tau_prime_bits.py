@@ -14,10 +14,14 @@ Two sweeps over Gaussian codebooks, each printing its counts:
   (``skc._CHUNK``, ``skc._BLOCK``) set to (10, 64) and (50, 1024) must equal
   those at the default (25, 512).
 
-Exits 1 on any mismatch and prints the time taken, under two minutes on
-one CPU.
+The SHA-256 of every ``as_text()`` report the sweeps compute, in the order
+they compute them, is pinned as REPORTS_SHA256, so a change to the search
+that moved every schedule alike would still be caught.  Exits 1 on any
+mismatch or on another digest, and prints the time taken, under two
+minutes on one CPU.
 """
 
+import hashlib
 import sys
 import time
 
@@ -25,6 +29,16 @@ from covact import MeasurementOperator, build_gaussian_codebook, skc
 from covact.channel import stream
 
 DEFAULT_SCHEDULE = (skc._CHUNK, skc._BLOCK)
+REPORTS_SHA256 = "1c81453e70b7284b6d03ccfb8be986774898f2093d36f05643c49a2c1cd33c52"
+REPORTS = hashlib.sha256()
+
+
+def texts(reports):
+    """The as_text() of each report, each also fed to REPORTS."""
+    out = [report.as_text() for report in reports]
+    for text in out:
+        REPORTS.update(text.encode())
+    return out
 
 
 def stacked_draw(M, N, seed, draw):
@@ -34,11 +48,11 @@ def stacked_draw(M, N, seed, draw):
 def heuristic_mismatches(M, N, seed, draw, orders, blocks):
     """Reports compared and the (setting, order) pairs whose one-call report differs from the one-order report."""
     stacked = stacked_draw(M, N, seed, draw)
-    single = [skc.tau_prime(stacked, order, method="heuristic").as_text() for order in orders]
+    single = texts(skc.tau_prime(stacked, order, method="heuristic") for order in orders)
     bad = []
     for block in blocks:
         skc._BLOCK = block
-        together = [report.as_text() for report in skc.tau_prime_heuristic(stacked, orders)]
+        together = texts(skc.tau_prime_heuristic(stacked, orders))
         bad += [(f"draw {draw}, block {block}", order) for order, a, b in zip(orders, single, together) if a != b]
     skc._CHUNK, skc._BLOCK = DEFAULT_SCHEDULE
     return len(orders) * len(blocks), bad
@@ -47,11 +61,11 @@ def heuristic_mismatches(M, N, seed, draw, orders, blocks):
 def exact_mismatches(M, N, seed, max_order, schedules):
     """Reports compared and the (setting, order) pairs whose curve report differs from the default schedule's."""
     stacked = stacked_draw(M, N, seed, 0)
-    default = [report.as_text() for report in skc.tau_prime_curve(stacked, max_order)]
+    default = texts(skc.tau_prime_curve(stacked, max_order))
     bad = []
     for schedule in schedules:
         skc._CHUNK, skc._BLOCK = schedule
-        curve = [report.as_text() for report in skc.tau_prime_curve(stacked, max_order)]
+        curve = texts(skc.tau_prime_curve(stacked, max_order))
         bad += [("chunk %d, block %d" % schedule, order) for order, (a, b) in enumerate(zip(default, curve), start=1) if a != b]
     skc._CHUNK, skc._BLOCK = DEFAULT_SCHEDULE
     return max_order * (1 + len(schedules)), bad
@@ -82,6 +96,9 @@ def main():
         for where in bad:
             print("  mismatch (shape, seed, setting, order):", where)
         failed |= bool(bad)
+    digest = REPORTS.hexdigest()
+    print(f"reports digest {digest}: {'pinned' if digest == REPORTS_SHA256 else 'differs from the pinned ' + REPORTS_SHA256}")
+    failed |= digest != REPORTS_SHA256
     print(f"took {time.perf_counter() - started:.1f} s")
     return 1 if failed else 0
 

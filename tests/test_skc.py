@@ -1,5 +1,6 @@
 """Robustness constant, signed kernel condition and adversarial witnesses."""
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -28,9 +29,7 @@ from covact import (
 from covact import skc
 from covact.channel import stream
 from covact.experiments import _kernel_vector
-from covact.skc import SKC_ZERO_TOL, _pattern_minimum, _project_simplex, _simplex_qp, _split_witness
-
-from conftest import real_vectors
+from covact.skc import SKC_ZERO_TOL, _pattern_minimum, _simplex_qp, _split_witness
 
 
 def stacked_for(columns):
@@ -96,13 +95,6 @@ def qp_calls(monkeypatch):
     return calls
 
 
-def simplex_projection_reference(V):
-    """Row-wise sort-based projection: running sums and minima along each row."""
-    minus_top_sums = np.cumsum(np.sort(-V, axis=1), axis=1)
-    theta = -((minus_top_sums + 1.0) / np.arange(1, V.shape[1] + 1)).min(axis=1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
 def sign_row(n, J):
     """The +-1 row of length n with negatives on the flip indices J."""
     sig = np.ones(n)
@@ -131,6 +123,9 @@ def full_enumeration(stacked, max_order):
 TIES = np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex)
 
 
+# Warnings are errors: a kernel pattern drives a row's value to 0, where its
+# nonnegative form is unbounded, and that must produce no NaN, inf or warning.
+@pytest.mark.filterwarnings("error")
 class TestBoundAndPrune:
     # (M, N, max_order, seed); N = M^2 + 1 gives a one-dimensional kernel.
     CASES = [(2, 5, 4, 1), (2, 5, 4, 2), (3, 10, 5, 3), (3, 10, 5, 4), (2, 6, 4, 5), (3, 8, 4, 6), (4, 12, 4, 7)]
@@ -191,6 +186,24 @@ class TestBoundAndPrune:
         # Every pattern the search may solve keeps its sign row.
         assert set(np.flatnonzero(bounds <= incumbent + margin)) <= set(kept)
         assert all(tuple(np.flatnonzero(kept[i] < 0)) == patterns[i] for i in kept)
+
+    def test_row_whose_value_rounds_to_zero_keeps_finite_bounds(self):
+        # With two equal columns, flipping one puts the centre of the simplex in
+        # the kernel: that row's value is 0 at every iterate, so it is never
+        # rescaled, while the unflipped row (value 1 everywhere) is pruned.
+        G = np.ones((2, 2))
+        bounds, kept, incumbent = skc._fista_bounds(G, [(), (1,)], [2], skc._rounding_margin(G))
+        assert bounds.tolist() == [1.0, 0.0]
+        assert incumbent.tolist() == [0.0]
+        assert list(kept) == [1]
+
+    def test_check_interval_need_not_divide_the_step_cap(self, monkeypatch):
+        # Checked every 30 steps, a row stops at 180 of the 200 allowed, as a
+        # further check would pass the cap.
+        stacked = stacked_for(build_gaussian_codebook(3, 10, 3).columns)
+        default = [report.as_text() for report in tau_prime_curve(stacked, 4)]
+        monkeypatch.setattr(skc, "_CHUNK", 30)
+        assert [report.as_text() for report in tau_prime_curve(stacked, 4)] == default
 
     def test_budget_counts_visited_patterns(self, monkeypatch):
         # Sizes 0..5 of N = 10 are 638 patterns; the full sign enumeration's
@@ -273,31 +286,6 @@ class TestBoundAndPrune:
             "0x1.3c99ab2e94a93p-2", "0x1.963d79e9b87f5p-3", "0x1.0130ca466e942p-3", "0x1.0d6cd7382fb85p-5",
             "0x1.0d02fd7649b01p-6", "0x1.40d3b536ab1c7p-7", "0x1.0ce1ebdd5a968p-8", "0x0.0p+0",
         ]
-
-    @given(real_vectors(6))
-    def test_simplex_projection(self, v):
-        u = _project_simplex(v[None, :])[0]
-        assert u.min() >= 0.0
-        assert u.sum() == pytest.approx(1.0, abs=1e-12)
-        # u = max(v - theta, 0) with one threshold theta for every coordinate.
-        theta = v[u > 0] - u[u > 0]
-        np.testing.assert_allclose(theta, theta[0], atol=1e-12)
-        assert np.all(v[u == 0] <= theta[0] + 1e-12)
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(1, 200), st.integers(1, 20)),
-            elements=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.25, -1.0])),
-        ).map(lambda V: np.vstack([V, V[:1]]))
-    )
-    @example(np.array([[3.0], [-2.0], [0.0]]))
-    @example(np.array([[0.5, 0.5, 0.5, -1.0], [0.5, 0.5, 0.5, -1.0], [2.0, 2.0, 0.0, 0.0]]))
-    @example(np.random.default_rng(0).standard_normal((300, 17)))
-    def test_simplex_projection_matches_row_reference(self, V):
-        # Few and many rows (the running sums take two routes), n = 1, tied
-        # entries and equal rows.
-        assert np.array_equal(_project_simplex(V), simplex_projection_reference(V))
 
 
 def serial_candidates(B, S, seed, n_starts=48, iters=200):
@@ -607,6 +595,92 @@ class TestExactOracle:
         assert Fraction(float(bound[0])) <= exact_pattern_minimum(exact_gram(stacked), sig) + Fraction(margin)
         qu = sig * ((sig * u[None]) @ G)
         assert bound[0] >= 2.0 * qu.min() - f[0]
+
+
+def check_certificate(G, reports, masks, U):
+    """Check an exact tau' curve against iterates U[i] >= 0 of the sign patterns with flip-index bitmasks masks[i].
+
+    Shares no code with the search.  Every pattern of size <= the last order
+    needs an iterate; at each, the Frank-Wolfe bound on its minimum over the
+    simplex, max(2 m - f, m^2 / f) with m = min(Q u) and f = u^T Q u, is
+    recomputed in float64 with m lowered and f raised by the rounding
+    allowance gamma_(n+2) |u|^T |G| of Q u (Higham, Thm 3.5), and the bound
+    less a few eps for its own arithmetic.  Each order's claimed
+    lower_bound^2 must not exceed the smallest bound over its sizes (or 0,
+    as G is positive semidefinite), and its witness must have at most
+    ``order`` negatives and attain its tau_prime within the allowance.
+    """
+    n, eps = G.shape[0], np.finfo(float).eps
+    gamma = (n + 2) * eps / (1 - (n + 2) * eps)
+    S = 1.0 - 2.0 * ((masks[:, None] >> np.arange(n)) & 1)
+    qu, slack = S * ((S * U) @ G), gamma * (U @ np.abs(G))
+    m, f = (qu - slack).min(axis=1), np.einsum("ij,ij->i", U, qu + 2.0 * slack)
+    bound = np.maximum(2.0 * m - f, np.maximum(m, 0.0) ** 2 / f) - 4.0 * eps * (2.0 * np.abs(m) + f)
+    patterns = np.array(sorted(sum(1 << j for j in J) for k in range(reports[-1].order + 1) for J in itertools.combinations(range(n), k)))
+    best = np.full(patterns.size, -np.inf)
+    np.maximum.at(best, np.searchsorted(patterns, masks), bound)
+    assert np.all(best > -np.inf), "a sign pattern has no iterate"
+    size_min = np.minimum.accumulate([best[np.bitwise_count(patterns) == k].min() for k in range(reports[-1].order + 1)])
+    for report, low in zip(reports, size_min[1:], strict=True):
+        assert Fraction(max(float(low), 0.0)) >= Fraction(report.lower_bound) ** 2, f"a bound of order {report.order} is below lower_bound^2"
+        assert np.count_nonzero(report.witness_x) <= report.order, f"the witness of order {report.order} has too many negatives"
+        v = report.witness_z - report.witness_x
+        value, allowance = v @ G @ v / np.abs(v).sum() ** 2, 4.0 * gamma * (np.abs(v) @ np.abs(G) @ np.abs(v)) / np.abs(v).sum() ** 2
+        assert abs(value - report.tau_prime**2) <= allowance + 4.0 * eps * value, f"the witness of order {report.order} does not attain tau_prime"
+
+
+@pytest.fixture(scope="module")
+def certificate(verified):
+    """G, the published curve recomputed in this process, and one iterate per pattern: its exact minimizer if solved, else its best-bound iterate."""
+    stacked = MeasurementOperator(verified.codebook).stacked_real()
+    G, n, rows = stacked.values.T @ stacked.values, stacked.num_users, []
+    iterate_bounds, pattern_minimum = skc._iterate_bounds, skc._pattern_minimum
+
+    def spy_bounds(G, s, u, margin):
+        f, bound = iterate_bounds(G, s, u, margin)
+        rows.append(((s < 0) @ (1 << np.arange(n)), bound, u.copy()))
+        return f, bound
+
+    def spy_minimum(G, sig):
+        val, v = pattern_minimum(G, sig)
+        rows.append(((sig[None] < 0) @ (1 << np.arange(n)), np.array([np.inf]), np.abs(v)[None]))
+        return val, v
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        patch.setattr(skc, "_iterate_bounds", spy_bounds)
+        patch.setattr(skc, "_pattern_minimum", spy_minimum)
+        reports = tau_prime_curve(stacked, 8)
+    assert [r.as_text() for r in reports] == [r.as_text() for r in verified.reports]
+    masks, bounds, U = (np.concatenate(column) for column in zip(*rows))
+    order = np.lexsort((bounds, masks))
+    last = np.r_[masks[order][1:] != masks[order][:-1], True]
+    return G, reports, masks[order][last], U[order][last]
+
+
+class TestIndependentChecker:
+    def test_published_curve_passes(self, certificate):
+        G, reports, masks, U = certificate
+        assert masks.size == 2**16
+        check_certificate(G, reports, masks, U)
+
+    def test_rejects_a_dropped_pattern(self, certificate):
+        G, reports, masks, U = certificate
+        with pytest.raises(AssertionError, match="no iterate"):
+            check_certificate(G, reports, masks[masks != masks[1000]], U[masks != masks[1000]])
+
+    def test_rejects_a_bound_below_the_claim(self, certificate):
+        # The order-1 minimizer's pattern, read at the centre of the simplex.
+        G, reports, masks, U = certificate
+        J = (reports[0].witness_x > 0) @ (1 << np.arange(G.shape[0]))
+        with pytest.raises(AssertionError, match="order 1 is below"):
+            check_certificate(G, reports, masks, np.where((masks == J)[:, None], 1.0 / G.shape[0], U))
+
+    def test_rejects_a_witness_with_too_many_negatives(self, certificate):
+        G, reports, masks, U = certificate
+        x = reports[0].witness_x + 1e-300 * (reports[0].witness_z == 0)
+        with pytest.raises(AssertionError, match="too many negatives"):
+            check_certificate(G, [dataclasses.replace(reports[0], witness_x=x), *reports[1:]], masks, U)
 
 
 class TestAdversarial:
