@@ -8,28 +8,26 @@ exactly a vector with at most S negative entries, so after normalizing
 flipping the signs of the J columns turns each piece into the probability
 simplex, on which the squared objective is a convex quadratic.
 
-The exact method bounds and prunes every sign pattern with |J| <= S.
-Accelerated projected gradient (FISTA) runs for at most 200 steps over a
-pool of patterns of one size, refilled from the enumeration as patterns
-finish, on each pattern's nonnegative form min w^T Q w - 2 sum(w) over
-w >= 0, minimized by the simplex minimizer over its value (Bomze 1998), so
-no step projects onto the simplex.  Each pattern takes the Frank-Wolfe
-lower bound f(u) + min g - g^T u at the best multiple c u of its iterate
-u = w / sum(w), which is min(g)^2 / (4 f(u)) when min g >= 0.  Patterns are
-then solved exactly by an active-set loop in ascending order of that bound
-until the next bound exceeds the smallest value reached so far by a
-floating-point margin, so the minimizer, its value and its witness are
-those of the full enumeration.  The bracket lower_bound <= tau' is read off
-the exact solves of the near-minimal patterns, which every schedule of the
-pool solves (see _pattern_search), so no step cap or pruning time moves a
-bit.  Each size |J| is searched on its own, in worker processes where the
-process may use more CPUs, and the sizes are folded in order: the bits do
-not depend on the number of processes.  The heuristic passes only the sign
-patterns that multi-start projected gradient reaches to the same
-bound-and-solve step, so its value is an upper bound on the constant (its
-lower_bound is 0); the starts of all orders asked for iterate as one array,
-and their candidates go through one bound-and-solve call, each order a
-group with its own incumbent, which keeps the bits of one call per order.
+The exact method bounds every sign pattern with |J| <= S by accelerated
+projected gradient (FISTA, at most 200 steps, over a refilled pool of
+patterns of one size) on its nonnegative form min w^T Q w - 2 sum(w) over
+w >= 0, which the simplex minimizer over its value solves (Bomze 1998), so
+no step projects onto the simplex.  FISTA runs on a spectral minorant M of
+G = B^T B that keeps the eigenvalues below lam_max / 8 and lowers the
+others to the smallest of them, so its steps are up to 8 times longer; as
+0 <= M <= G + a I for a certified allowance a, the Frank-Wolfe bound at the
+best multiple of an iterate on M, less a, bounds the pattern's minimum on G.  Patterns are then
+solved exactly by an active-set loop in ascending bound order until the
+next bound exceeds the smallest value reached so far by a floating-point
+margin, so the minimizer, its value, its witness and the bracket
+lower_bound <= tau', read off the exact solves, do not depend on the
+bounding schedule (see _pattern_search).  Each size |J| is searched on its
+own, in worker processes where the process may use more CPUs, and the
+sizes are folded in order: the bits do not depend on the number of
+processes.  The heuristic passes only the sign patterns that multi-start
+projected gradient reaches to the same bound-and-solve step, one group per
+order with its own incumbent, so its value is an upper bound on the
+constant (its lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -222,6 +220,24 @@ def _iterate_bounds(G, s, u, margin):
     return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
 
 
+def _minorant(G):
+    """Spectral minorant M of G and an allowance a, with 0 <= M <= G + a I as quadratic forms.
+
+    M = V diag(mu) V^T + t I for G = V diag(lam) V^T and mu = lam clipped to
+    [0, lam_r], r the first index with lam_r >= lam_max / 8.  The shift
+    t = 2 gamma_(n+2) sum(mu) exceeds the rounding of V diag(mu) V^T, so M >= 0;
+    a is twice the norms of t, that rounding, min(lam_1, 0) and the residual
+    G - V diag(lam) V^T (its Frobenius norm plus gamma (sum |lam| + ||G||_F)).
+    """
+    n, eps = G.shape[0], np.finfo(float).eps
+    gamma = (n + 2) * eps / (1 - (n + 2) * eps)
+    lam, V = np.linalg.eigh(G)
+    mu = np.clip(lam, 0.0, lam[np.argmax(lam >= lam[-1] / 8)])
+    M, shift = (V * mu) @ V.T, 2.0 * gamma * mu.sum()
+    residual = np.linalg.norm(G - (V * lam) @ V.T) + gamma * (np.abs(lam).sum() + np.linalg.norm(G))
+    return (M + M.T) / 2 + shift * np.eye(n), 2.0 * (residual + 2.0 * shift + max(-lam[0], 0.0))
+
+
 def _fista_bounds(G, patterns, sizes, margin):
     """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
 
@@ -230,20 +246,20 @@ def _fista_bounds(G, patterns, sizes, margin):
     smallest value u^T Q u any iterate of the group reached) and, keyed by
     pattern index, the sign rows s of the patterns not pruned.  A pool of up
     to _BLOCK patterns iterates as one array, each row with its own step
-    count and momentum, by FISTA on min w^T Q w - 2 sum(w) over w >= 0,
-    which the simplex minimizer u* of value f* > 0 scales to u* / f*
-    (Bomze 1998), from the centre of the simplex at its best multiple.
-    Every _CHUNK steps a row takes the larger of its bound so far and
-    _iterate_bounds at u = w / sum(w) and moves to the best multiple u / f
-    of u, f = u^T Q u, unless f <= 0 (a kernel pattern, where the form is
-    unbounded); it leaves once that bound exceeds its group's incumbent
-    plus ``margin`` (pruned), its value f falls within it (it can no longer
-    be pruned) or before a check past _MAX_ITERS, the next patterns taking
-    its place.  No pruned bound sets a lower_bound.
+    count and momentum, by FISTA on min w^T Q_M w - 2 sum(w) over w >= 0,
+    Q_M = diag(s) M diag(s) for the minorant (M, a), from the centre of the
+    simplex at its best multiple.  Every _CHUNK steps a row takes the larger
+    of its bound so far and the _iterate_bounds bound of Q_M at
+    u = w / sum(w) less a, moves to u / f_M, f_M = u^T Q_M u, unless
+    f_M <= 0, and leaves once that bound exceeds its group's incumbent plus
+    ``margin`` (pruned), its value u^T Q u falls within it (it can no longer
+    be pruned) or before a check past _MAX_ITERS.  No pruned bound sets a
+    lower_bound.
     """
     n = G.shape[0]
-    # Step length 1 / (2 lam) on the gradient 2 Q y - 2; lam is the largest eigenvalue of G.
-    G_step = G / (lam := max(float(np.linalg.eigvalsh(G)[-1]), 1e-30))
+    M, allowance = _minorant(G)
+    # Step length 1 / (2 lam) on the gradient 2 Q_M y - 2; lam is the largest eigenvalue of M.
+    M_step = M / (lam := max(float(np.linalg.eigvalsh(M)[-1]), 1e-30))
     ends = np.cumsum(sizes, dtype=np.intp)
     incumbent = np.full(ends.size, math.inf)
     patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [np.empty(0, dtype=np.intp)], [np.empty(0)], {}
@@ -256,30 +272,32 @@ def _fista_bounds(G, patterns, sizes, margin):
             rows = np.repeat(np.arange(m), [len(J) for J in fresh])
             signs[rows, np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=rows.size)] = -1.0
             start, far = np.full((m, n), 1.0 / n), np.full(m, np.inf)
-            f = _iterate_bounds(G, signs, start, margin)[0]
+            f = _iterate_bounds(M, signs, start, margin)[0]
             start /= np.where(f > 0, f, 1.0)[:, None]
             added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), -far, far, signs, start, start)
             idx, steps, lower, upper, s, w, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, upper, s, w, y), added))
             count += m
-        # w_next = max(y - s * ((s * y) @ G_step) + 1 / lam, 0), y = w_next + k * (w_next - w), in two swapped buffers.
+        # w_next = max(y - s * ((s * y) @ M_step) + 1 / lam, 0), y = w_next + k * (w_next - w), in two swapped buffers.
         sy, step = np.empty_like(y), np.empty_like(y)
         for k in _MOMENTUM[steps + np.arange(_CHUNK)[:, None], None]:
-            np.matmul(np.multiply(s, y, out=sy), G_step, out=step)
+            np.matmul(np.multiply(s, y, out=sy), M_step, out=step)
             np.subtract(y, np.multiply(s, step, out=step), out=step)
             np.maximum(np.add(step, 1.0 / lam, out=step), 0.0, out=step)
             np.add(step, np.multiply(k, np.subtract(step, w, out=w), out=w), out=y)
             w, step = step, w
         steps += _CHUNK
         # Read each row at u = w / sum(w) (a row at w = 0 at the centre of the simplex) and move
-        # it to u / f, the best multiple of u, unless sum(w) f <= 0.
+        # it to u / f_M, the best multiple of u, unless sum(w) f_M <= 0.
         total = w.sum(axis=1, keepdims=True)
-        f, bound = _iterate_bounds(G, s, np.divide(w, total, out=np.full_like(w, 1.0 / n), where=total > 0), margin)
+        u = np.divide(w, total, out=np.full_like(w, 1.0 / n), where=total > 0)
+        f, bound = _iterate_bounds(M, s, u, margin)
         ray = total * f[:, None]
         ray[ray <= 0] = 1.0
         w, y = w / ray, y / ray
-        lower, upper = np.maximum(lower, bound), np.minimum(upper, f)
+        value = np.einsum("ij,ij->i", u, s * ((s * u) @ G))
+        lower, upper = np.maximum(lower, bound - allowance), np.minimum(upper, value)
         group = np.searchsorted(ends, idx, side="right")
-        np.minimum.at(incumbent, group, f)
+        np.minimum.at(incumbent, group, value)
         cut = incumbent[group] + margin
         live = (lower <= cut) & (upper > cut) & (steps + _CHUNK <= _MAX_ITERS)
         done_idx.append(idx[~live])
@@ -306,9 +324,10 @@ def _pattern_search(G, patterns, sizes):
     the Frank-Wolfe bound 2 min(s * (G v)) - val at its exact minimizer v.
     That lower bound on the group's minimum holds despite rounding, and no
     pool path moves it:
-    - an unsolved pattern's FISTA bound, at most its minimum plus 3 rho,
-      passes the final incumbent plus the margin, so every pattern within
-      13 rho of the incumbent (the minimizer and its ties) is solved;
+    - an unsolved pattern's FISTA bound, at most its minimum on M plus
+      3 rho less a, so its minimum plus 3 rho, passes the final incumbent
+      plus the margin, so every pattern within 13 rho of the incumbent (the
+      minimizer and its ties) is solved;
     - the minimizer's bound is at most its value plus 3 rho (min(Q u) <=
       u^T Q u on the simplex), within 5 rho of the incumbent, so the
       smallest bound is an exact solve's;
@@ -420,10 +439,10 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
     when the patterns it visits, sum_{s <= order} C(n, s), exceed
-    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 1.0-1.4 s
-    on two Xeon cores, 1.6-2.7 s on one; 5 x 24 at order 8 visits 1,271,626
-    in 9.3-9.7 s and 14-15 s; 5 x 25 at order 9 visits 3,850,756 in 23-25 s
-    and 40-44 s).
+    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 0.7 s on
+    two Xeon cores, 1.1-1.3 s on one; 5 x 24 at order 8 visits 1,271,626
+    in 4.4-4.9 s and 7.7-8.0 s; 5 x 25 at order 9 visits 3,850,756 in
+    14-17 s and 23 s).
     ``method="heuristic"`` bounds and solves in the same way only the
     patterns that multi-start projected gradient reaches, and upper-bounds
     the constant (its ``lower_bound`` is 0).

@@ -16,9 +16,11 @@ Two sweeps over Gaussian codebooks, each printing its counts:
 
 The SHA-256 of every ``as_text()`` report the sweeps compute, in the order
 they compute them, is pinned as REPORTS_SHA256, so a change to the search
-that moved every schedule alike would still be caught.  Exits 1 on any
-mismatch or on another digest, and prints the time taken, under two
-minutes on one CPU.
+that moved every schedule alike would still be caught.  The digest was
+recorded before the patterns were bounded on a spectral minorant of G:
+like the schedules, the minorant only decides which farther patterns are
+also solved, and moves no bit.  Exits 1 on any mismatch or on another
+digest, and prints the time taken, under two minutes on one CPU.
 """
 
 import hashlib

@@ -123,8 +123,9 @@ def full_enumeration(stacked, max_order):
 TIES = np.array([[2, 0, 3, 1, 2, 0], [2, 2, 3, -1, -2, 3]], dtype=complex)
 
 
-# Warnings are errors: a kernel pattern drives a row's value to 0, where its
-# nonnegative form is unbounded, and that must produce no NaN, inf or warning.
+# Warnings are errors: a kernel pattern drives a row's value to 0, and its value
+# on the minorant of G to about the minorant's shift, where its nonnegative form
+# is unbounded or nearly so, and that must produce no NaN, inf or warning.
 @pytest.mark.filterwarnings("error")
 class TestBoundAndPrune:
     # (M, N, max_order, seed); N = M^2 + 1 gives a one-dimensional kernel.
@@ -187,11 +188,21 @@ class TestBoundAndPrune:
         assert set(np.flatnonzero(bounds <= incumbent + margin)) <= set(kept)
         assert all(tuple(np.flatnonzero(kept[i] < 0)) == patterns[i] for i in kept)
 
-    def test_row_whose_value_rounds_to_zero_keeps_finite_bounds(self):
+    def test_row_whose_value_rounds_to_zero_keeps_finite_bounds(self, monkeypatch):
         # With two equal columns, flipping one puts the centre of the simplex in
-        # the kernel: that row's value is 0 at every iterate, so it is never
-        # rescaled, while the unflipped row (value 1 everywhere) is pruned.
+        # the kernel: that row's value is 0 at every iterate, while the unflipped
+        # row (value 1 everywhere) is pruned.  Both rows iterate on the minorant
+        # M, whose equal diagonal keeps them at the centre, where each bound is
+        # (Q_M 1/2)_0 less the allowance: (M_00 +- M_01) / 2 - a, exactly.
         G = np.ones((2, 2))
+        M, a = skc._minorant(G)
+        bounds, kept, incumbent = skc._fista_bounds(G, [(), (1,)], [2], skc._rounding_margin(G))
+        assert bounds.tolist() == [(M[0, 0] + M[0, 1]) / 2 - a, (M[0, 0] - M[0, 1]) / 2 - a]
+        assert incumbent.tolist() == [0.0]
+        assert list(kept) == [1]
+        # A minorant whose value f_M rounds to 0 on a row (here M = G, a = 0) must
+        # leave that row unscaled, with no NaN, inf or warning.
+        monkeypatch.setattr(skc, "_minorant", lambda G: (G, 0.0))
         bounds, kept, incumbent = skc._fista_bounds(G, [(), (1,)], [2], skc._rounding_margin(G))
         assert bounds.tolist() == [1.0, 0.0]
         assert incumbent.tolist() == [0.0]
@@ -592,30 +603,83 @@ class TestExactOracle:
             # Off the simplex: the bounds hold at any u >= 0.
             u *= scale
         f, bound = skc._iterate_bounds(G, sig[None], u[None], margin)
-        assert Fraction(float(bound[0])) <= exact_pattern_minimum(exact_gram(stacked), sig) + Fraction(margin)
+        exact = exact_pattern_minimum(exact_gram(stacked), sig)
+        assert Fraction(float(bound[0])) <= exact + Fraction(margin)
         qu = sig * ((sig * u[None]) @ G)
         assert bound[0] >= 2.0 * qu.min() - f[0]
+        # The same holds for the bound on the spectral minorant of G, less its allowance.
+        assert_minorant_bound_is_below(G, sig, u, exact)
+
+    @pytest.mark.parametrize("G", [np.ones((2, 2)), np.array([[0.3]])], ids=["ones-2x2", "1x1"])
+    def test_minorant_of_small_grams(self, G):
+        n = G.shape[0]
+        for J in (J for k in range(n + 1) for J in itertools.combinations(range(n), k)):
+            sig = sign_row(n, J)
+            assert_minorant_bound_is_below(G, sig, np.full(n, 1.0 / n), exact_pattern_minimum([[Fraction(x) for x in row] for row in G.tolist()], sig))
 
 
-def check_certificate(G, reports, masks, U):
+def assert_minorant_bound_is_below(G, sig, u, exact):
+    """0 <= M <= G + a I exactly, and the bound on M at u less a is at most the pattern's exact minimum plus the margin."""
+    M, a = skc._minorant(G)
+    assert minorant_facts(G, M, a) == (True, True)
+    bound = skc._iterate_bounds(M, sig[None], u[None], margin := skc._rounding_margin(G))[1][0] - a
+    assert Fraction(float(bound)) <= exact + Fraction(margin)
+
+
+def exact_psd(A):
+    """Whether the symmetric Fraction matrix A is positive semidefinite, by rational LDL^T.
+
+    Each pivot must be >= 0, and a zero pivot's column below it zero; the
+    Schur complement of a positive pivot is then eliminated exactly.
+    """
+    A, n = [row[:] for row in A], len(A)
+    for k in range(n):
+        if A[k][k] < 0 or (A[k][k] == 0 and any(A[i][k] for i in range(k + 1, n))):
+            return False
+        for i in range(k + 1, n):
+            if A[i][k]:
+                factor = A[i][k] / A[k][k]
+                A[i][k + 1 :] = [x - factor * y for x, y in zip(A[i][k + 1 :], A[k][k + 1 :])]
+    return True
+
+
+def minorant_facts(G, M, a):
+    """Whether M >= 0 and whether G - M + a I >= 0, both in exact arithmetic on the float entries."""
+    M = [[Fraction(x) for x in row] for row in M.tolist()]
+    gap = [[Fraction(g) - m + (Fraction(a) if i == j else 0) for j, (g, m) in enumerate(zip(g_row, m_row))] for i, (g_row, m_row) in enumerate(zip(G.tolist(), M))]
+    return exact_psd(M), exact_psd(gap)
+
+
+def check_certificate(G, M, a, reports, masks, U):
     """Check an exact tau' curve against iterates U[i] >= 0 of the sign patterns with flip-index bitmasks masks[i].
 
-    Shares no code with the search.  Every pattern of size <= the last order
-    needs an iterate; at each, the Frank-Wolfe bound on its minimum over the
-    simplex, max(2 m - f, m^2 / f) with m = min(Q u) and f = u^T Q u, is
-    recomputed in float64 with m lowered and f raised by the rounding
-    allowance gamma_(n+2) |u|^T |G| of Q u (Higham, Thm 3.5), and the bound
-    less a few eps for its own arithmetic.  Each order's claimed
-    lower_bound^2 must not exceed the smallest bound over its sizes (or 0,
-    as G is positive semidefinite), and its witness must have at most
-    ``order`` negatives and attain its tau_prime within the allowance.
+    Shares no code with the search.  The minorant must satisfy
+    0 <= M <= G + a I, checked in Fractions, so that a bound on min v^T Q_M v
+    over the simplex, Q_M = diag(s) M diag(s), less a bounds min v^T Q v
+    (|v|_2 <= |v|_1 = 1).  Every pattern of size <= the last order needs an
+    iterate; at each, the Frank-Wolfe bound on its minimum over the simplex,
+    max(2 m - f, m^2 / f) with m = min(Q u) and f = u^T Q u, is recomputed in
+    float64 for G and for M with m lowered and f raised by the rounding
+    allowance gamma_(n+2) |u|^T |A| of Q u for that matrix A (Higham, Thm
+    3.5), and less a few eps for its own arithmetic; M's bound less a, and
+    the larger of the two is kept.  Each order's claimed lower_bound^2 must
+    not exceed the smallest bound over its sizes (or 0, as G is positive
+    semidefinite), and its witness must have at most ``order`` negatives and
+    attain its tau_prime within the allowance.
     """
     n, eps = G.shape[0], np.finfo(float).eps
+    positive, below = minorant_facts(G, M, a)
+    assert positive, "the minorant is not positive semidefinite"
+    assert below, "the minorant is not below G + a I"
     gamma = (n + 2) * eps / (1 - (n + 2) * eps)
     S = 1.0 - 2.0 * ((masks[:, None] >> np.arange(n)) & 1)
-    qu, slack = S * ((S * U) @ G), gamma * (U @ np.abs(G))
-    m, f = (qu - slack).min(axis=1), np.einsum("ij,ij->i", U, qu + 2.0 * slack)
-    bound = np.maximum(2.0 * m - f, np.maximum(m, 0.0) ** 2 / f) - 4.0 * eps * (2.0 * np.abs(m) + f)
+
+    def bounds(A, allowance):
+        qu, slack = S * ((S * U) @ A), gamma * (U @ np.abs(A))
+        m, f = (qu - slack).min(axis=1), np.einsum("ij,ij->i", U, qu + 2.0 * slack)
+        return np.maximum(2.0 * m - f, np.maximum(m, 0.0) ** 2 / f) - allowance - 4.0 * eps * (2.0 * np.abs(m) + f + allowance)
+
+    bound = np.maximum(bounds(G, 0.0), bounds(M, a))
     patterns = np.array(sorted(sum(1 << j for j in J) for k in range(reports[-1].order + 1) for J in itertools.combinations(range(n), k)))
     best = np.full(patterns.size, -np.inf)
     np.maximum.at(best, np.searchsorted(patterns, masks), bound)
@@ -631,13 +695,20 @@ def check_certificate(G, reports, masks, U):
 
 @pytest.fixture(scope="module")
 def certificate(verified):
-    """G, the published curve recomputed in this process, and one iterate per pattern: its exact minimizer if solved, else its best-bound iterate."""
-    stacked = MeasurementOperator(verified.codebook).stacked_real()
-    G, n, rows = stacked.values.T @ stacked.values, stacked.num_users, []
-    iterate_bounds, pattern_minimum = skc._iterate_bounds, skc._pattern_minimum
+    """G, the minorant (M, a) the search bounded on, the published curve recomputed in this process, and one iterate per pattern.
 
-    def spy_bounds(G, s, u, margin):
-        f, bound = iterate_bounds(G, s, u, margin)
+    A pattern's iterate is its exact minimizer if solved, else the iterate of its best minorant bound.
+    """
+    stacked = MeasurementOperator(verified.codebook).stacked_real()
+    G, n, rows, minorants = stacked.values.T @ stacked.values, stacked.num_users, [], []
+    minorant, iterate_bounds, pattern_minimum = skc._minorant, skc._iterate_bounds, skc._pattern_minimum
+
+    def spy_minorant(G):
+        minorants.append(minorant(G))
+        return minorants[-1]
+
+    def spy_bounds(M, s, u, margin):
+        f, bound = iterate_bounds(M, s, u, margin)
         rows.append(((s < 0) @ (1 << np.arange(n)), bound, u.copy()))
         return f, bound
 
@@ -648,39 +719,52 @@ def certificate(verified):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        patch.setattr(skc, "_minorant", spy_minorant)
         patch.setattr(skc, "_iterate_bounds", spy_bounds)
         patch.setattr(skc, "_pattern_minimum", spy_minimum)
         reports = tau_prime_curve(stacked, 8)
     assert [r.as_text() for r in reports] == [r.as_text() for r in verified.reports]
+    (M, a), *others = minorants
+    assert all(np.array_equal(M, other) and a == other_a for other, other_a in others)
     masks, bounds, U = (np.concatenate(column) for column in zip(*rows))
     order = np.lexsort((bounds, masks))
     last = np.r_[masks[order][1:] != masks[order][:-1], True]
-    return G, reports, masks[order][last], U[order][last]
+    return G, M, a, reports, masks[order][last], U[order][last]
 
 
 class TestIndependentChecker:
     def test_published_curve_passes(self, certificate):
-        G, reports, masks, U = certificate
+        G, M, a, reports, masks, U = certificate
         assert masks.size == 2**16
-        check_certificate(G, reports, masks, U)
+        check_certificate(G, M, a, reports, masks, U)
 
     def test_rejects_a_dropped_pattern(self, certificate):
-        G, reports, masks, U = certificate
+        G, M, a, reports, masks, U = certificate
         with pytest.raises(AssertionError, match="no iterate"):
-            check_certificate(G, reports, masks[masks != masks[1000]], U[masks != masks[1000]])
+            check_certificate(G, M, a, reports, masks[masks != masks[1000]], U[masks != masks[1000]])
 
     def test_rejects_a_bound_below_the_claim(self, certificate):
         # The order-1 minimizer's pattern, read at the centre of the simplex.
-        G, reports, masks, U = certificate
+        G, M, a, reports, masks, U = certificate
         J = (reports[0].witness_x > 0) @ (1 << np.arange(G.shape[0]))
         with pytest.raises(AssertionError, match="order 1 is below"):
-            check_certificate(G, reports, masks, np.where((masks == J)[:, None], 1.0 / G.shape[0], U))
+            check_certificate(G, M, a, reports, masks, np.where((masks == J)[:, None], 1.0 / G.shape[0], U))
 
     def test_rejects_a_witness_with_too_many_negatives(self, certificate):
-        G, reports, masks, U = certificate
+        G, M, a, reports, masks, U = certificate
         x = reports[0].witness_x + 1e-300 * (reports[0].witness_z == 0)
         with pytest.raises(AssertionError, match="too many negatives"):
-            check_certificate(G, [dataclasses.replace(reports[0], witness_x=x), *reports[1:]], masks, U)
+            check_certificate(G, M, a, [dataclasses.replace(reports[0], witness_x=x), *reports[1:]], masks, U)
+
+    @pytest.mark.parametrize("sign, message", [(1.0, "not below G"), (-1.0, "not positive semidefinite")])
+    def test_rejects_a_minorant_moved_by_its_top_eigenvalue(self, certificate, sign, message):
+        # M + lam_r e_0 e_0^T rises above G in the directions M shares with G's
+        # smallest eigenvectors; M - lam_r e_0 e_0^T falls below 0 along e_0.
+        G, M, a, reports, masks, U = certificate
+        raised = M.copy()
+        raised[0, 0] += sign * np.linalg.eigvalsh(M)[-1]
+        with pytest.raises(AssertionError, match=message):
+            check_certificate(G, raised, a, reports, masks, U)
 
 
 class TestAdversarial:
