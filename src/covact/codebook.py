@@ -178,8 +178,13 @@ def vectorize_hermitian(H, M: int) -> np.ndarray:
     herm = HermitianMatrix(H)
     if herm.dim != M:
         raise InvalidInput(f"expected dimension {M}, got {herm.dim}")
-    flat = herm.values.reshape(M * M, order="F")
-    return np.concatenate([flat.real, flat.imag])
+    return _vectorize(herm.values)
+
+
+def _vectorize(H) -> np.ndarray:
+    """vectorize_hermitian of each matrix of a stack (..., M, M), without its checks."""
+    flat = np.swapaxes(H, -1, -2).reshape(*H.shape[:-2], -1)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def save_codebook_csv(codebook: Codebook, path) -> None:

@@ -115,14 +115,18 @@ def _checked_array(name: str, values, dtype, shape: tuple, copy=False) -> np.nda
     """values as a finite ndarray of ``dtype`` (a fresh copy if ``copy``) with one axis per entry of ``shape``.
 
     An int entry of ``shape`` fixes the length of its axis; None admits any length of at least 1.  A failed
-    conversion, other axes or a non-finite entry raises InvalidInput naming ``name``.
+    conversion, complex entries for a real ``dtype``, other axes or a non-finite entry raises InvalidInput
+    naming ``name``.
     """
     try:
-        arr = (np.array if copy else np.asarray)(values, dtype=dtype)
+        complex_entries = dtype is not complex and np.iscomplexobj(values)
+        arr = None if complex_entries else (np.array if copy else np.asarray)(values, dtype=dtype)
     except (TypeError, ValueError):
         got = f"a non-numeric {type(values).__name__}"
     else:
-        if arr.ndim != len(shape) or arr.size == 0 or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+        if complex_entries:
+            got = "complex entries"
+        elif arr.ndim != len(shape) or arr.size == 0 or any(n is not None and n != m for n, m in zip(shape, arr.shape)):
             got = f"shape {arr.shape}"
         elif not np.isfinite(arr).all():
             got = "a non-finite entry"

@@ -19,8 +19,8 @@ for one system, with its cutoff and its mapping of a failed SVD to
 LinAlgError; a test pins it to the public function's bits.  The public
 single-trial functions (nnls_estimate, ml_objective, coordinate_step,
 sherman_morrison_update, ml_coordinate_descent, kkt_residual) are batches of
-one of the same kernels.  Inputs are checked once per observation at the
-public entry, never inside the loops.  The solvers' budgets and tolerances
+one of the same kernels.  Inputs are checked once per batch at the public
+entry, as stacks, never inside the loops.  The solvers' budgets and tolerances
 are module constants, one value each; the options of a call are only the
 ML start, visiting order and sweep cap.
 """
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .codebook import MeasurementOperator, vectorize_hermitian
+from .codebook import MeasurementOperator, _vectorize
 from .config import _check_count, _check_real, _checked_array, _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
-from .hermitian import HermitianMatrix, HpdMatrix, as_hpd
+from .hermitian import HermitianMatrix, HpdMatrix, _require_hpd, as_hpd
 
 # Sweeps between from-scratch recomputations of the tracked ML inverse, and
 # the least objective gain of a sweep that lets the descent go on.
@@ -87,11 +87,14 @@ class MlOptions:
 
 @dataclass(frozen=True, eq=False)
 class MlTrace:
-    """Per-sweep objective values and the final state."""
+    """Per-sweep objective values and the final state.
+
+    ``sigma_prime`` is the tracked inverse, symmetrized and checked by HpdMatrix's rule, as a read-only array.
+    """
 
     objectives: np.ndarray
     z: np.ndarray
-    sigma_prime: HpdMatrix
+    sigma_prime: np.ndarray
     kkt_residual: float
     inverse_drift: float
     sweeps: int
@@ -114,22 +117,26 @@ class DetectionResult:
         return self.largest == self.true_support
 
 
-def _boundary(op: MeasurementOperator, Sigma, W, z=None):
-    """Checked inputs of one estimator call: (HpdMatrix, HermitianMatrix, z).
+def _boundary(op: MeasurementOperator, Sigma, Ws, zs=None):
+    """Checked inputs of one estimator batch: (HpdMatrix, (T, M, M) stack of W, (T, N) stack of z or None).
 
-    Sigma and W must be pilot_len square; a given z must be a finite,
-    nonnegative vector of length num_users and comes back as a fresh float
-    copy (None stays None).
+    Sigma and each W must be pilot_len square; the Ws come back as HermitianMatrix
+    would symmetrize them, the zs (finite, nonnegative) as a fresh float stack.
+    An empty batch checks Sigma only.
     """
     spd = as_hpd(Sigma)
-    wherm = HermitianMatrix(W)
-    if spd.dim != op.pilot_len or wherm.dim != op.pilot_len:
+    M = op.pilot_len
+    Ws = [W.values if isinstance(W, HermitianMatrix) else W for W in Ws]
+    if spd.dim != M or any(isinstance(W, np.ndarray) and W.shape != (M, M) for W in Ws):
         raise InvalidInput("Sigma and W must match the pilot length")
-    if z is not None:
-        z = _checked_array("z", z, float, (op.num_users,), copy=True)
-        if (z < 0).any():
+    if not Ws:
+        return spd, None, None
+    W = _checked_array("W", Ws, complex, (len(Ws), M, M))
+    if zs is not None:
+        zs = _checked_array("z", zs, float, (len(Ws), op.num_users), copy=True)
+        if (zs < 0).any():
             raise InvalidInput("z entries must be nonnegative")
-    return spd, wherm, z
+    return spd, (W + _ht(W)) / 2, zs
 
 
 def _kkt_violation(g, z):
@@ -277,9 +284,8 @@ def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws) -> list[NnlsResult]:
     a batch of one would.  NotConverged names the trial by its index in
     ``Ws``.
     """
-    spd = as_hpd(Sigma)
-    D = [vectorize_hermitian(_boundary(op, spd, W)[1].values - spd.values, op.pilot_len) for W in Ws]
-    return _nnls_active_set(op.stacked_real().values, np.array(D)) if Ws else []
+    spd, W, _ = _boundary(op, Sigma, Ws)
+    return _nnls_active_set(op.stacked_real().values, _vectorize(W - spd.values)) if Ws else []
 
 
 def _ht(X):
@@ -346,8 +352,8 @@ def _rank_one(S, u, uh, q, t, ids):
 
 def ml_objective(op: MeasurementOperator, Sigma, W, z) -> float:
     """Evaluate trace((A(z) + Sigma)^-1 W) + ln det(A(z) + Sigma)."""
-    spd, wherm, z = _boundary(op, Sigma, W, z)
-    return float(_objectives((spd.values + op._apply(z))[None], wherm.values[None], _ONE)[0])
+    spd, W, z = _boundary(op, Sigma, [W], [z])
+    return float(_objectives(spd.values + op._apply(z), W, _ONE)[0])
 
 
 def _checked_column(a_n, S):
@@ -406,24 +412,17 @@ def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, opts) -> lis
     if len(Ws) != len(opts):
         raise InvalidInput(f"{len(Ws)} observations but {len(opts)} option sets")
     N = op.num_users
-    spd = as_hpd(Sigma)
-    Wv, z = [], []
-    for i, (W, o) in enumerate(zip(Ws, opts)):
-        _, wherm, z0 = _boundary(op, spd, W, np.zeros(N) if o.z0 is None else o.z0)
-        if o.permutation is not None and o.permutation.size != N:
-            raise InvalidInput(f"trial {i}: permutation length does not match the number of users")
-        Wv.append(wherm.values)
-        z.append(z0)
+    perms = [np.arange(N) if o.permutation is None else o.permutation for o in opts]
+    if bad := [i for i, perm in enumerate(perms) if perm.size != N]:
+        raise InvalidInput(f"trial {bad[0]}: permutation length does not match the number of users")
+    spd, Wv, z = _boundary(op, Sigma, Ws, [np.zeros(N) if o.z0 is None else o.z0 for o in opts])
     if not Ws:
         return []
-    Wv = np.array(Wv)
     lam_min = np.linalg.eigvalsh(Wv)[:, 0]
     if lam_min.min() < -1e-10:
         i = int(np.argmax(lam_min < -1e-10))
         raise InvalidInput(f"trial {i}: W has a negative eigenvalue {lam_min[i]:.3e}")
-    perms = np.array([np.arange(N) if o.permutation is None else o.permutation for o in opts])
-    caps = np.array([o.while_iterations for o in opts])
-    return _descend(op, spd.values, Wv, np.array(z), perms, caps)
+    return _descend(op, spd.values, Wv, z, np.array(perms), np.array([o.while_iterations for o in opts]))
 
 
 def _descend(op, Sv, Wv, z, perms, caps) -> list[MlTrace]:
@@ -467,15 +466,14 @@ def _descend(op, Sv, Wv, z, perms, caps) -> list[MlTrace]:
         z_done, S_done, Z_done = z[done], S[done], Z[done]
         kkt = _kkt(A, Z_done, Wv[done], z_done, ids[done])
         drift = S_done @ Z_done - np.eye(len(Sv))
+        sigma_prime = (S_done + _ht(S_done)) / 2
+        _require_hpd(sigma_prime, [f"trial {i}: tracked inverse: " for i in ids[done]])
+        sigma_prime.setflags(write=False)
         for j, i in enumerate(ids[done]):
-            try:
-                sigma_prime = HpdMatrix(S_done[j])
-            except NotPositiveDefinite as exc:
-                raise NotPositiveDefinite(f"trial {i}: tracked inverse: {exc}") from None
             traces[i] = MlTrace(
                 objectives=np.asarray(history[i]),
                 z=z_done[j],
-                sigma_prime=sigma_prime,
+                sigma_prime=sigma_prime[j],
                 kkt_residual=float(kkt[j]),
                 inverse_drift=float(np.linalg.norm(drift[j])),
                 sweeps=sweeps,
@@ -495,9 +493,8 @@ def kkt_residual(op: MeasurementOperator, Sigma, W, z) -> float:
     within 1e-12) contribute the negative part of the derivative, free ones
     its magnitude; the residual is the maximum over all coordinates.
     """
-    spd, wherm, z = _boundary(op, Sigma, W, z)
-    Z = spd.values + op._apply(z)
-    return float(_kkt(op.codebook.columns, Z[None], wherm.values[None], z[None], _ONE)[0])
+    spd, W, z = _boundary(op, Sigma, [W], [z])
+    return float(_kkt(op.codebook.columns, spd.values + op._apply(z), W, z, _ONE)[0])
 
 
 def threshold_detect(z, eps: float, true_support) -> DetectionResult:

@@ -299,19 +299,11 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
         sup_diag=float(np.real(np.diag(X)).max()),
     )
     tup = trace_logdet_tuple()
-    rows = []
-    for eps in cfg.bounds_eps_grid:
-        rows.append(
-            (
-                eps,
-                delta_radius("nice", eps, inputs, tup),
-                delta_radius("convex", eps, inputs, tup),
-                delta_radius("tld", eps, inputs, tup),
-                delta_radius("skc", eps, inputs, tup),
-                k0_antennas("nnls", eps, inputs, tup),
-                k0_antennas("ml", eps, inputs, tup),
-            )
-        )
+    rows = [
+        (eps, *(delta_radius(kind, eps, inputs, tup) for kind in ("nice", "convex", "tld", "skc")),
+         *(k0_antennas(estimator, eps, inputs, tup) for estimator in ("nnls", "ml")))
+        for eps in cfg.bounds_eps_grid
+    ]
     header = ["eps", "delta_nice", "delta_c", "delta_tld", "delta_skc", "k0_nnls", "k0_ml"]
     return _emit(cfg, header, rows)
 
@@ -340,9 +332,7 @@ def linear_fit_r2(x, y) -> float:
     pred = np.polyval(coeffs, x)
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot
+    return 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
 
 def parse_csv(text: str):

@@ -183,8 +183,7 @@ def check_sufficiently_convex(tup: PenaltyTuple, grid) -> PenaltyCheckReport:
 
 def gsum_objective(Z, W, tup: PenaltyTuple) -> float:
     """Sum of the penalty over the eigenvalues of W^(1/2) Z^(-1) W^(1/2)."""
-    zpd = as_hpd(Z)
-    wpd = as_hpd(W)
+    zpd, wpd = as_hpd(Z), as_hpd(W)
     if zpd.dim != wpd.dim:
         raise InvalidInput("Z and W must have equal dimensions")
     root = hpd_sqrt(wpd).values
@@ -204,8 +203,7 @@ def level_set_bound_check(Z, W, gamma: float, tup: PenaltyTuple, dual: bool = Fa
     responsible for membership itself (gsum_objective(Z, W, tup) <= gamma).
     """
     _check_real("gamma", gamma)
-    zpd = as_hpd(Z)
-    wpd = as_hpd(W)
+    zpd, wpd = as_hpd(Z), as_hpd(W)
     if zpd.dim != wpd.dim:
         raise InvalidInput("Z and W must have equal dimensions")
     M = zpd.dim

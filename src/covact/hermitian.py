@@ -51,27 +51,33 @@ class HermitianMatrix:
 class HpdMatrix(HermitianMatrix):
     """A Hermitian positive definite matrix.
 
-    Construction verifies that the smallest eigenvalue exceeds
-    ``HPD_TOL_FACTOR * max(1, ||H||_{2->2})``.
+    Construction verifies that the smallest eigenvalue reaches
+    ``HPD_TOL_FACTOR * max(1, ||H||_{2->2})`` (see _require_hpd).
     """
 
     __slots__ = ()
 
     def __init__(self, values):
         super().__init__(values)
-        lam = np.linalg.eigvalsh(self.values)
-        tol = HPD_TOL_FACTOR * max(1.0, float(np.abs(lam).max()))
-        if lam[0] < tol:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lam[0]:.3e} is below the HPD tolerance {tol:.3e}"
-            )
+        _require_hpd(self.values[None], [""])
+
+
+def _require_hpd(stack, prefixes):
+    """Raise NotPositiveDefinite unless each Hermitian H of the stack (T, M, M) passes HpdMatrix's test.
+
+    The smallest eigenvalue must reach HPD_TOL_FACTOR * max(1, ||H||_{2->2}); the message of the first
+    failing slice k starts with ``prefixes[k]``, and a non-finite slice fails.
+    """
+    lam = np.linalg.eigvalsh(stack)
+    tol = HPD_TOL_FACTOR * np.maximum(1.0, np.abs(lam).max(axis=-1))
+    if not (lam[:, 0] >= tol).all():
+        k = int(np.argmin(lam[:, 0] >= tol))
+        raise NotPositiveDefinite(f"{prefixes[k]}smallest eigenvalue {lam[k, 0]:.3e} is below the HPD tolerance {tol[k]:.3e}")
 
 
 def as_hpd(values) -> HpdMatrix:
     """Coerce an array or matrix wrapper into an HpdMatrix; an HpdMatrix skips the eigenvalue check."""
-    if isinstance(values, HpdMatrix):
-        return values
-    return HpdMatrix(values)
+    return values if isinstance(values, HpdMatrix) else HpdMatrix(values)
 
 
 def operator_norm(H) -> float:

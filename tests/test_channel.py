@@ -270,3 +270,7 @@ class TestFadingVector:
     def test_rejects_excess_support(self):
         with pytest.raises(InvalidInput):
             FadingVector(np.array([0.5, 0.1, 0.2]), 2)
+
+    def test_rejects_complex_entries(self):
+        with pytest.raises(InvalidInput, match="got complex entries"):
+            FadingVector(np.array([0.5 + 0.5j, 0.0]), 1)

@@ -160,6 +160,11 @@ class TestMeasurementOperator:
         with pytest.raises(InvalidInput):
             op.apply_raw(np.zeros(5))
 
+    def test_rejects_complex_coefficients(self, op):
+        # Converting to float would drop the imaginary parts.
+        with pytest.raises(InvalidInput, match="got complex entries"):
+            op.apply_raw(np.array([1 + 5j, 0, 0, 0, 0, 0]))
+
     def test_adjoint_identity_entries(self, op):
         adj = op.adjoint(HermitianMatrix(np.eye(3)))
         np.testing.assert_allclose(adj, np.linalg.norm(op.codebook.columns, axis=0) ** 2, atol=1e-12)

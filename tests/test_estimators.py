@@ -510,6 +510,7 @@ class TestBoundary:
             np.array([0, np.inf, 0, 0, 0]),
             np.zeros(4),
             np.zeros((1, 5)),
+            np.array([0, 0, 0.5j, 0, 0]),
         ],
     )
     def test_bad_coefficients(self, entry, z):
@@ -522,6 +523,62 @@ class TestBoundary:
         z0 = np.zeros(5)
         ml_coordinate_descent(op, HpdMatrix(np.eye(3)), HermitianMatrix(2.0 * np.eye(3)), MlOptions(z0=z0))
         assert np.all(z0 == 0)
+
+
+class TestBatchBoundary:
+    """The batches check all their observations and starts at once; a bad one fails the batch wherever it sits."""
+
+    BATCHES = {
+        "nnls_estimate_batch": lambda op, Sigma, Ws: nnls_estimate_batch(op, Sigma, Ws),
+        "ml_coordinate_descent_batch": lambda op, Sigma, Ws: ml_coordinate_descent_batch(op, Sigma, Ws, [MlOptions()] * len(Ws)),
+    }
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "bad_W",
+        [np.eye(2), np.eye(3)[:, :2], np.ones(3), np.diag([1.0, np.nan, 1.0]), np.diag([1.0, 1.0, np.inf])],
+    )
+    def test_rejects_a_bad_observation_anywhere(self, batch, position, bad_W):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
+        Ws = [HermitianMatrix(2.0 * np.eye(3)), 2.0 * np.eye(3)] * 2 + [HermitianMatrix(3.0 * np.eye(3))]
+        Ws[position] = bad_W
+        with pytest.raises(InvalidInput):
+            self.BATCHES[batch](op, HpdMatrix(np.eye(3)), Ws)
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad_z0", [np.array([0.1, 0, 0, 0, -0.1]), np.array([0, 0, np.nan, 0, 0])])
+    def test_rejects_a_bad_start_anywhere(self, position, bad_z0):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
+        z0s = [None, np.zeros(5), None, np.full(5, 0.1), None]
+        z0s[position] = bad_z0
+        with pytest.raises(InvalidInput, match="z entries must be nonnegative|z must be a finite float array"):
+            ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), [2.0 * np.eye(3)] * 5, [MlOptions(z0=z0) for z0 in z0s])
+
+    def test_plain_arrays_give_the_bits_of_wrapped_ones(self):
+        # Observations that are not exactly Hermitian are symmetrized once for
+        # the whole batch, with the bits HermitianMatrix gives each of them.
+        op, Sigma, Ws, opts = mixed_batch(50)
+        rng = np.random.default_rng(51)
+        plain = [W.values + 1e-9 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) for W in Ws]
+        assert not any(np.array_equal(P, P.conj().T) for P in plain)
+        wrapped = [HermitianMatrix(P) for P in plain]
+        for a, b in zip(nnls_estimate_batch(op, Sigma, plain), nnls_estimate_batch(op, Sigma, wrapped)):
+            assert np.array_equal(a.z, b.z) and (a.residual, a.kkt_residual, a.iterations) == (b.residual, b.kkt_residual, b.iterations)
+        for a, b in zip(ml_coordinate_descent_batch(op, Sigma, plain, opts), ml_coordinate_descent_batch(op, Sigma, wrapped, opts)):
+            assert np.array_equal(a.z, b.z) and np.array_equal(a.objectives, b.objectives)
+            assert np.array_equal(a.sigma_prime, b.sigma_prime)
+            assert (a.sweeps, a.kkt_residual, a.inverse_drift) == (b.sweeps, b.kkt_residual, b.inverse_drift)
+        for P, H in zip(plain, wrapped):
+            assert ml_objective(op, Sigma, P, np.ones(17)) == ml_objective(op, Sigma, H, np.ones(17))
+            assert kkt_residual(op, Sigma, P, np.ones(17)) == kkt_residual(op, Sigma, H, np.ones(17))
+
+    def test_sigma_prime_is_read_only(self):
+        op, Sigma, Ws, opts = mixed_batch(52, trials=2)
+        trace = ml_coordinate_descent_batch(op, Sigma, Ws, opts)[0]
+        assert trace.sigma_prime.shape == (4, 4)
+        with pytest.raises(ValueError):
+            trace.sigma_prime[0, 0] = 1.0
 
 
 class TestCoordinateStep:
@@ -662,7 +719,7 @@ class TestCoordinateDescent:
             S = sherman_morrison_update(S, a, t)
             z[n] += t
         np.testing.assert_allclose(z, trace.z, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(S.values, trace.sigma_prime.values, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(S.values, trace.sigma_prime, rtol=1e-10, atol=1e-12)
 
     def test_inverse_drift_bounded(self):
         op = MeasurementOperator(build_gaussian_codebook(4, 9, 29))
@@ -802,7 +859,7 @@ class TestBatchedMl:
             assert np.array_equal(trace.z, z)
             assert np.array_equal(trace.objectives, objectives)
             assert trace.sweeps == n_sweeps
-            assert np.array_equal(trace.sigma_prime.values, sigma_prime)
+            assert np.array_equal(trace.sigma_prime, sigma_prime)
             assert trace.inverse_drift == drift
             assert trace.kkt_residual == kkt_residual(op, Sigma, W, z)
             by_test = objectives[-2] - objectives[-1] < estimators._ML_OBJECTIVE_TOL
@@ -822,7 +879,7 @@ class TestBatchedMl:
             for other in (ml_coordinate_descent(op, Sigma, Ws[j], opts[j]), shuffled[i]):
                 assert np.array_equal(other.z, together[j].z)
                 assert np.array_equal(other.objectives, together[j].objectives)
-                assert np.array_equal(other.sigma_prime.values, together[j].sigma_prime.values)
+                assert np.array_equal(other.sigma_prime, together[j].sigma_prime)
                 assert (other.sweeps, other.kkt_residual, other.inverse_drift) == (
                     together[j].sweeps, together[j].kkt_residual, together[j].inverse_drift
                 )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covact import (
     HermitianMatrix,
@@ -12,8 +14,30 @@ from covact import (
     hpd_sqrt,
     operator_norm,
 )
+from covact.hermitian import HPD_TOL_FACTOR, _require_hpd
 
-from conftest import random_hermitian, random_hpd
+from conftest import hermitian_matrices, hpd_matrices, random_hermitian, random_hpd
+
+
+def near_tolerance(seed, norm, factor):
+    """A 3 x 3 Hermitian matrix of operator norm ``norm`` whose smallest eigenvalue is ``factor`` times the HPD tolerance."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    lam = np.array([factor * HPD_TOL_FACTOR * max(1.0, norm), norm / 2, norm])
+    return HermitianMatrix((Q * lam) @ Q.conj().T).values
+
+
+# Slices just above and below the tolerance, far from it on either side, positive definite and arbitrary Hermitian ones.
+slices = st.one_of(
+    st.builds(
+        near_tolerance,
+        st.integers(0, 2**16),
+        st.floats(1e-3, 1e6),
+        st.sampled_from([-1.0, 0.0, 0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 2.0, 1e6]),
+    ),
+    hpd_matrices(3).map(lambda H: H.values),
+    hermitian_matrices(3).map(lambda H: H.values),
+)
 
 
 class TestConstruction:
@@ -50,6 +74,40 @@ class TestConstruction:
         H = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             H.values[0, 0] = 5.0
+
+
+class TestRequireHpd:
+    """The stacked check decides and words each slice as HpdMatrix does."""
+
+    @given(stack=st.lists(slices, min_size=1, max_size=4))
+    def test_matches_hpd_matrix_slice_by_slice(self, stack):
+        messages = []
+        for H in stack:
+            try:
+                HpdMatrix(H)
+            except NotPositiveDefinite as exc:
+                messages.append(str(exc))
+            else:
+                messages.append(None)
+        prefixes = [f"slice {k}: " for k in range(len(stack))]
+        failing = [k for k, message in enumerate(messages) if message is not None]
+        if not failing:
+            _require_hpd(np.array(stack), prefixes)
+            return
+        with pytest.raises(NotPositiveDefinite) as caught:
+            _require_hpd(np.array(stack), prefixes)
+        assert str(caught.value) == prefixes[failing[0]] + messages[failing[0]]
+
+    def test_names_the_first_failing_slice(self):
+        stack = np.array([np.eye(2), np.diag([1.0, 0.5 * HPD_TOL_FACTOR]), np.diag([1.0, -1.0])], dtype=complex)
+        with pytest.raises(NotPositiveDefinite, match="^trial 1: smallest eigenvalue 5.000e-13 is below the HPD tolerance 1.000e-12$"):
+            _require_hpd(stack, ["trial 0: ", "trial 1: ", "trial 2: "])
+        _require_hpd(stack[:1], ["trial 0: "])
+
+    def test_non_finite_slice_fails(self):
+        stack = np.array([np.eye(2), np.diag([1.0, np.inf])], dtype=complex)
+        with pytest.raises(NotPositiveDefinite, match="^slice 1: "):
+            _require_hpd(stack, ["slice 0: ", "slice 1: "])
 
 
 class TestOperatorNorm:

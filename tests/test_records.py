@@ -7,7 +7,6 @@ from covact import (
     ChannelRealization,
     Codebook,
     FadingVector,
-    HpdMatrix,
     MlOptions,
     MlTrace,
     NnlsResult,
@@ -23,7 +22,7 @@ RECORDS = {
     "ChannelRealization": lambda: ChannelRealization(Y=np.eye(2), H=np.eye(2), E=np.zeros((2, 2))),
     "NnlsResult": lambda: NnlsResult(z=np.zeros(2), residual=0.0, kkt_residual=0.0, iterations=0),
     "MlOptions": lambda: MlOptions(permutation=np.arange(2), z0=np.zeros(2)),
-    "MlTrace": lambda: MlTrace(np.ones(2), np.zeros(2), HpdMatrix(np.eye(2)), 0.0, 0.0, 1),
+    "MlTrace": lambda: MlTrace(np.ones(2), np.zeros(2), np.eye(2), 0.0, 0.0, 1),
     "SkcReport": lambda: SkcReport(1, 0.5, 0.5, np.zeros(2), np.ones(2), "exact-enumeration"),
     "VerifiedCodebook": lambda: VerifiedCodebook(Codebook(np.eye(2)), (), 1),
 }
