@@ -116,13 +116,15 @@ def _checked_array(name: str, values, dtype, shape: tuple, copy=False) -> np.nda
 
     An int entry of ``shape`` fixes the length of its axis; None admits any length of at least 1.  A failed
     conversion, complex entries for a real ``dtype``, other axes or a non-finite entry raises InvalidInput
-    naming ``name``.
+    naming ``name`` (and a ragged list or tuple's first entry of another shape).
     """
     try:
         complex_entries = dtype is not complex and np.iscomplexobj(values)
         arr = None if complex_entries else (np.array if copy else np.asarray)(values, dtype=dtype)
     except (TypeError, ValueError):
-        got = f"a non-numeric {type(values).__name__}"
+        shapes = [np.array(entry, dtype=object).shape for entry in values] if isinstance(values, (list, tuple)) else []
+        ragged = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), 0)
+        got = f"entry {ragged} of shape {shapes[ragged]}" if ragged else f"a non-numeric {type(values).__name__}"
     else:
         if complex_entries:
             got = "complex entries"

@@ -35,7 +35,7 @@ from numpy.linalg import _umath_linalg
 from .codebook import MeasurementOperator, _vectorize
 from .config import _check_count, _check_real, _checked_array, _write_csv
 from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
-from .hermitian import HermitianMatrix, HpdMatrix, _require_hpd, as_hpd
+from .hermitian import HermitianMatrix, HpdMatrix, _hermitian_part, _ht, _require_hpd, as_hpd
 
 # Sweeps between from-scratch recomputations of the tracked ML inverse, and
 # the least objective gain of a sweep that lets the descent go on.
@@ -136,7 +136,7 @@ def _boundary(op: MeasurementOperator, Sigma, Ws, zs=None):
         zs = _checked_array("z", zs, float, (len(Ws), op.num_users), copy=True)
         if (zs < 0).any():
             raise InvalidInput("z entries must be nonnegative")
-    return spd, (W + _ht(W)) / 2, zs
+    return spd, _hermitian_part("W", W, W.shape), zs
 
 
 def _kkt_violation(g, z):
@@ -286,11 +286,6 @@ def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws) -> list[NnlsResult]:
     """
     spd, W, _ = _boundary(op, Sigma, Ws)
     return _nnls_active_set(op.stacked_real().values, _vectorize(W - spd.values)) if Ws else []
-
-
-def _ht(X):
-    """Conjugate transpose of each matrix in a stack."""
-    return np.swapaxes(X.conj(), -1, -2)
 
 
 def _cholesky(Z, ids):

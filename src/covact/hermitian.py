@@ -24,7 +24,8 @@ class HermitianMatrix:
     entries satisfy H[i, j] == conj(H[j, i]) exactly and zeroes the imaginary
     part of the diagonal exactly.  Downstream formulas assume exact
     Hermitianity, so construction is the single place where floating-point
-    asymmetry is killed.  A wrapper input shares its read-only values.
+    asymmetry is killed; an entry that overflows there is refused.  A
+    wrapper input shares its read-only values.
     """
 
     __slots__ = ("values",)
@@ -36,7 +37,7 @@ class HermitianMatrix:
         arr = _checked_array("matrix", values, complex, (None, None))
         if arr.shape[0] != arr.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
-        arr = (arr + arr.conj().T) / 2
+        arr = _hermitian_part("matrix", arr, (None, None))
         arr.setflags(write=False)
         self.values = arr
 
@@ -60,6 +61,18 @@ class HpdMatrix(HermitianMatrix):
     def __init__(self, values):
         super().__init__(values)
         _require_hpd(self.values[None], [""])
+
+
+def _ht(X):
+    """Conjugate transpose of each matrix in a stack, conjugated first: X + _ht(X) keeps X's memory layout, which later bits depend on."""
+    return np.swapaxes(X.conj(), -1, -2)
+
+
+def _hermitian_part(name, X, shape):
+    """(X + X^H) / 2 of the finite stack X, checked by _checked_array(name, ..., shape): an overflow raises, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = (X + _ht(X)) / 2
+    return _checked_array(name, H, complex, shape)
 
 
 def _require_hpd(stack, prefixes):

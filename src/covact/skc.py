@@ -56,10 +56,11 @@ SKC_POSITIVE_TOL = 1e-3
 SKC_ZERO_TOL = 1e-6
 # Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
 # pattern's bounds every _CHUNK of its iterations and stops it before a check
-# past _MAX_ITERS.
+# past _MAX_ITERS; an exact solve stops after _QP_MAX_ITERS active-set steps.
 _BLOCK = 512
 _CHUNK = 25
 _MAX_ITERS = 200
+_QP_MAX_ITERS = 400
 # FISTA momentum weight (t_k - 1) / t_(k+1) of iteration k, from t_0 = 1.
 _T = list(itertools.accumulate(range(_MAX_ITERS), lambda t, _: 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), initial=1.0))
 _MOMENTUM = np.array([(t - 1.0) / t_next for t, t_next in itertools.pairwise(_T)])
@@ -100,14 +101,14 @@ class SkcReport:
         return name, getattr(self, name)
 
 
-def _simplex_qp(Q, max_iter=400):
+def _simplex_qp(Q):
     """Minimize u^T Q u over the probability simplex; Q is symmetric PSD.
 
     Primal active-set loop: repeatedly solve the equality-constrained
     problem on the free coordinates through its bordered KKT system, take
     ratio-test steps toward that solution, and release the bound coordinate
     with the most negative multiplier once feasible-optimal on the face.
-    Raises NotConverged, carrying the best iterate, when ``max_iter``
+    Raises NotConverged, carrying the best iterate, when _QP_MAX_ITERS
     iterations pass without meeting an exit test.
     """
     n = Q.shape[0]
@@ -118,7 +119,7 @@ def _simplex_qp(Q, max_iter=400):
     u = np.full(n, 1.0 / n)
     best_val = float(u @ Q @ u)
     best_u = u.copy()
-    for _ in range(max_iter):
+    for _ in range(_QP_MAX_ITERS):
         idx = np.flatnonzero(free)
         k = idx.size
         kkt = np.zeros((k + 1, k + 1))
@@ -176,7 +177,7 @@ def _simplex_qp(Q, max_iter=400):
             if val < best_val:
                 best_val, best_u = val, u.copy()
     else:
-        raise NotConverged(f"simplex QP did not finish in {max_iter} iterations", z=best_u, residual=best_val)
+        raise NotConverged(f"simplex QP did not finish in {_QP_MAX_ITERS} iterations", z=best_u, residual=best_val)
     return best_val, best_u
 
 
@@ -239,22 +240,20 @@ def _minorant(G):
 
 
 def _fista_bounds(G, patterns, sizes, margin):
-    """Lower bounds on min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns.
+    """Bound min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns; keep those not pruned.
 
     ``sizes`` splits the patterns into consecutive groups of those sizes.
-    Returns the bounds in pattern order, each group's incumbent (the
-    smallest value u^T Q u any iterate of the group reached) and, keyed by
-    pattern index, the sign rows s of the patterns not pruned.  A pool of up
-    to _BLOCK patterns iterates as one array, each row with its own step
-    count and momentum, by FISTA on min w^T Q_M w - 2 sum(w) over w >= 0,
-    Q_M = diag(s) M diag(s) for the minorant (M, a), from the centre of the
-    simplex at its best multiple.  Every _CHUNK steps a row takes the larger
+    Returns each unpruned pattern's (bound, group, sign row s), keyed by its
+    index, and each group's incumbent (the smallest value u^T Q u any
+    iterate of the group reached).  A pool of up to _BLOCK patterns iterates
+    as one array, each row with its own step count and momentum, by FISTA on
+    min w^T Q_M w - 2 sum(w) over w >= 0, Q_M = diag(s) M diag(s) for the
+    minorant (M, a), from the centre of the simplex at its best multiple.  Every _CHUNK steps a row takes the larger
     of its bound so far and the _iterate_bounds bound of Q_M at
     u = w / sum(w) less a, moves to u / f_M, f_M = u^T Q_M u, unless
     f_M <= 0, and leaves once that bound exceeds its group's incumbent plus
     ``margin`` (pruned), its value u^T Q u falls within it (it can no longer
-    be pruned) or before a check past _MAX_ITERS.  No pruned bound sets a
-    lower_bound.
+    be pruned) or before a check past _MAX_ITERS.
     """
     n = G.shape[0]
     M, allowance = _minorant(G)
@@ -262,7 +261,7 @@ def _fista_bounds(G, patterns, sizes, margin):
     M_step = M / (lam := max(float(np.linalg.eigvalsh(M)[-1]), 1e-30))
     ends = np.cumsum(sizes, dtype=np.intp)
     incumbent = np.full(ends.size, math.inf)
-    patterns, count, done_idx, done_lower, kept = iter(patterns), 0, [np.empty(0, dtype=np.intp)], [np.empty(0)], {}
+    patterns, count, kept = iter(patterns), 0, {}
     idx = steps = np.empty(0, dtype=np.intp)
     lower = upper = np.empty(0)
     s = w = y = np.empty((0, n))
@@ -300,37 +299,30 @@ def _fista_bounds(G, patterns, sizes, margin):
         np.minimum.at(incumbent, group, value)
         cut = incumbent[group] + margin
         live = (lower <= cut) & (upper > cut) & (steps + _CHUNK <= _MAX_ITERS)
-        done_idx.append(idx[~live])
-        done_lower.append(lower[~live])
-        kept.update((idx[i], s[i].copy()) for i in np.flatnonzero(~live & (lower <= cut)))
+        kept.update((int(idx[i]), (lower[i], group[i], s[i].copy())) for i in np.flatnonzero(~live & (lower <= cut)))
         idx, steps, lower, upper, s, w, y = (a[live] for a in (idx, steps, lower, upper, s, w, y))
-    bounds = np.empty(count)
-    bounds[np.concatenate(done_idx)] = np.concatenate(done_lower)
-    return bounds, kept, incumbent
+    return kept, incumbent
 
 
 def _pattern_search(G, patterns, sizes):
     """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
 
     ``sizes`` splits the patterns into consecutive groups as in
-    _fista_bounds, and each group is searched on its own: FISTA bounds its
-    patterns, pruning against the smallest value the group's iterates reach;
-    they are then solved in ascending bound order until the next bound
-    passes that value, or the group's best exact value if smaller, plus the
-    margin 16 rho (rho ~ n eps max |G| bounds the rounding of a computed
-    u^T Q u or Q u).  Returns, for each group, the (value, v) pair of its
-    first pattern in the given order that attains the group's minimum, and
-    its smallest bound less the margin, where a solved pattern's bound is
-    the Frank-Wolfe bound 2 min(s * (G v)) - val at its exact minimizer v.
-    That lower bound on the group's minimum holds despite rounding, and no
-    pool path moves it:
-    - an unsolved pattern's FISTA bound, at most its minimum on M plus
-      3 rho less a, so its minimum plus 3 rho, passes the final incumbent
-      plus the margin, so every pattern within 13 rho of the incumbent (the
-      minimizer and its ties) is solved;
-    - the minimizer's bound is at most its value plus 3 rho (min(Q u) <=
-      u^T Q u on the simplex), within 5 rho of the incumbent, so the
-      smallest bound is an exact solve's;
+    _fista_bounds, each pruned against its own incumbent.  One pass over the
+    kept patterns, in ascending (bound, index) order, solves each whose bound
+    is at most its group's top plus the margin 16 rho (rho ~ n eps max |G|
+    bounds the rounding of a computed u^T Q u or Q u); top starts at the
+    incumbent and falls to each exact value.  Returns, for each group, the
+    (value, v) pair of its solved pattern of smallest (value, index), and the
+    smallest Frank-Wolfe bound 2 min(s * (G v)) - val at the exact minimizers
+    v of its solved patterns, less the margin.  That lower bound holds
+    despite rounding, and no pool path moves it:
+    - an unsolved pattern's bound, at most its minimum on M plus 3 rho less
+      a, so its minimum plus 3 rho, passes the final top plus the margin, so
+      every pattern within 13 rho of top (the minimizer and its ties) is solved;
+    - the minimizer's exact bound is at most its value plus 3 rho
+      (min(Q u) <= u^T Q u on the simplex), within 5 rho of top, so below
+      every unsolved bound: the smallest solved bound is the smallest of all;
     - the active-set loop ends with (Q u)_j = u^T Q u on the support and
       (Q u)_j >= u^T Q u off it, up to rounding and its multiplier test of
       5e-12 max |Q|, so the smallest bound is a near-minimal pattern's (the
@@ -338,25 +330,16 @@ def _pattern_search(G, patterns, sizes):
       the pruning times only decide which farther patterns are also solved.
     """
     margin = _rounding_margin(G)
-    # Only patterns within the margin of their incumbent are solved below; as
-    # an incumbent only falls, they all kept their sign rows.
-    bounds, signs, tops = _fista_bounds(G, patterns, sizes, margin)
-    results, start = [], 0
-    for top, end in zip(tops, itertools.accumulate(sizes)):
-        solved, best = {}, (math.inf, None)
-        for i in start + np.argsort(bounds[start:end], kind="stable"):
-            if bounds[i] > top + margin:
-                break
-            val, v = _pattern_minimum(G, signs[i])
-            bounds[i] = 2.0 * float((signs[i] * (G @ v)).min()) - val
-            solved[i] = (val, v)
-            top = min(top, val)
-        for i in sorted(solved):
-            if solved[i][0] < best[0]:
-                best = solved[i]
-        results.append((best, float(bounds[start:end].min()) - margin))
-        start = end
-    return results
+    kept, tops = _fista_bounds(G, patterns, sizes, margin)
+    best, lower = [(math.inf, -1, None)] * tops.size, [math.inf] * tops.size
+    for i in sorted(kept, key=lambda i: (kept[i][0], i)):
+        bound, group, sig = kept[i]
+        if bound <= tops[group] + margin:
+            val, v = _pattern_minimum(G, sig)
+            best[group] = min(best[group], (val, i, v), key=lambda e: e[:2])
+            lower[group] = min(lower[group], 2.0 * float((sig * (G @ v)).min()) - val)
+            tops[group] = min(tops[group], val)
+    return [((val, v), low - margin) for (val, _, v), low in zip(best, lower)]
 
 
 def _size_search(G, size):
@@ -421,15 +404,7 @@ def _heuristic_candidates(B, G, orders):
 
 
 def _report(order, val, v, method, lower=0.0) -> SkcReport:
-    witness_z, witness_x = _split_witness(v)
-    return SkcReport(
-        order=order,
-        tau_prime=float(math.sqrt(max(val, 0.0))),
-        lower_bound=float(math.sqrt(lower)),
-        witness_z=witness_z,
-        witness_x=witness_x,
-        method=method,
-    )
+    return SkcReport(order, math.sqrt(max(val, 0.0)), math.sqrt(lower), *_split_witness(v), method)
 
 
 def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> SkcReport:

@@ -537,7 +537,16 @@ class TestBatchBoundary:
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize(
         "bad_W",
-        [np.eye(2), np.eye(3)[:, :2], np.ones(3), np.diag([1.0, np.nan, 1.0]), np.diag([1.0, 1.0, np.inf])],
+        [
+            np.eye(2),
+            np.eye(3)[:, :2],
+            np.ones(3),
+            np.diag([1.0, np.nan, 1.0]),
+            np.diag([1.0, 1.0, np.inf]),
+            # Finite, but (W + W^H) / 2 overflows on the diagonal, or off it.
+            np.diag([1e308, 1.0, 1.0]),
+            np.array([[1.0, 1e308, 0], [1e308, 1.0, 0], [0, 0, 1.0]]),
+        ],
     )
     def test_rejects_a_bad_observation_anywhere(self, batch, position, bad_W):
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
@@ -547,12 +556,14 @@ class TestBatchBoundary:
             self.BATCHES[batch](op, HpdMatrix(np.eye(3)), Ws)
 
     @pytest.mark.parametrize("position", [0, 2, 4])
-    @pytest.mark.parametrize("bad_z0", [np.array([0.1, 0, 0, 0, -0.1]), np.array([0, 0, np.nan, 0, 0])])
+    @pytest.mark.parametrize("bad_z0", [np.array([0.1, 0, 0, 0, -0.1]), np.array([0, 0, np.nan, 0, 0]), np.zeros(4)])
     def test_rejects_a_bad_start_anywhere(self, position, bad_z0):
+        # A start of another length is named with its shape, or the first start after it with theirs.
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
         z0s = [None, np.zeros(5), None, np.full(5, 0.1), None]
         z0s[position] = bad_z0
-        with pytest.raises(InvalidInput, match="z entries must be nonnegative|z must be a finite float array"):
+        message = r"z entries must be nonnegative|z must be a finite float array of shape \(5, 5\), got (a non-finite entry|entry [1-4] of shape \((4|5),\))"
+        with pytest.raises(InvalidInput, match=message):
             ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), [2.0 * np.eye(3)] * 5, [MlOptions(z0=z0) for z0 in z0s])
 
     def test_plain_arrays_give_the_bits_of_wrapped_ones(self):

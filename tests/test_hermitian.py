@@ -14,7 +14,7 @@ from covact import (
     hpd_sqrt,
     operator_norm,
 )
-from covact.hermitian import HPD_TOL_FACTOR, _require_hpd
+from covact.hermitian import HPD_TOL_FACTOR, _hermitian_part, _require_hpd
 
 from conftest import hermitian_matrices, hpd_matrices, random_hermitian, random_hpd
 
@@ -52,6 +52,19 @@ class TestConstruction:
             HermitianMatrix(np.zeros((2, 3)))
         with pytest.raises(InvalidInput):
             HermitianMatrix(np.array([[np.nan, 0], [0, 1.0]]))
+        # Finite entries whose symmetrized sum overflows, on the diagonal or off it.
+        for values in ([[1e308, 0], [0, 1]], [[0, 1e308], [1e308, 0]], [[0, 1e308j], [-1e308j, 0]]):
+            with pytest.raises(InvalidInput, match="got a non-finite entry"):
+                HermitianMatrix(values)
+
+    @pytest.mark.parametrize("trials", [1, 1600])
+    def test_symmetrized_stack_keeps_the_layout(self, trials):
+        # Later matmuls round by the memory layout, so a C-ordered stack must stay C-ordered;
+        # past NumPy's buffer size (8,192 entries), X + swapaxes(X, -1, -2).conj() is not.
+        X = np.arange(trials * 16, dtype=complex).reshape(trials, 4, 4)
+        H = _hermitian_part("W", X, X.shape)
+        assert H.flags.c_contiguous
+        assert np.array_equal(H, (X + np.swapaxes(X.conj(), -1, -2)) / 2)
 
     def test_hpd_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):

@@ -69,15 +69,17 @@ class TestSmallCases:
 
 
 class TestSimplexQp:
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # The equality-constrained solution (1.5, -0.5) is infeasible: the
         # first iteration steps to the vertex (1, 0), the second certifies it.
         Q = np.array([[1.0, 2.0], [2.0, 5.0]])
-        val, u = _simplex_qp(Q, max_iter=2)
+        monkeypatch.setattr(skc, "_QP_MAX_ITERS", 2)
+        val, u = _simplex_qp(Q)
         assert val == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-15)
+        monkeypatch.setattr(skc, "_QP_MAX_ITERS", 1)
         with pytest.raises(NotConverged) as err:
-            _simplex_qp(Q, max_iter=1)
+            _simplex_qp(Q)
         np.testing.assert_allclose(err.value.z, [1.0, 0.0], atol=1e-15)
         assert err.value.residual == pytest.approx(1.0, rel=1e-12)
 
@@ -117,6 +119,26 @@ def full_enumeration(stacked, max_order):
                 best = (val, v)
         curve.append(best)
     return curve[1:]
+
+
+def fista_bounds_seen(G, patterns, margin):
+    """_fista_bounds over one group of patterns, and every bound on the minorant, less its allowance, that it computed for each pattern.
+
+    The bounds are read through a spy on _iterate_bounds, as the certificate fixture reads them.
+    """
+    index, allowance, seen = {J: i for i, J in enumerate(patterns)}, skc._minorant(G)[1], [[] for _ in patterns]
+    iterate_bounds = skc._iterate_bounds
+
+    def spy(M, s, u, margin):
+        f, bound = iterate_bounds(M, s, u, margin)
+        for row, b in zip(s, bound):
+            seen[index[tuple(np.flatnonzero(row < 0).tolist())]].append(b - allowance)
+        return f, bound
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(skc, "_iterate_bounds", spy)
+        kept, incumbent = skc._fista_bounds(G, patterns, [len(patterns)], margin)
+    return kept, incumbent, seen
 
 
 # Columns 0 and 2 are parallel.
@@ -180,13 +202,23 @@ class TestBoundAndPrune:
         patterns = list(itertools.combinations(range(N), size))
         minima = np.array([_pattern_minimum(G, sign_row(N, J))[0] for J in patterns])
         margin = skc._rounding_margin(G)
-        bounds, kept, incumbent = skc._fista_bounds(G, patterns, [len(patterns)], margin)
-        assert bounds.shape == minima.shape
-        assert np.all(bounds <= minima + margin)
+        kept, incumbent, seen = fista_bounds_seen(G, patterns, margin)
+        assert all(max(bounds) <= minimum + margin for bounds, minimum in zip(seen, minima, strict=True))
         assert incumbent >= minima.min() - margin
-        # Every pattern the search may solve keeps its sign row.
-        assert set(np.flatnonzero(bounds <= incumbent + margin)) <= set(kept)
-        assert all(tuple(np.flatnonzero(kept[i] < 0)) == patterns[i] for i in kept)
+        # Every pattern the search may solve is kept, with one of its bounds, its group and its sign row.
+        assert set(np.flatnonzero(minima <= incumbent + margin)) <= set(kept)
+        assert {i for i, bounds in enumerate(seen) if max(bounds) <= incumbent + margin} <= set(kept)
+        for i, (bound, group, sig) in kept.items():
+            assert bound in seen[i] and group == 0
+            assert tuple(np.flatnonzero(sig < 0)) == patterns[i]
+
+    def test_keeps_only_unpruned_patterns(self, verified):
+        # FISTA prunes all but a few dozen of the 24,310 patterns of size 8 of the published operator.
+        stacked = MeasurementOperator(verified.codebook).stacked_real()
+        G = stacked.values.T @ stacked.values
+        patterns = list(itertools.combinations(range(stacked.num_users), 8))
+        kept, _ = skc._fista_bounds(G, patterns, [len(patterns)], skc._rounding_margin(G))
+        assert 0 < len(kept) < len(patterns) / 100
 
     def test_row_whose_value_rounds_to_zero_keeps_finite_bounds(self, monkeypatch):
         # With two equal columns, flipping one puts the centre of the simplex in
@@ -196,17 +228,17 @@ class TestBoundAndPrune:
         # (Q_M 1/2)_0 less the allowance: (M_00 +- M_01) / 2 - a, exactly.
         G = np.ones((2, 2))
         M, a = skc._minorant(G)
-        bounds, kept, incumbent = skc._fista_bounds(G, [(), (1,)], [2], skc._rounding_margin(G))
-        assert bounds.tolist() == [(M[0, 0] + M[0, 1]) / 2 - a, (M[0, 0] - M[0, 1]) / 2 - a]
+        kept, incumbent, seen = fista_bounds_seen(G, [(), (1,)], skc._rounding_margin(G))
+        assert [max(bounds) for bounds in seen] == [(M[0, 0] + M[0, 1]) / 2 - a, (M[0, 0] - M[0, 1]) / 2 - a]
         assert incumbent.tolist() == [0.0]
-        assert list(kept) == [1]
+        assert list(kept) == [1] and kept[1][0] == max(seen[1])
         # A minorant whose value f_M rounds to 0 on a row (here M = G, a = 0) must
         # leave that row unscaled, with no NaN, inf or warning.
         monkeypatch.setattr(skc, "_minorant", lambda G: (G, 0.0))
-        bounds, kept, incumbent = skc._fista_bounds(G, [(), (1,)], [2], skc._rounding_margin(G))
-        assert bounds.tolist() == [1.0, 0.0]
+        kept, incumbent, seen = fista_bounds_seen(G, [(), (1,)], skc._rounding_margin(G))
+        assert [max(bounds) for bounds in seen] == [1.0, 0.0]
         assert incumbent.tolist() == [0.0]
-        assert list(kept) == [1]
+        assert list(kept) == [1] and kept[1][0] == 0.0
 
     def test_check_interval_need_not_divide_the_step_cap(self, monkeypatch):
         # Checked every 30 steps, a row stops at 180 of the 200 allowed, as a
