@@ -21,13 +21,13 @@ solved exactly by an active-set loop in ascending bound order until the
 next bound exceeds the smallest value reached so far by a floating-point
 margin, so the minimizer, its value, its witness and the bracket
 lower_bound <= tau', read off the exact solves, do not depend on the
-bounding schedule (see _pattern_search).  Each size |J| is searched on its
+bounding schedule (see _solve).  Each size |J| is searched on its
 own, in worker processes where the process may use more CPUs, and the
 sizes are folded in order: the bits do not depend on the number of
-processes.  The heuristic passes only the sign patterns that multi-start
-projected gradient reaches to the same bound-and-solve step, one group per
-order with its own incumbent, so its value is an upper bound on the
-constant (its lower_bound is 0).
+processes.  The heuristic bounds only the sign patterns that multi-start
+projected gradient reaches, those of every order in one pool that prunes
+none, and solves each order's in the same way from an incumbent of inf,
+so its value is an upper bound on the constant (its lower_bound is 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -239,42 +239,39 @@ def _minorant(G):
     return (M + M.T) / 2 + shift * np.eye(n), 2.0 * (residual + 2.0 * shift + max(-lam[0], 0.0))
 
 
-def _fista_bounds(G, patterns, sizes, margin):
+def _fista_bounds(G, patterns, margin, prune):
     """Bound min u^T Q u over the simplex, Q = diag(s) G diag(s), for every flip-index tuple of patterns; keep those not pruned.
 
-    ``sizes`` splits the patterns into consecutive groups of those sizes.
-    Returns each unpruned pattern's (bound, group, sign row s), keyed by its
-    index, and each group's incumbent (the smallest value u^T Q u any
-    iterate of the group reached).  A pool of up to _BLOCK patterns iterates
-    as one array, each row with its own step count and momentum, by FISTA on
-    min w^T Q_M w - 2 sum(w) over w >= 0, Q_M = diag(s) M diag(s) for the
-    minorant (M, a), from the centre of the simplex at its best multiple.  Every _CHUNK steps a row takes the larger
+    Returns each kept pattern's (bound, sign row s), keyed by its index, and
+    the incumbent: the smallest value u^T Q u any iterate reached, or inf
+    without ``prune``, which keeps every pattern.  A pool of up to _BLOCK
+    patterns iterates as one array, each row with its own step count and
+    momentum, by FISTA on min w^T Q_M w - 2 sum(w) over w >= 0,
+    Q_M = diag(s) M diag(s) for the minorant (M, a), from the centre of the
+    simplex at its best multiple.  Every _CHUNK steps a row takes the larger
     of its bound so far and the _iterate_bounds bound of Q_M at
     u = w / sum(w) less a, moves to u / f_M, f_M = u^T Q_M u, unless
-    f_M <= 0, and leaves once that bound exceeds its group's incumbent plus
-    ``margin`` (pruned), its value u^T Q u falls within it (it can no longer
-    be pruned) or before a check past _MAX_ITERS.
+    f_M <= 0, and leaves once that bound exceeds the incumbent plus
+    ``margin`` (pruned) or before a check past _MAX_ITERS (kept).
     """
     n = G.shape[0]
     M, allowance = _minorant(G)
     # Step length 1 / (2 lam) on the gradient 2 Q_M y - 2; lam is the largest eigenvalue of M.
     M_step = M / (lam := max(float(np.linalg.eigvalsh(M)[-1]), 1e-30))
-    ends = np.cumsum(sizes, dtype=np.intp)
-    incumbent = np.full(ends.size, math.inf)
-    patterns, count, kept = iter(patterns), 0, {}
+    patterns, count, kept, incumbent = iter(patterns), 0, {}, math.inf
     idx = steps = np.empty(0, dtype=np.intp)
-    lower = upper = np.empty(0)
+    lower = np.empty(0)
     s = w = y = np.empty((0, n))
     while (fresh := list(itertools.islice(patterns, _BLOCK - idx.size))) or idx.size:
         if fresh:
             signs = np.ones((m := len(fresh), n))
             rows = np.repeat(np.arange(m), [len(J) for J in fresh])
             signs[rows, np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=rows.size)] = -1.0
-            start, far = np.full((m, n), 1.0 / n), np.full(m, np.inf)
+            start = np.full((m, n), 1.0 / n)
             f = _iterate_bounds(M, signs, start, margin)[0]
             start /= np.where(f > 0, f, 1.0)[:, None]
-            added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), -far, far, signs, start, start)
-            idx, steps, lower, upper, s, w, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, upper, s, w, y), added))
+            added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), np.full(m, -np.inf), signs, start, start)
+            idx, steps, lower, s, w, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, s, w, y), added))
             count += m
         # w_next = max(y - s * ((s * y) @ M_step) + 1 / lam, 0), y = w_next + k * (w_next - w), in two swapped buffers.
         sy, step = np.empty_like(y), np.empty_like(y)
@@ -293,30 +290,27 @@ def _fista_bounds(G, patterns, sizes, margin):
         ray = total * f[:, None]
         ray[ray <= 0] = 1.0
         w, y = w / ray, y / ray
-        value = np.einsum("ij,ij->i", u, s * ((s * u) @ G))
-        lower, upper = np.maximum(lower, bound - allowance), np.minimum(upper, value)
-        group = np.searchsorted(ends, idx, side="right")
-        np.minimum.at(incumbent, group, value)
-        cut = incumbent[group] + margin
-        live = (lower <= cut) & (upper > cut) & (steps + _CHUNK <= _MAX_ITERS)
-        kept.update((int(idx[i]), (lower[i], group[i], s[i].copy())) for i in np.flatnonzero(~live & (lower <= cut)))
-        idx, steps, lower, upper, s, w, y = (a[live] for a in (idx, steps, lower, upper, s, w, y))
+        lower = np.maximum(lower, bound - allowance)
+        if prune:
+            incumbent = min(incumbent, float(np.einsum("ij,ij->i", u, s * ((s * u) @ G)).min()))
+        unpruned = lower <= incumbent + margin
+        live = unpruned & (steps + _CHUNK <= _MAX_ITERS)
+        kept.update((int(idx[i]), (lower[i], s[i].copy())) for i in np.flatnonzero(unpruned & ~live))
+        idx, steps, lower, s, w, y = (a[live] for a in (idx, steps, lower, s, w, y))
     return kept, incumbent
 
 
-def _pattern_search(G, patterns, sizes):
-    """Bound the flip-index tuples of ``patterns`` and solve those the bounds cannot prune.
+def _solve(G, kept, top, margin):
+    """Solve the kept patterns of _fista_bounds that its bounds cannot prune, against one incumbent ``top``.
 
-    ``sizes`` splits the patterns into consecutive groups as in
-    _fista_bounds, each pruned against its own incumbent.  One pass over the
-    kept patterns, in ascending (bound, index) order, solves each whose bound
-    is at most its group's top plus the margin 16 rho (rho ~ n eps max |G|
-    bounds the rounding of a computed u^T Q u or Q u); top starts at the
-    incumbent and falls to each exact value.  Returns, for each group, the
-    (value, v) pair of its solved pattern of smallest (value, index), and the
-    smallest Frank-Wolfe bound 2 min(s * (G v)) - val at the exact minimizers
-    v of its solved patterns, less the margin.  That lower bound holds
-    despite rounding, and no pool path moves it:
+    One pass over ``kept`` in ascending (bound, index) order solves each
+    pattern whose bound is at most top plus the margin 16 rho (rho ~ n eps
+    max |G| bounds the rounding of a computed u^T Q u or Q u); top starts at
+    the incumbent, or at inf, and falls to each exact value.  Returns the
+    (value, v) pair of the solved pattern of smallest (value, index), and
+    the smallest Frank-Wolfe bound 2 min(s * (G v)) - val at the exact
+    minimizers v of the solved patterns, less the margin.  That lower bound
+    holds despite rounding, and no pool path moves it:
     - an unsolved pattern's bound, at most its minimum on M plus 3 rho less
       a, so its minimum plus 3 rho, passes the final top plus the margin, so
       every pattern within 13 rho of top (the minimizer and its ties) is solved;
@@ -326,25 +320,27 @@ def _pattern_search(G, patterns, sizes):
     - the active-set loop ends with (Q u)_j = u^T Q u on the support and
       (Q u)_j >= u^T Q u off it, up to rounding and its multiplier test of
       5e-12 max |Q|, so the smallest bound is a near-minimal pattern's (the
-      tests check both).  The step cap, the check interval, the refills and
-      the pruning times only decide which farther patterns are also solved.
+      tests check both).  The step cap, the check interval, the refills, the
+      pruning times and the start at inf only decide which farther patterns
+      are also solved.
     """
-    margin = _rounding_margin(G)
-    kept, tops = _fista_bounds(G, patterns, sizes, margin)
-    best, lower = [(math.inf, -1, None)] * tops.size, [math.inf] * tops.size
+    best, lower = (math.inf, -1, None), math.inf
     for i in sorted(kept, key=lambda i: (kept[i][0], i)):
-        bound, group, sig = kept[i]
-        if bound <= tops[group] + margin:
-            val, v = _pattern_minimum(G, sig)
-            best[group] = min(best[group], (val, i, v), key=lambda e: e[:2])
-            lower[group] = min(lower[group], 2.0 * float((sig * (G @ v)).min()) - val)
-            tops[group] = min(tops[group], val)
-    return [((val, v), low - margin) for (val, _, v), low in zip(best, lower)]
+        bound, sig = kept[i]
+        if bound > top + margin:
+            break
+        val, v = _pattern_minimum(G, sig)
+        best = min(best, (val, i, v), key=lambda e: e[:2])
+        lower = min(lower, 2.0 * float((sig * (G @ v)).min()) - val)
+        top = min(top, val)
+    val, _, v = best
+    return (val, v), lower - margin
 
 
 def _size_search(G, size):
-    """_pattern_search over every flip-index tuple of one size, in itertools.combinations order."""
-    return _pattern_search(G, itertools.combinations(range(n := G.shape[0]), size), [math.comb(n, size)])[0]
+    """_solve over every flip-index tuple of one size, in itertools.combinations order, each bounded and pruned by FISTA."""
+    margin = _rounding_margin(G)
+    return _solve(G, *_fista_bounds(G, itertools.combinations(range(G.shape[0]), size), margin, prune=True), margin)
 
 
 def _project_sparse(V, S):
@@ -418,9 +414,9 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     two Xeon cores, 1.1-1.3 s on one; 5 x 24 at order 8 visits 1,271,626
     in 4.4-4.9 s and 7.7-8.0 s; 5 x 25 at order 9 visits 3,850,756 in
     14-17 s and 23 s).
-    ``method="heuristic"`` bounds and solves in the same way only the
-    patterns that multi-start projected gradient reaches, and upper-bounds
-    the constant (its ``lower_bound`` is 0).
+    ``method="heuristic"`` bounds, without pruning, and solves in the same
+    way only the patterns that multi-start projected gradient reaches, and
+    upper-bounds the constant (its ``lower_bound`` is 0).
     """
     _check_count("order", order, high=stacked.num_users)
     if method not in ("exact", "heuristic"):
@@ -434,18 +430,19 @@ def tau_prime_heuristic(stacked: StackedRealMatrix, orders) -> list[SkcReport]:
     """Heuristic reports of the given orders, in one pass; each as ``tau_prime(stacked, order, "heuristic")``.
 
     The candidates of every order come from one stacked projected-gradient
-    run and go through one _pattern_search call, each order a group pruned
-    against its own incumbent.  Which rows share a pool fill moves only
-    which patterns are pruned, never one that could attain an order's best
-    value (see _pattern_search), so the reports are the same to the last
-    bit.
+    run and are bounded in one _fista_bounds call that prunes none, so every
+    row runs to the step cap whatever shares its pool; each order's
+    candidates are then solved on their own from an incumbent of inf.  No
+    report depends on the other orders or on where the pool refills, to the
+    last bit.
     """
     for order in orders:
         _check_count("order", order, high=stacked.num_users)
     G = stacked.values.T @ stacked.values
+    margin = _rounding_margin(G)
     candidates = _heuristic_candidates(stacked.values, G, orders)
-    searches = _pattern_search(G, itertools.chain.from_iterable(candidates), [len(c) for c in candidates])
-    return [_report(order, *best, "heuristic") for order, (best, _) in zip(orders, searches, strict=True)]
+    kept = iter(sorted(_fista_bounds(G, itertools.chain.from_iterable(candidates), margin, prune=False)[0].items()))
+    return [_report(order, *_solve(G, dict(itertools.islice(kept, len(c))), math.inf, margin)[0], "heuristic") for order, c in zip(orders, candidates)]
 
 
 def tau_prime_curve(stacked: StackedRealMatrix, max_order: int) -> list[SkcReport]:

@@ -1,4 +1,4 @@
-"""tau' reports against the bounding schedule and the heuristic's grouping, bit for bit.
+"""tau' reports against the bounding schedule and the heuristic's stacking of orders, bit for bit.
 
 Run from a checkout: ``PYTHONPATH=src python tests/sweep_tau_prime_bits.py``.
 Two sweeps over Gaussian codebooks, each printing its counts:
@@ -8,7 +8,11 @@ Two sweeps over Gaussian codebooks, each printing its counts:
   ``tau_prime_heuristic`` call, with the FISTA pool size ``skc._BLOCK`` set
   to 512, 60 and 16, must equal that of a call for the order alone at the
   default pool size.  5x24 at orders 1-12 (seeds 0-3) has 512-524
-  candidates, so at seeds 0-2 its one call refills the default pool.
+  candidates, so at seeds 0-2 its one call refills the default pool.  The
+  heuristic's pool prunes no row, so every candidate runs to the step cap
+  and each order is solved on its own from an incumbent of inf: the orders
+  that share a fill and where the pool refills cannot move a bit, and this
+  sweep checks that they do not.
 - Exact: for seeds 0-11, the first draw of 4x17 at order 8 and of 3x10 and
   5x20 at order 6, the ``as_text()`` reports of ``tau_prime_curve`` with
   (``skc._CHUNK``, ``skc._BLOCK``) set to (10, 64) and (50, 1024) must equal
@@ -17,9 +21,10 @@ Two sweeps over Gaussian codebooks, each printing its counts:
 The SHA-256 of every ``as_text()`` report the sweeps compute, in the order
 they compute them, is pinned as REPORTS_SHA256, so a change to the search
 that moved every schedule alike would still be caught.  The digest was
-recorded before the patterns were bounded on a spectral minorant of G:
-like the schedules, the minorant only decides which farther patterns are
-also solved, and moves no bit.  Exits 1 on any mismatch or on another
+recorded before the patterns were bounded on a spectral minorant of G,
+and before a pattern left the pool only when pruned or at the step cap:
+like the schedules, these only decide which farther patterns are also
+solved, and move no bit.  Exits 1 on any mismatch or on another
 digest, and prints the time taken, under two minutes on one CPU.
 """
 

@@ -121,8 +121,8 @@ def full_enumeration(stacked, max_order):
     return curve[1:]
 
 
-def fista_bounds_seen(G, patterns, margin):
-    """_fista_bounds over one group of patterns, and every bound on the minorant, less its allowance, that it computed for each pattern.
+def fista_bounds_seen(G, patterns, margin, prune=True):
+    """_fista_bounds over the patterns, and every bound on the minorant, less its allowance, that it computed for each pattern.
 
     The bounds are read through a spy on _iterate_bounds, as the certificate fixture reads them.
     """
@@ -137,7 +137,7 @@ def fista_bounds_seen(G, patterns, margin):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(skc, "_iterate_bounds", spy)
-        kept, incumbent = skc._fista_bounds(G, patterns, [len(patterns)], margin)
+        kept, incumbent = skc._fista_bounds(G, patterns, margin, prune)
     return kept, incumbent, seen
 
 
@@ -202,22 +202,26 @@ class TestBoundAndPrune:
         patterns = list(itertools.combinations(range(N), size))
         minima = np.array([_pattern_minimum(G, sign_row(N, J))[0] for J in patterns])
         margin = skc._rounding_margin(G)
-        kept, incumbent, seen = fista_bounds_seen(G, patterns, margin)
-        assert all(max(bounds) <= minimum + margin for bounds, minimum in zip(seen, minima, strict=True))
-        assert incumbent >= minima.min() - margin
-        # Every pattern the search may solve is kept, with one of its bounds, its group and its sign row.
-        assert set(np.flatnonzero(minima <= incumbent + margin)) <= set(kept)
-        assert {i for i, bounds in enumerate(seen) if max(bounds) <= incumbent + margin} <= set(kept)
-        for i, (bound, group, sig) in kept.items():
-            assert bound in seen[i] and group == 0
-            assert tuple(np.flatnonzero(sig < 0)) == patterns[i]
+        for prune in (True, False):
+            kept, incumbent, seen = fista_bounds_seen(G, patterns, margin, prune)
+            assert all(max(bounds) <= minimum + margin for bounds, minimum in zip(seen, minima, strict=True))
+            assert incumbent >= minima.min() - margin
+            # Every pattern the search may solve is kept, with one of its bounds and its sign row.
+            assert set(np.flatnonzero(minima <= incumbent + margin)) <= set(kept)
+            assert {i for i, bounds in enumerate(seen) if max(bounds) <= incumbent + margin} <= set(kept)
+            for i, (bound, sig) in kept.items():
+                assert bound in seen[i]
+                assert tuple(np.flatnonzero(sig < 0)) == patterns[i]
+        # Without pruning every pattern is kept, with a bound at most its minimum plus the margin.
+        assert incumbent == math.inf and sorted(kept) == list(range(len(patterns)))
+        assert all(kept[i][0] <= minimum + margin for i, minimum in enumerate(minima))
 
     def test_keeps_only_unpruned_patterns(self, verified):
         # FISTA prunes all but a few dozen of the 24,310 patterns of size 8 of the published operator.
         stacked = MeasurementOperator(verified.codebook).stacked_real()
         G = stacked.values.T @ stacked.values
         patterns = list(itertools.combinations(range(stacked.num_users), 8))
-        kept, _ = skc._fista_bounds(G, patterns, [len(patterns)], skc._rounding_margin(G))
+        kept, _ = skc._fista_bounds(G, patterns, skc._rounding_margin(G), prune=True)
         assert 0 < len(kept) < len(patterns) / 100
 
     def test_row_whose_value_rounds_to_zero_keeps_finite_bounds(self, monkeypatch):
@@ -230,14 +234,14 @@ class TestBoundAndPrune:
         M, a = skc._minorant(G)
         kept, incumbent, seen = fista_bounds_seen(G, [(), (1,)], skc._rounding_margin(G))
         assert [max(bounds) for bounds in seen] == [(M[0, 0] + M[0, 1]) / 2 - a, (M[0, 0] - M[0, 1]) / 2 - a]
-        assert incumbent.tolist() == [0.0]
+        assert incumbent == 0.0
         assert list(kept) == [1] and kept[1][0] == max(seen[1])
         # A minorant whose value f_M rounds to 0 on a row (here M = G, a = 0) must
         # leave that row unscaled, with no NaN, inf or warning.
         monkeypatch.setattr(skc, "_minorant", lambda G: (G, 0.0))
         kept, incumbent, seen = fista_bounds_seen(G, [(), (1,)], skc._rounding_margin(G))
         assert [max(bounds) for bounds in seen] == [1.0, 0.0]
-        assert incumbent.tolist() == [0.0]
+        assert incumbent == 0.0
         assert list(kept) == [1] and kept[1][0] == 0.0
 
     def test_check_interval_need_not_divide_the_step_cap(self, monkeypatch):
@@ -271,6 +275,18 @@ class TestBoundAndPrune:
         tau_prime_curve(stacked, 5)
         patterns = sum(math.comb(10, j) for j in range(6))
         assert 0 < len(qp_calls) < patterns / 10
+
+    def test_published_search_work(self, qp_calls, monkeypatch, verified):
+        # The exact solves of the published codebook's searches are fixed work:
+        # 48 for the curve and 22 for the heuristic of orders 1-8.  A pruning
+        # regression that multiplies them without moving a bit fails here.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        stacked = MeasurementOperator(verified.codebook).stacked_real()
+        tau_prime_curve(stacked, 8)
+        assert 0 < len(qp_calls) < 74
+        qp_calls.clear()
+        skc.tau_prime_heuristic(stacked, range(1, 9))
+        assert 0 < len(qp_calls) < 28
 
     def test_verified_bracket_is_tight(self, verified):
         for report in verified.reports:
