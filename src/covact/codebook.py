@@ -218,7 +218,7 @@ def load_codebook_csv(path) -> Codebook:
                 raise InvalidInput(f"{path}, line {line}: {'repeated' if key in entries else 'index below 1 in'} entry {r},{c}")
             entries[key] = value
     if not entries:
-        raise InvalidInput(f"no entries in {path}")
+        raise InvalidInput(f"{path}: no entries")
     rows = max(r for r, _ in entries) + 1
     cols = max(c for _, c in entries) + 1
     if len(entries) < rows * cols:

@@ -156,16 +156,12 @@ def _simplex_qp(Q):
             release = np.flatnonzero(bound)[int(np.argmin(viol))]
             free[release] = True
         else:
+            # Some free w_i < -feas_tol has d_i <= w_i (u >= 0): it blocks, at a step u_i / (u_i - w_i) < 1, and lands on 0.
             d = w - u
             blocking = free & (d < -feas_tol)
-            if not blocking.any():
-                break
-            steps = u[blocking] / -d[blocking]
-            theta = min(1.0, float(steps.min()))
+            theta = float((u[blocking] / -d[blocking]).min())
             u = np.maximum(u + theta * d, 0.0)
             hit = free & (u <= feas_tol)
-            if not hit.any():
-                break
             u[hit] = 0.0
             free &= u > 0
             if not free.any():
@@ -410,10 +406,8 @@ def tau_prime(stacked: StackedRealMatrix, order: int, method: str = "exact") -> 
     coordinates, solves those the bounds cannot prune, and reports the
     certified bracket ``lower_bound <= tau_prime``; it is refused (TooLarge)
     when the patterns it visits, sum_{s <= order} C(n, s), exceed
-    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950 in 0.7 s on
-    two Xeon cores, 1.1-1.3 s on one; 5 x 24 at order 8 visits 1,271,626
-    in 4.4-4.9 s and 7.7-8.0 s; 5 x 25 at order 9 visits 3,850,756 in
-    14-17 s and 23 s).
+    EXACT_BUDGET (a 5 x 20 codebook at order 8 visits 263,950, 5 x 24 at
+    order 8 visits 1,271,626 and 5 x 25 at order 9 visits 3,850,756).
     ``method="heuristic"`` bounds, without pruning, and solves in the same
     way only the patterns that multi-start projected gradient reaches, and
     upper-bounds the constant (its ``lower_bound`` is 0).

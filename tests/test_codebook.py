@@ -118,8 +118,9 @@ class TestCodebookCsv:
             ("row,col,re,im\n1,1,1,0\n", ": expected the header m,n,re,im"),
             ("m,n,re,im\n1,1,one,0\n", ", line 2: expected m,n,re,im numbers"),
             ("m,n,re,im\n1,1,1\n", ", line 2: expected m,n,re,im numbers"),
+            ("m,n,re,im\n", ": no entries"),
         ],
-        ids=["missing", "repeated", "zero-index", "header", "not-a-number", "short-row"],
+        ids=["missing", "repeated", "zero-index", "header", "not-a-number", "short-row", "header-only"],
     )
     def test_rejects_malformed_file(self, tmp_path, body, message):
         path = tmp_path / "codebook.csv"
@@ -159,6 +160,10 @@ class TestMeasurementOperator:
     def test_dimension_mismatch(self, op):
         with pytest.raises(InvalidInput):
             op.apply_raw(np.zeros(5))
+        with pytest.raises(InvalidInput, match="expected a 3 x 3 matrix, got dim 2"):
+            op.adjoint(np.eye(2))
+        with pytest.raises(InvalidInput, match="expected dimension 3, got 2"):
+            vectorize_hermitian(np.eye(2), 3)
 
     def test_rejects_complex_coefficients(self, op):
         # Converting to float would drop the imaginary parts.

@@ -914,6 +914,44 @@ class TestBatchedMl:
         with pytest.raises(StepRejected, match="trial 1: rank-one update denominator"):
             ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [MlOptions(), MlOptions(z0=[2.0])])
 
+    def test_rejects_a_count_of_options_other_than_of_observations(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
+        Sigma = HpdMatrix(np.eye(3))
+        with pytest.raises(InvalidInput, match="2 observations but 1 option sets"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [MlOptions()])
+
+    def test_rejects_a_permutation_of_another_length(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
+        Sigma = HpdMatrix(np.eye(3))
+        opts = [MlOptions(), MlOptions(permutation=np.arange(4))]
+        with pytest.raises(InvalidInput, match="trial 1: permutation length does not match the number of users"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], opts)
+
+    def test_step_rejected_names_the_trial_whose_inverse_is_not_positive(self):
+        S = np.stack([np.eye(2), -np.eye(2)]).astype(complex)
+        a = np.ones((2, 2, 1), dtype=complex)
+        with pytest.raises(StepRejected, match=r"trial 8: a\^H S a <= 0"):
+            estimators._steps(S, S, a, estimators._ht(a), np.zeros(2), np.array([3, 8]))
+
+    def test_cholesky_names_the_first_failing_trial(self):
+        Z = np.stack([np.eye(2), np.diag([1.0, -1.0]), -np.eye(2)])
+        with pytest.raises(NotPositiveDefinite, match="trial 9: matrix is not positive definite"):
+            estimators._cholesky(Z, np.array([5, 9, 11]))
+
+    def test_cholesky_failure_no_trial_reproduces_is_raised_as_is(self, monkeypatch):
+        # A stacked failure that every single-trial factorization passes
+        # cannot be put on a trial: it propagates unchanged.
+        cholesky = np.linalg.cholesky
+
+        def stacked_fails(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("stacked")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", stacked_fails)
+        with pytest.raises(np.linalg.LinAlgError, match="stacked"):
+            estimators._cholesky(np.stack([np.eye(2), np.eye(2)]), np.array([0, 1]))
+
     def test_not_positive_definite_names_trial(self):
         # Sigma = 1.5e-12 I leaves the tracked inverse with eigenvalues 1/3 and
         # 6.7e11 once the first user fits W: too ill-conditioned to be HPD.

@@ -5,7 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from covact import (
     delta_radius,
     draw_sparse_fading,
     empirical_concentration,
+    estimators,
     experiments,
     ml_objective,
     nth_prime,
@@ -118,6 +119,7 @@ class TestConfig:
             {"while_iterations": 0},
             {"max_codebook_draws": 0},
             {"seed": -1},
+            {"tau_method": "fast"},
         ):
             (name,) = bad
             with pytest.raises(InvalidInput, match=name):
@@ -227,6 +229,12 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("mystery = 2\n")
         with pytest.raises(InvalidInput):
+            parse_config(path)
+
+    def test_parse_rejects_a_line_without_equals(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("N = 17\nM 4\n")
+        with pytest.raises(InvalidInput, match=r"bad.cfg:2: expected 'key = value', got 'M 4'"):
             parse_config(path)
 
     def test_parse_rejects_out_dir(self, tmp_path):
@@ -374,6 +382,12 @@ class TestPanels:
         assert header == ["rho", "err_nnls", "err_ml_nnls"]
         assert len(rows) == len(tiny_config.rho_grid)
 
+    def test_figure_c_fails_its_set_up_when_no_draw_stays_positive_definite(self, tiny_config, tiny_verified):
+        # A perturbation budget of 1.05 * 0.02 is above every lam_min, which
+        # the rank-one signal parts pin at sigma_scale = 0.01.  One trial runs in-process.
+        with pytest.raises(SetupFailed, match="no fading draw keeps the perturbed observation positive definite"):
+            run_figure_c(replace(tiny_config, rho_grid=(0.02,), trials_fig_c=1), tiny_verified)
+
     def test_figure_d_runs(self, tiny_config, tiny_verified):
         text = run_figure_d(tiny_config, tiny_verified)
         _, header, rows = parse_csv(text)
@@ -454,6 +468,43 @@ class TestPanels:
         run_figure_a(tiny_config, tiny_verified)
         run_bounds_table(tiny_config, tiny_verified)
         assert list(tmp_path.iterdir()) == []
+
+
+def same_fields(result, other):
+    return all(np.array_equal(getattr(result, f.name), getattr(other, f.name)) for f in fields(result))
+
+
+class TestPublishedBatchSizes:
+    """A trial's estimates keep their bits in batches of the panels' sizes.
+
+    NumPy picks the memory layout of a large elementwise result by its size,
+    and later matmuls and reductions round by layout, so a batch of small
+    trials alone cannot show that the batch size moves no bit.
+    """
+
+    ROWS = (0, 1, 2, 17, 255, 511, 599, 600, 1024, 1599)
+
+    def test_rows_equal_their_batch_of_one(self, default_config, verified):
+        cfg = replace(default_config, while_iterations=2)
+        op = MeasurementOperator(verified.codebook)
+        Sigma = experiments._noise_covariance(cfg)
+        observe = experiments._PANELS["figure_b"][2]  # panel b's own draw: A(x) + Sigma, K = 0
+        pairs = [(cfg.s_values[trial % len(cfg.s_values)], trial) for trial in range(max(self.ROWS) + 1)]
+        observations = [observe(cfg, op, Sigma, S, trial)[1] for S, trial in pairs]
+
+        def run(rows):
+            streams = [stream(cfg.seed, "figure-b", *pairs[i], "perm") for i in rows]
+            return experiments._run_estimators(op, Sigma, [observations[i] for i in rows], ("nnls", "ml", "ml_nnls"), cfg, streams)
+
+        alone = {i: run([i])[0] for i in self.ROWS}
+        for T in (1, 600, 1600):
+            _, W, _ = estimators._boundary(op, Sigma, observations[:T])
+            _, _, z = estimators._boundary(op, Sigma, observations[:T], np.ones((T, op.num_users)))
+            assert W.flags.c_contiguous and z.flags.c_contiguous
+            batch = run(range(T))
+            for i in (i for i in self.ROWS if i < T):
+                for name, result in batch[i].items():
+                    assert same_fields(result, alone[i][name]), (T, i, name)
 
 
 class TestGolden:

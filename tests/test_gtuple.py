@@ -100,6 +100,11 @@ class TestChecker:
         assert "grows_at_zero" in report.failed_properties()
         assert report.failed_properties() == {"grows_at_zero"}
 
+    @pytest.mark.parametrize("grid", [GRID[:7], GRID[::-1], np.linspace(0.0, 3.0, 10)], ids=["seven-points", "descending", "zero"])
+    def test_rejects_a_grid_that_breaks_the_rule(self, tld, grid):
+        with pytest.raises(InvalidInput, match="grid must be a sorted positive vector with at least 8 points"):
+            check_sufficiently_convex(tld, grid)
+
     def test_scaled_tuple_still_passes(self, tld):
         # Positive scaling shifts values and inverse arguments in lockstep
         # and leaves the derivative ratio unchanged.
@@ -135,6 +140,10 @@ class TestChecker:
 
 
 class TestGsumObjective:
+    def test_rejects_unequal_dimensions(self, tld):
+        with pytest.raises(InvalidInput, match="equal dimensions"):
+            gsum_objective(np.eye(2), np.eye(3), tld)
+
     def test_equal_arguments(self, tld):
         rng = np.random.default_rng(31)
         for _ in range(5):

@@ -69,6 +69,13 @@ class TestAgainstScipy:
 
 
 class TestDomain:
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_sub_ulp_excursion_below_branch_point_is_the_branch_point(self, branch):
+        below = math.nextafter(-math.exp(-1.0), -math.inf)
+        assert lambert_w(branch, below) == -1.0
+        with pytest.raises(DomainError):
+            lambert_w(branch, -math.exp(-1.0) * (1.0 + 1e-11))
+
     def test_below_branch_point(self):
         with pytest.raises(DomainError):
             lambert_w(0, -0.5)

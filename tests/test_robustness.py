@@ -40,6 +40,10 @@ def inputs():
 
 
 class TestBoundInputs:
+    def test_lambda_min_must_not_exceed_lambda_max(self):
+        with pytest.raises(InvalidInput, match="lambda_min 3.0 exceeds lambda_max 2.5"):
+            BoundInputs(3.0, 2.5, 0.25, 1.0, 0.5, 4, 0.9, 1.0, 1.0)
+
     def test_beta_must_stay_below_lambda_min(self):
         with pytest.raises(InvalidInput):
             BoundInputs(0.5, 2.5, 0.5, 1.0, 0.5, 4, 0.9, 1.0, 1.0)
@@ -159,6 +163,15 @@ class TestAntennaCounts:
     def test_rejects_nan_eps(self, inputs, tld, estimator):
         with pytest.raises(InvalidInput, match="eps"):
             k0_antennas(estimator, math.nan, inputs, tld)
+
+    def test_rejects_an_unknown_estimator(self, inputs, tld):
+        with pytest.raises(InvalidInput, match="unknown estimator 'ml_nnls'"):
+            k0_antennas("ml_nnls", 0.1, inputs, tld)
+
+    def test_nnls_needs_a_positive_tau(self, inputs, tld):
+        # tau = 0 is a valid BoundInputs (the ml threshold does not use it).
+        with pytest.raises(InvalidInput, match="positive robustness constant"):
+            k0_antennas("nnls", 0.1, replace(inputs, tau=0.0), tld)
 
     @pytest.mark.parametrize("estimator", ["nnls", "ml"])
     def test_follows_target_probability(self, inputs, tld, estimator):

@@ -57,6 +57,14 @@ def test_openblas_is_looked_up_once_per_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_workers_run_without_openblas(monkeypatch):
+    # Under another BLAS the pool runs without touching its thread count.
+    monkeypatch.setattr(workers, "openblas_function", lambda name: None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert workers.run_jobs(abs, [(-1,), (2,)], [0, 1]) == [1, 2]
+    assert multiprocessing.active_children() == []
+
+
 def thread_count(_):
     return len(os.listdir("/proc/self/task"))
 
