@@ -41,7 +41,6 @@ from .errors import (
 )
 from .estimators import (
     DetectionResult,
-    MlOptions,
     MlTrace,
     NnlsResult,
     coordinate_step,
@@ -89,7 +88,6 @@ __all__ = [
     "HpdMatrix",
     "InvalidInput",
     "MeasurementOperator",
-    "MlOptions",
     "MlTrace",
     "NnlsResult",
     "NoAdversary",

@@ -21,8 +21,8 @@ single-trial functions (nnls_estimate, ml_objective, coordinate_step,
 sherman_morrison_update, ml_coordinate_descent, kkt_residual) are batches of
 one of the same kernels.  Inputs are checked once per batch at the public
 entry, as stacks, never inside the loops.  The solvers' budgets and tolerances
-are module constants, one value each; the options of a call are only the
-ML start, visiting order and sweep cap.
+are module constants, one value each; an ML call also takes a start and a
+visiting order per trial, and one sweep cap for the whole batch.
 """
 
 from __future__ import annotations
@@ -58,31 +58,6 @@ class NnlsResult:
     residual: float
     kkt_residual: float
     iterations: int
-
-
-@dataclass(frozen=True, eq=False)
-class MlOptions:
-    """Coordinate-descent configuration.
-
-    ``permutation`` fixes the coordinate visiting order (identity when
-    omitted); ``z0`` is the nonnegative initializer (zero when omitted).
-    A sweep visits all N coordinates once; the loop stops after
-    ``while_iterations`` sweeps or when a full sweep improves the objective
-    by less than 1e-10.  The tracked inverse is recomputed from scratch
-    every 25 sweeps.
-    """
-
-    permutation: np.ndarray | None = None
-    z0: np.ndarray | None = None
-    while_iterations: int = 100
-
-    def __post_init__(self):
-        _check_count("while_iterations", self.while_iterations)
-        if self.permutation is not None:
-            perm = np.asarray(self.permutation)
-            if not np.array_equal(np.sort(perm), np.arange(perm.size)):
-                raise InvalidInput("permutation must be a bijection on 0..N-1")
-            object.__setattr__(self, "permutation", perm.astype(int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +260,7 @@ def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws) -> list[NnlsResult]:
     ``Ws``.
     """
     spd, W, _ = _boundary(op, Sigma, Ws)
-    return _nnls_active_set(op.stacked_real().values, _vectorize(W - spd.values)) if Ws else []
+    return _nnls_active_set(op.stacked_real().values, _vectorize(W - spd.values)) if len(Ws) else []
 
 
 def _cholesky(Z, ids):
@@ -384,48 +359,55 @@ def sherman_morrison_update(SigmaPrime, a_n, t: float) -> HpdMatrix:
     return HpdMatrix(_rank_one(S, u, uh, q, np.array([float(t)]), _ONE)[0])
 
 
-def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, opts: MlOptions | None = None) -> MlTrace:
+def ml_coordinate_descent(op: MeasurementOperator, Sigma, W, permutation=None, z0=None, while_iterations: int = 100) -> MlTrace:
     """Cyclic coordinate descent for the relaxed ML estimator.
 
-    Visits the coordinates in the configured order, applies the optimal step
-    for each, and maintains the inverse of the running fit through rank-one
-    updates.  The recorded objective values never increase; the tracked
-    inverse is refreshed periodically and its drift is re-measured at exit.
-    A batch of one for ml_coordinate_descent_batch.
+    Visits the coordinates in the order ``permutation`` (identity when
+    omitted) from the nonnegative start ``z0`` (zero when omitted), applies
+    the optimal step for each, and maintains the inverse of the running fit
+    through rank-one updates.  A sweep visits all N coordinates once; the
+    loop stops after ``while_iterations`` sweeps or when a full sweep
+    improves the objective by less than 1e-10.  The recorded objective
+    values never increase; the tracked inverse is recomputed from scratch
+    every 25 sweeps and its drift is re-measured at exit.  A batch of one
+    for ml_coordinate_descent_batch.
     """
-    return ml_coordinate_descent_batch(op, Sigma, [W], [opts or MlOptions()])[0]
+    stacks = [None if v is None else [v] for v in (permutation, z0)]
+    return ml_coordinate_descent_batch(op, Sigma, [W], *stacks, while_iterations)[0]
 
 
-def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, opts) -> list[MlTrace]:
+def ml_coordinate_descent_batch(op: MeasurementOperator, Sigma, Ws, permutations=None, z0s=None, while_iterations: int = 100) -> list[MlTrace]:
     """Coordinate descent on many observations of one operator and noise covariance at once.
 
-    Trial i runs on ``Ws[i]`` with ``opts[i]`` and returns, bit for bit, the
-    MlTrace that a batch of one would: every trial keeps its own visiting
-    order, start and sweep cap.  Errors raised by the descent name the trial
-    by its index in ``Ws``.
+    Trial i runs on ``Ws[i]`` from the start ``z0s[i]`` in the visiting
+    order ``permutations[i]`` ((T, N) stacks; zeros and the identity when
+    omitted), all trials under the one sweep cap ``while_iterations``, and
+    returns, bit for bit, the MlTrace that a batch of one would.  Errors
+    name the trial by its index in ``Ws``.
     """
-    if len(Ws) != len(opts):
-        raise InvalidInput(f"{len(Ws)} observations but {len(opts)} option sets")
-    N = op.num_users
-    perms = [np.arange(N) if o.permutation is None else o.permutation for o in opts]
-    if bad := [i for i, perm in enumerate(perms) if perm.size != N]:
-        raise InvalidInput(f"trial {bad[0]}: permutation length does not match the number of users")
-    spd, Wv, z = _boundary(op, Sigma, Ws, [np.zeros(N) if o.z0 is None else o.z0 for o in opts])
-    if not Ws:
+    _check_count("while_iterations", while_iterations)
+    T, N = len(Ws), op.num_users
+    spd, Wv, z = _boundary(op, Sigma, Ws, np.zeros((T, N)) if z0s is None else z0s)
+    if not T:
         return []
+    perms = np.broadcast_to(np.arange(N), (T, N)) if permutations is None else permutations
+    perms = _checked_array("permutation", perms, float, (T, N))
+    bad = (np.sort(perms, axis=1) != np.arange(N)).any(axis=1)
+    if bad.any():
+        raise InvalidInput(f"trial {np.argmax(bad)}: permutation must be a bijection on 0..N-1")
     lam_min = np.linalg.eigvalsh(Wv)[:, 0]
     if lam_min.min() < -1e-10:
         i = int(np.argmax(lam_min < -1e-10))
         raise InvalidInput(f"trial {i}: W has a negative eigenvalue {lam_min[i]:.3e}")
-    return _descend(op, spd.values, Wv, z, np.array(perms), np.array([o.while_iterations for o in opts]))
+    return _descend(op, spd.values, Wv, z, perms.astype(int), while_iterations)
 
 
-def _descend(op, Sv, Wv, z, perms, caps) -> list[MlTrace]:
+def _descend(op, Sv, Wv, z, perms, cap) -> list[MlTrace]:
     """The coordinate-descent loop on checked inputs; row i of each array is trial i.
 
     All trials sweep in lockstep, one coordinate position at a time, each
     visiting the column its own permutation puts there.  A trial that stops
-    (objective gain below _ML_OBJECTIVE_TOL, or its sweep cap reached) is
+    (objective gain below _ML_OBJECTIVE_TOL, or the sweep cap reached) is
     finished and dropped from the active rows, so later sweeps only work on
     the trials still running.  ``z`` is updated in place.
     """
@@ -454,7 +436,7 @@ def _descend(op, Sv, Wv, z, perms, caps) -> list[MlTrace]:
         f_new = _objectives(Z, Wv, ids)
         for i, value in zip(ids, f_new):
             history[i].append(value)
-        done = (f_prev - f_new < _ML_OBJECTIVE_TOL) | (sweeps >= caps)
+        done = (f_prev - f_new < _ML_OBJECTIVE_TOL) | (sweeps >= cap)
         f_prev = f_new
         if not done.any():
             continue
@@ -474,8 +456,7 @@ def _descend(op, Sv, Wv, z, perms, caps) -> list[MlTrace]:
                 sweeps=sweeps,
             )
         keep = ~done
-        ids, z, S, Wv, perms = ids[keep], z[keep], S[keep], Wv[keep], perms[keep]
-        f_prev, caps = f_prev[keep], caps[keep]
+        ids, z, S, Wv, perms, f_prev = ids[keep], z[keep], S[keep], Wv[keep], perms[keep], f_prev[keep]
         a_all, ah_all = a_all[:, keep], ah_all[:, keep]
     return traces
 

@@ -27,7 +27,7 @@ from .channel import draw_sparse_fading, perturb_hermitian, sample_covariance, s
 from .codebook import Codebook, MeasurementOperator, build_gaussian_codebook
 from .config import ExperimentConfig, _checked_array, _format_row
 from .errors import InvalidInput, SetupFailed
-from .estimators import MlOptions, ml_coordinate_descent_batch, nnls_estimate_batch
+from .estimators import ml_coordinate_descent_batch, nnls_estimate_batch
 from .gtuple import trace_logdet_tuple
 from .hermitian import HermitianMatrix, HpdMatrix
 from .robustness import BoundInputs, delta_radius, k0_antennas
@@ -141,15 +141,15 @@ def _run_estimators(op, Sigma, observations, names, cfg, perm_streams) -> list:
         nnls = nnls_estimate_batch(op, Sigma, observations)
         for res, result in zip(results, nnls):
             res["nnls"] = result
-    runs = []  # (results dict, estimator name, W, options) of each ML run
+    runs = []  # (results dict, estimator name, W, visiting order, start) of each ML run
     for res, W, rng_perm in zip(results, observations, perm_streams):
         perm = rng_perm.permutation(op.num_users)
         for name in ("ml", "ml_nnls"):
             if name in names:
-                z0 = res["nnls"].z if name == "ml_nnls" else None
-                runs.append((res, name, W, MlOptions(permutation=perm, z0=z0, while_iterations=cfg.while_iterations)))
-    traces = ml_coordinate_descent_batch(op, Sigma, [run[2] for run in runs], [run[3] for run in runs])
-    for (res, name, _, _), trace in zip(runs, traces):
+                runs.append((res, name, W, perm, res["nnls"].z if name == "ml_nnls" else np.zeros(op.num_users)))
+    Ws, perms, z0s = ([run[k] for run in runs] for k in (2, 3, 4))
+    traces = ml_coordinate_descent_batch(op, Sigma, Ws, perms, z0s, cfg.while_iterations)
+    for (res, name, *_), trace in zip(runs, traces):
         res[name] = trace
     return [{name: res[name] for name in names} for res in results]
 

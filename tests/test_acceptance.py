@@ -15,7 +15,6 @@ from covact import (
     HermitianMatrix,
     HpdMatrix,
     MeasurementOperator,
-    MlOptions,
     adversarial_fading,
     build_gaussian_codebook,
     delta_radius,
@@ -93,7 +92,7 @@ def test_criterion_02_exact_observation_recovery(verified, operator, noise):
             res = nnls_estimate(operator, noise, W)
             err_nnls = float(np.linalg.norm(res.z - fading.x))
             perm = stream(2024, "accept-2", order, idx, "perm").permutation(17)
-            trace = ml_coordinate_descent(operator, noise, W, MlOptions(z0=res.z, permutation=perm))
+            trace = ml_coordinate_descent(operator, noise, W, perm, res.z)
             err_ml = float(np.linalg.norm(trace.z - fading.x))
             assert err_nnls <= 1e-3
             assert err_ml <= 1e-3
@@ -260,7 +259,7 @@ def test_criterion_08_coordinate_descent_contract():
         if np.linalg.eigvalsh(W.values)[0] < 1e-6:
             continue
         perm = rng.permutation(N)
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(permutation=perm, while_iterations=25))
+        trace = ml_coordinate_descent(op, Sigma, W, perm, while_iterations=25)
         _, updates = replayed_updates(op, Sigma, W, perm, trace.sweeps)
         for objectives in (trace.objectives, updates):
             assert np.all(np.diff(objectives) <= 1e-10 * np.abs(objectives[:-1]))
@@ -271,13 +270,13 @@ def test_criterion_08_coordinate_descent_contract():
     Sigma = HpdMatrix(np.eye(4))
     x = draw_sparse_fading(17, 5, 46).x
     W = HermitianMatrix(Sigma.values + op.apply_raw(x))
-    trace = ml_coordinate_descent(op, Sigma, W, MlOptions(z0=x, while_iterations=1))
+    trace = ml_coordinate_descent(op, Sigma, W, z0=x, while_iterations=1)
     assert np.abs(trace.z - x).max() <= 1e-10
 
     # Converged runs certify stationarity, and the gradient matches finite
     # differences away from the boundary.
     res = nnls_estimate(op, Sigma, W)
-    converged = ml_coordinate_descent(op, Sigma, W, MlOptions(z0=res.z))
+    converged = ml_coordinate_descent(op, Sigma, W, z0=res.z)
     assert converged.kkt_residual <= 1e-6
 
     rng = np.random.default_rng(47)
@@ -392,10 +391,7 @@ def test_end_to_end_ml_robustness(monkeypatch, verified, operator, noise):
                 W = perturb_hermitian(HermitianMatrix(X), radius, stream(61, "e2e", order, trial))
                 res = nnls_estimate(operator, noise, W)
                 perm = stream(62, "e2e", order, trial).permutation(17)
-                trace = ml_coordinate_descent(
-                    operator, noise, W,
-                    MlOptions(z0=res.z, permutation=perm, while_iterations=50),
-                )
+                trace = ml_coordinate_descent(operator, noise, W, perm, res.z, while_iterations=50)
                 total += 1
                 assert float(np.linalg.norm(trace.z - fading.x)) <= eps
                 if trace.kkt_residual <= 1e-8:

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from covact import (
     HpdMatrix,
     InvalidInput,
     MeasurementOperator,
-    MlOptions,
     NotConverged,
     NotPositiveDefinite,
     StepRejected,
@@ -489,7 +489,7 @@ class TestBoundary:
 
     ENTRY_POINTS = {
         "nnls_estimate": lambda op, Sigma, W, z: nnls_estimate(op, Sigma, W),
-        "ml_coordinate_descent": lambda op, Sigma, W, z: ml_coordinate_descent(op, Sigma, W, MlOptions(z0=z)),
+        "ml_coordinate_descent": lambda op, Sigma, W, z: ml_coordinate_descent(op, Sigma, W, z0=z),
         "ml_objective": ml_objective,
         "kkt_residual": kkt_residual,
     }
@@ -521,7 +521,7 @@ class TestBoundary:
     def test_caller_coefficients_untouched(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
         z0 = np.zeros(5)
-        ml_coordinate_descent(op, HpdMatrix(np.eye(3)), HermitianMatrix(2.0 * np.eye(3)), MlOptions(z0=z0))
+        ml_coordinate_descent(op, HpdMatrix(np.eye(3)), HermitianMatrix(2.0 * np.eye(3)), z0=z0)
         assert np.all(z0 == 0)
 
 
@@ -530,7 +530,7 @@ class TestBatchBoundary:
 
     BATCHES = {
         "nnls_estimate_batch": lambda op, Sigma, Ws: nnls_estimate_batch(op, Sigma, Ws),
-        "ml_coordinate_descent_batch": lambda op, Sigma, Ws: ml_coordinate_descent_batch(op, Sigma, Ws, [MlOptions()] * len(Ws)),
+        "ml_coordinate_descent_batch": lambda op, Sigma, Ws: ml_coordinate_descent_batch(op, Sigma, Ws),
     }
 
     @pytest.mark.parametrize("batch", BATCHES)
@@ -560,23 +560,23 @@ class TestBatchBoundary:
     def test_rejects_a_bad_start_anywhere(self, position, bad_z0):
         # A start of another length is named with its shape, or the first start after it with theirs.
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 40))
-        z0s = [None, np.zeros(5), None, np.full(5, 0.1), None]
+        z0s = [np.zeros(5), np.zeros(5), np.zeros(5), np.full(5, 0.1), np.zeros(5)]
         z0s[position] = bad_z0
         message = r"z entries must be nonnegative|z must be a finite float array of shape \(5, 5\), got (a non-finite entry|entry [1-4] of shape \((4|5),\))"
         with pytest.raises(InvalidInput, match=message):
-            ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), [2.0 * np.eye(3)] * 5, [MlOptions(z0=z0) for z0 in z0s])
+            ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), [2.0 * np.eye(3)] * 5, z0s=z0s)
 
     def test_plain_arrays_give_the_bits_of_wrapped_ones(self):
         # Observations that are not exactly Hermitian are symmetrized once for
         # the whole batch, with the bits HermitianMatrix gives each of them.
-        op, Sigma, Ws, opts = mixed_batch(50)
+        op, Sigma, Ws, args = mixed_batch(50)
         rng = np.random.default_rng(51)
         plain = [W.values + 1e-9 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) for W in Ws]
         assert not any(np.array_equal(P, P.conj().T) for P in plain)
         wrapped = [HermitianMatrix(P) for P in plain]
         for a, b in zip(nnls_estimate_batch(op, Sigma, plain), nnls_estimate_batch(op, Sigma, wrapped)):
             assert np.array_equal(a.z, b.z) and (a.residual, a.kkt_residual, a.iterations) == (b.residual, b.kkt_residual, b.iterations)
-        for a, b in zip(ml_coordinate_descent_batch(op, Sigma, plain, opts), ml_coordinate_descent_batch(op, Sigma, wrapped, opts)):
+        for a, b in zip(ml_coordinate_descent_batch(op, Sigma, plain, *args), ml_coordinate_descent_batch(op, Sigma, wrapped, *args)):
             assert np.array_equal(a.z, b.z) and np.array_equal(a.objectives, b.objectives)
             assert np.array_equal(a.sigma_prime, b.sigma_prime)
             assert (a.sweeps, a.kkt_residual, a.inverse_drift) == (b.sweeps, b.kkt_residual, b.inverse_drift)
@@ -584,9 +584,17 @@ class TestBatchBoundary:
             assert ml_objective(op, Sigma, P, np.ones(17)) == ml_objective(op, Sigma, H, np.ones(17))
             assert kkt_residual(op, Sigma, P, np.ones(17)) == kkt_residual(op, Sigma, H, np.ones(17))
 
+    @pytest.mark.parametrize("T", [0, 1, 3])
+    def test_ndarray_stacks_give_the_bits_of_lists(self, T):
+        op, Sigma, Ws, (perms, z0s, cap) = mixed_batch(53, trials=3)
+        Ws, perms, z0s = [W.values for W in Ws[:T]], perms[:T], z0s[:T]
+        stacks = [np.reshape(x, (T, *shape)) for x, shape in ((Ws, (4, 4)), (perms, (17,)), (z0s, (17,)))]
+        assert same_results(nnls_estimate_batch(op, Sigma, stacks[0]), nnls_estimate_batch(op, Sigma, Ws))
+        assert same_results(ml_coordinate_descent_batch(op, Sigma, *stacks, cap), ml_coordinate_descent_batch(op, Sigma, Ws, perms, z0s, cap))
+
     def test_sigma_prime_is_read_only(self):
-        op, Sigma, Ws, opts = mixed_batch(52, trials=2)
-        trace = ml_coordinate_descent_batch(op, Sigma, Ws, opts)[0]
+        op, Sigma, Ws, args = mixed_batch(52, trials=2)
+        trace = ml_coordinate_descent_batch(op, Sigma, Ws, *args)[0]
         assert trace.sigma_prime.shape == (4, 4)
         with pytest.raises(ValueError):
             trace.sigma_prime[0, 0] = 1.0
@@ -666,20 +674,20 @@ class TestShermanMorrison:
 class TestCoordinateDescent:
     @pytest.mark.parametrize("perm", [[0.6, 1.9, 2.2], [0, 0, 1], [1, 2, 3]])
     def test_options_reject_bad_permutation(self, perm):
+        op = MeasurementOperator(build_gaussian_codebook(2, 3, 40))
         with pytest.raises(InvalidInput, match="permutation"):
-            MlOptions(permutation=perm)
+            ml_coordinate_descent(op, HpdMatrix(np.eye(2)), HermitianMatrix(2.0 * np.eye(2)), permutation=perm)
 
-    @pytest.mark.parametrize(
-        "options, field", [(lambda: MlOptions(while_iterations=2.5), "while_iterations")], ids=["ml-fractional-sweeps"]
-    )
+    @pytest.mark.parametrize("options, field", [({"while_iterations": 2.5}, "while_iterations")], ids=["ml-fractional-sweeps"])
     def test_options_reject_bad_values(self, options, field):
+        op = MeasurementOperator(build_gaussian_codebook(2, 3, 40))
         with pytest.raises(InvalidInput, match=field):
-            options()
+            ml_coordinate_descent(op, HpdMatrix(np.eye(2)), HermitianMatrix(2.0 * np.eye(2)), **options)
 
     def test_noise_only_stays_at_zero(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 6, 22))
         Sigma = random_hpd(np.random.default_rng(23), 3)
-        trace = ml_coordinate_descent(op, Sigma, HermitianMatrix(Sigma.values), MlOptions())
+        trace = ml_coordinate_descent(op, Sigma, HermitianMatrix(Sigma.values))
         assert np.abs(trace.z).max() <= 1e-12
         assert trace.sweeps == 1
 
@@ -688,13 +696,13 @@ class TestCoordinateDescent:
         Sigma = HpdMatrix(np.eye(3))
         x = draw_sparse_fading(6, 2, 25).x
         W = HermitianMatrix(Sigma.values + op.apply_raw(x))
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(z0=x))
+        trace = ml_coordinate_descent(op, Sigma, W, z0=x)
         assert np.abs(trace.z - x).max() <= 1e-10
         assert np.ptp(trace.objectives) <= 1e-10 * max(1.0, abs(trace.objectives[0]))
 
     def test_scalar_chain(self):
         op, Sigma, W = scalar_setup()
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions())
+        trace = ml_coordinate_descent(op, Sigma, W)
         assert trace.z[0] == pytest.approx(2.0)
         # After the first sweep (one coordinate update) the fit equals W.
         assert trace.objectives[1] == pytest.approx(3.0 / 3.0 + math.log(3.0), rel=1e-12)
@@ -706,7 +714,7 @@ class TestCoordinateDescent:
         x = draw_sparse_fading(9, 3, seed + 1).x
         real_w = Sigma.values + op.apply_raw(x) + noise * np.eye(4)
         W = HermitianMatrix(real_w)
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(permutation=perm, while_iterations=30))
+        trace = ml_coordinate_descent(op, Sigma, W, perm, while_iterations=30)
         replay_z, updates = replayed_updates(op, Sigma, W, perm, trace.sweeps)
         np.testing.assert_allclose(replay_z, trace.z, rtol=1e-8, atol=1e-10)
         for objectives in (trace.objectives, updates):
@@ -721,7 +729,7 @@ class TestCoordinateDescent:
         rng = np.random.default_rng(seed)
         W = HermitianMatrix(Sigma.values + op.apply_raw(draw_sparse_fading(6, 2, rng).x) + noise * np.eye(3))
         perm = rng.permutation(6)
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(permutation=perm, while_iterations=1))
+        trace = ml_coordinate_descent(op, Sigma, W, perm, while_iterations=1)
         z = np.zeros(6)
         S = HpdMatrix(np.linalg.inv(Sigma.values))
         for n in perm:
@@ -737,28 +745,26 @@ class TestCoordinateDescent:
         Sigma = HpdMatrix(np.eye(4))
         x = draw_sparse_fading(9, 4, 30).x
         W = HermitianMatrix(Sigma.values + op.apply_raw(x))
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions(while_iterations=60))
+        trace = ml_coordinate_descent(op, Sigma, W, while_iterations=60)
         assert trace.inverse_drift <= 1e-7 * 4
 
     def test_rejects_indefinite_observation(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 6, 31))
         Sigma = HpdMatrix(np.eye(3))
         with pytest.raises(InvalidInput):
-            ml_coordinate_descent(op, Sigma, HermitianMatrix(np.diag([1.0, 1.0, -0.5])), MlOptions())
+            ml_coordinate_descent(op, Sigma, HermitianMatrix(np.diag([1.0, 1.0, -0.5])))
 
     def test_fixed_point_survives_any_permutation(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 7, 32))
         Sigma = HpdMatrix(0.2 * np.eye(3))
         x = draw_sparse_fading(7, 2, 33).x
         W = HermitianMatrix(Sigma.values + op.apply_raw(x))
-        first = ml_coordinate_descent(op, Sigma, W, MlOptions(z0=nnls_z(op, Sigma, W)))
+        first = ml_coordinate_descent(op, Sigma, W, z0=nnls_z(op, Sigma, W))
         assert first.kkt_residual <= 1e-8
         rng = np.random.default_rng(34)
         for _ in range(3):
             perm = rng.permutation(7)
-            again = ml_coordinate_descent(
-                op, Sigma, W, MlOptions(z0=first.z, permutation=perm, while_iterations=1)
-            )
+            again = ml_coordinate_descent(op, Sigma, W, perm, first.z, while_iterations=1)
             assert np.abs(again.z - first.z).max() <= 1e-10
             assert again.kkt_residual <= 1e-8
 
@@ -782,11 +788,18 @@ def replayed_updates(op, Sigma, W, perm, sweeps):
     return z, np.array(objectives)
 
 
+def same_results(results, others):
+    """Two lists of estimator results, field for field and bit for bit."""
+    return len(results) == len(others) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for a, b in zip(results, others) for f in fields(a)
+    )
+
+
 def nnls_z(op, Sigma, W):
     return nnls_estimate(op, Sigma, W).z
 
 
-def serial_ml(op, Sigma, W, opts):
+def serial_ml(op, Sigma, W, perm, z0, cap):
     """The per-trial coordinate-descent loop that the batched kernel replaced.
 
     Kept as the reference of TestBatchedMl; returns (z, objectives, sweeps,
@@ -794,8 +807,7 @@ def serial_ml(op, Sigma, W, opts):
     """
     A = op.codebook.columns
     Sv, Wv = Sigma.values, W.values
-    z = np.zeros(op.num_users) if opts.z0 is None else np.array(opts.z0, dtype=float)
-    perm = np.arange(op.num_users) if opts.permutation is None else opts.permutation
+    z = np.array(z0, dtype=float)
 
     def fit():
         return Sv + (A * z) @ A.conj().T
@@ -813,7 +825,7 @@ def serial_ml(op, Sigma, W, opts):
     sig = fresh_inverse()
     objectives = [objective()]
     sweeps = 0
-    for sweep in range(opts.while_iterations):
+    for sweep in range(cap):
         f_prev = objectives[-1]
         for n in perm:
             a = A[:, n]
@@ -836,25 +848,21 @@ def serial_ml(op, Sigma, W, opts):
 
 
 def mixed_batch(seed, trials=12):
-    """Observations and options mixing cold and warm starts, sweep caps,
-    exact and perturbed covariances."""
+    """Observations mixing exact and perturbed covariances, and the rest of
+    their ML batch's arguments: visiting orders, cold and warm starts, and a
+    sweep cap of 60."""
     rng = np.random.default_rng(seed)
     N = 17
     op = MeasurementOperator(build_gaussian_codebook(4, N, seed))
     Sigma = HpdMatrix(1e-4 * np.eye(4))
-    Ws, opts = [], []
+    Ws, perms, z0s = [], [], []
     for trial in range(trials):
         x = draw_sparse_fading(N, 1 + trial % 8, rng).x
         W = HermitianMatrix(Sigma.values + op.apply_raw(x) + (trial % 3 == 2) * 0.05 * random_hpd(rng, 4).values)
-        opts.append(
-            MlOptions(
-                permutation=rng.permutation(N),
-                z0=nnls_z(op, Sigma, W) if trial % 2 else None,
-                while_iterations=(60, 30, 9)[trial % 3],
-            )
-        )
+        perms.append(rng.permutation(N))
+        z0s.append(nnls_z(op, Sigma, W) if trial % 2 else np.zeros(N))
         Ws.append(W)
-    return op, Sigma, Ws, opts
+    return op, Sigma, Ws, (perms, z0s, 60)
 
 
 class TestBatchedMl:
@@ -862,11 +870,11 @@ class TestBatchedMl:
 
     @pytest.mark.parametrize("seed", [41, 42])
     def test_matches_serial_loop(self, seed):
-        op, Sigma, Ws, opts = mixed_batch(seed)
-        traces = ml_coordinate_descent_batch(op, Sigma, Ws, opts)
+        op, Sigma, Ws, (perms, z0s, cap) = mixed_batch(seed)
+        traces = ml_coordinate_descent_batch(op, Sigma, Ws, perms, z0s, cap)
         sweeps = []
-        for W, o, trace in zip(Ws, opts, traces):
-            z, objectives, n_sweeps, sigma_prime, drift = serial_ml(op, Sigma, W, o)
+        for W, perm, z0, trace in zip(Ws, perms, z0s, traces):
+            z, objectives, n_sweeps, sigma_prime, drift = serial_ml(op, Sigma, W, perm, z0, cap)
             assert np.array_equal(trace.z, z)
             assert np.array_equal(trace.objectives, objectives)
             assert trace.sweeps == n_sweeps
@@ -874,20 +882,20 @@ class TestBatchedMl:
             assert trace.inverse_drift == drift
             assert trace.kkt_residual == kkt_residual(op, Sigma, W, z)
             by_test = objectives[-2] - objectives[-1] < estimators._ML_OBJECTIVE_TOL
-            sweeps.append((n_sweeps, o.while_iterations, by_test))
-        # The batch holds trials that stop by the objective test before their
-        # cap, pass the refresh, and stop at their cap with the test unmet.
+            sweeps.append((n_sweeps, cap, by_test))
+        # The batch holds trials that stop by the objective test before the
+        # cap, pass the refresh, and stop at the cap with the test unmet.
         assert any(by_test and n < cap for n, cap, by_test in sweeps)
         assert any(n > 25 for n, cap, by_test in sweeps)
         assert any(n == cap and not by_test for n, cap, by_test in sweeps)
 
     def test_result_does_not_depend_on_the_batch(self):
-        op, Sigma, Ws, opts = mixed_batch(43)
-        together = ml_coordinate_descent_batch(op, Sigma, Ws, opts)
+        op, Sigma, Ws, (perms, z0s, cap) = mixed_batch(43)
+        together = ml_coordinate_descent_batch(op, Sigma, Ws, perms, z0s, cap)
         order = np.random.default_rng(44).permutation(len(Ws))
-        shuffled = ml_coordinate_descent_batch(op, Sigma, [Ws[i] for i in order], [opts[i] for i in order])
+        shuffled = ml_coordinate_descent_batch(op, Sigma, *([x[i] for i in order] for x in (Ws, perms, z0s)), cap)
         for i, j in enumerate(order):
-            for other in (ml_coordinate_descent(op, Sigma, Ws[j], opts[j]), shuffled[i]):
+            for other in (ml_coordinate_descent(op, Sigma, Ws[j], perms[j], z0s[j], cap), shuffled[i]):
                 assert np.array_equal(other.z, together[j].z)
                 assert np.array_equal(other.objectives, together[j].objectives)
                 assert np.array_equal(other.sigma_prime, together[j].sigma_prime)
@@ -897,14 +905,14 @@ class TestBatchedMl:
 
     def test_empty_batch(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
-        assert ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), [], []) == []
+        assert ml_coordinate_descent_batch(op, HpdMatrix(np.eye(3)), []) == []
 
     def test_negative_eigenvalue_names_trial(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 46))
         Sigma = HpdMatrix(np.eye(3))
         Ws = [Sigma, Sigma, HermitianMatrix(np.diag([1.0, 1.0, -0.5]))]
         with pytest.raises(InvalidInput, match="trial 2: W has a negative eigenvalue"):
-            ml_coordinate_descent_batch(op, Sigma, Ws, [MlOptions()] * 3)
+            ml_coordinate_descent_batch(op, Sigma, Ws)
 
     def test_step_rejected_names_trial(self):
         # Started at z = 2 with Sigma and W at 1.5e-12, the step back to zero
@@ -912,20 +920,28 @@ class TestBatchedMl:
         op = MeasurementOperator(Codebook(np.array([[1.0 + 0j]])))
         Sigma = HpdMatrix(np.array([[1.5e-12 + 0j]]))
         with pytest.raises(StepRejected, match="trial 1: rank-one update denominator"):
-            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [MlOptions(), MlOptions(z0=[2.0])])
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], z0s=[[0.0], [2.0]])
 
     def test_rejects_a_count_of_options_other_than_of_observations(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
         Sigma = HpdMatrix(np.eye(3))
-        with pytest.raises(InvalidInput, match="2 observations but 1 option sets"):
-            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [MlOptions()])
+        with pytest.raises(InvalidInput, match=r"permutation must be a finite float array of shape \(2, 5\), got shape \(1, 5\)"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [np.arange(5)])
+        with pytest.raises(InvalidInput, match=r"z must be a finite float array of shape \(2, 5\), got shape \(3, 5\)"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], z0s=np.zeros((3, 5)))
 
     def test_rejects_a_permutation_of_another_length(self):
         op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
         Sigma = HpdMatrix(np.eye(3))
-        opts = [MlOptions(), MlOptions(permutation=np.arange(4))]
-        with pytest.raises(InvalidInput, match="trial 1: permutation length does not match the number of users"):
-            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], opts)
+        with pytest.raises(InvalidInput, match=r"permutation must be a finite float array of shape \(2, 5\), got entry 1 of shape \(4,\)"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma, Sigma], [np.arange(5), np.arange(4)])
+
+    def test_rejects_a_bad_permutation_naming_its_trial(self):
+        op = MeasurementOperator(build_gaussian_codebook(3, 5, 45))
+        Sigma = HpdMatrix(np.eye(3))
+        perms = [np.arange(5), np.arange(5)[::-1], [0, 1, 2, 3, 3.5]]
+        with pytest.raises(InvalidInput, match=r"trial 2: permutation must be a bijection on 0..N-1"):
+            ml_coordinate_descent_batch(op, Sigma, [Sigma] * 3, perms)
 
     def test_step_rejected_names_the_trial_whose_inverse_is_not_positive(self):
         S = np.stack([np.eye(2), -np.eye(2)]).astype(complex)
@@ -959,7 +975,7 @@ class TestBatchedMl:
         Sigma = HpdMatrix(1.5e-12 * np.eye(2))
         Ws = [Sigma, HermitianMatrix(np.diag([3.0, 1.5e-12]))]
         with pytest.raises(NotPositiveDefinite, match="trial 1: tracked inverse"):
-            ml_coordinate_descent_batch(op, Sigma, Ws, [MlOptions(), MlOptions()])
+            ml_coordinate_descent_batch(op, Sigma, Ws)
 
 
 class TestKktResidual:
@@ -1046,7 +1062,7 @@ class TestThresholdDetect:
 class TestCsvOutputs:
     def test_estimate_and_trace_files(self, tmp_path):
         op, Sigma, W = scalar_setup()
-        trace = ml_coordinate_descent(op, Sigma, W, MlOptions())
+        trace = ml_coordinate_descent(op, Sigma, W)
         save_estimate_csv(trace.z, tmp_path / "estimate.csv")
         save_trace_csv(trace, tmp_path / "trace.csv")
         est_lines = (tmp_path / "estimate.csv").read_text().strip().splitlines()

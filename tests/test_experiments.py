@@ -416,9 +416,9 @@ class TestPanels:
     def test_serial_panel_runs_one_ml_batch(self, tiny_config, tiny_verified, monkeypatch, run, grid, ml_runs_per_trial):
         batches, real = [], experiments.ml_coordinate_descent_batch
 
-        def counted(op, Sigma, Ws, opts):
+        def counted(op, Sigma, Ws, permutations, z0s, while_iterations):
             batches.append(len(Ws))
-            return real(op, Sigma, Ws, opts)
+            return real(op, Sigma, Ws, permutations, z0s, while_iterations)
 
         monkeypatch.setattr(experiments, "ml_coordinate_descent_batch", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

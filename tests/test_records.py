@@ -7,7 +7,6 @@ from covact import (
     ChannelRealization,
     Codebook,
     FadingVector,
-    MlOptions,
     MlTrace,
     NnlsResult,
     SkcReport,
@@ -21,7 +20,6 @@ RECORDS = {
     "FadingVector": lambda: FadingVector(np.array([1.0, 0.0]), 1),
     "ChannelRealization": lambda: ChannelRealization(Y=np.eye(2), H=np.eye(2), E=np.zeros((2, 2))),
     "NnlsResult": lambda: NnlsResult(z=np.zeros(2), residual=0.0, kkt_residual=0.0, iterations=0),
-    "MlOptions": lambda: MlOptions(permutation=np.arange(2), z0=np.zeros(2)),
     "MlTrace": lambda: MlTrace(np.ones(2), np.zeros(2), np.eye(2), 0.0, 0.0, 1),
     "SkcReport": lambda: SkcReport(1, 0.5, 0.5, np.zeros(2), np.ones(2), "exact-enumeration"),
     "VerifiedCodebook": lambda: VerifiedCodebook(Codebook(np.eye(2)), (), 1),
