@@ -34,7 +34,7 @@ def stream(seed, *labels) -> np.random.Generator:
     other seed must be a nonnegative int or NumPy integer.
     """
     if isinstance(seed, np.random.Generator):
-        return seed.spawn(1)[0] if labels else seed
+        return seed.spawn(1)[0]
     words = [int(_checked_seed(seed))]
     for label in labels:
         digest = hashlib.blake2s(repr(label).encode(), digest_size=8).digest()

@@ -99,7 +99,7 @@ def _cmd_estimate(args, cfg) -> list:
     sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
     fading, W = _observe(cfg, op, Sigma, sparsity, args.antennas, "estimate")
     name = "ml_nnls" if args.estimator == "ml" and args.init_nnls else args.estimator
-    result = _run_estimators(op, Sigma, [W], (name,), cfg, [stream(cfg.seed, "estimate", "perm")])[0][name]
+    result = _run_estimators(op, Sigma, [W], (name,), cfg, [stream(cfg.seed, "estimate", "perm")])[name][0]
     if args.estimator == "nnls":
         summary = f"nnls residual = {result.residual:.6e}"
     else:

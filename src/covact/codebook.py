@@ -122,11 +122,10 @@ class StackedRealMatrix:
 class MeasurementOperator:
     """The linear map z -> sum_n z_n a_n a_n^H and its adjoint."""
 
-    __slots__ = ("codebook", "_stacked")
+    __slots__ = ("codebook",)
 
     def __init__(self, codebook: Codebook):
         self.codebook = codebook
-        self._stacked = None
 
     @property
     def pilot_len(self) -> int:
@@ -163,14 +162,12 @@ class MeasurementOperator:
         return np.einsum("mn,mk,kn->n", A.conj(), herm.values, A).real
 
     def stacked_real(self) -> StackedRealMatrix:
-        """Real vectorization of the operator as a 2M^2 x N matrix (built once, read-only)."""
-        if self._stacked is None:
-            A = self.codebook.columns
-            M, N = A.shape
-            rank_ones = np.einsum("mn,kn->mkn", A, A.conj())
-            flat = rank_ones.reshape(M * M, N, order="F")
-            self._stacked = StackedRealMatrix(values=np.vstack([flat.real, flat.imag]))
-        return self._stacked
+        """Real vectorization of the operator as a read-only 2M^2 x N matrix."""
+        A = self.codebook.columns
+        M, N = A.shape
+        rank_ones = np.einsum("mn,kn->mkn", A, A.conj())
+        flat = rank_ones.reshape(M * M, N, order="F")
+        return StackedRealMatrix(values=np.vstack([flat.real, flat.imag]))
 
 
 def vectorize_hermitian(H, M: int) -> np.ndarray:
@@ -227,4 +224,7 @@ def load_codebook_csv(path) -> Codebook:
     out = np.zeros((rows, cols), dtype=complex)
     for (r, c), v in entries.items():
         out[r, c] = v
-    return Codebook(out)
+    try:
+        return Codebook(out)
+    except InvalidInput as err:
+        raise InvalidInput(f"{path}: {err}") from None

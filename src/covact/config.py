@@ -157,10 +157,10 @@ def _converter(default):
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read overrides from a ``key = value`` file on top of the defaults."""
+    """Read overrides from a ``key = value`` file on top of the defaults; each key may be set once."""
     defaults = ExperimentConfig()
     keys = {f.name for f in fields(defaults)}
-    overrides = {}
+    overrides, set_on = {}, {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -171,6 +171,9 @@ def parse_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise InvalidInput(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in set_on:
+            raise InvalidInput(f"{path}:{lineno}: {key!r} is set again; line {set_on[key]} first set it")
+        set_on[key] = lineno
         try:
             overrides[key] = _converter(getattr(defaults, key))(value)
         except ValueError:

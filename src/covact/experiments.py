@@ -126,32 +126,24 @@ def _exact_covariance(op, Sigma, x) -> HermitianMatrix:
     return HermitianMatrix(op.apply_raw(x) + Sigma.values)
 
 
-def _run_estimators(op, Sigma, observations, names, cfg, perm_streams) -> list:
-    """Result of each requested estimator on each observation.
+def _run_estimators(op, Sigma, observations, names, cfg, perm_streams) -> dict:
+    """Each estimator's result on each observation: ``results[name][i]``, keyed in the order of ``names``.
 
-    One dict per observation, keys in the order of ``names``.  "nnls" gives
-    an NnlsResult; "ml" (cold start) and "ml_nnls" (started at the NNLS
-    estimate) give an MlTrace.  Every NNLS run goes through one batch, and
-    every ML run of every observation then through another.  Both ML runs of
-    an observation visit the coordinates in one permutation drawn from its
-    stream in ``perm_streams``.
+    "nnls" gives an NnlsResult; "ml" (cold start at zeros) and "ml_nnls"
+    (warm start at the NNLS estimate) give an MlTrace.  Every NNLS run goes
+    through one batch, and every ML run through another: all cold runs
+    first, then all warm ones, both runs of observation i visiting the
+    coordinates in the one permutation drawn from ``perm_streams[i]``.
     """
-    results = [{} for _ in observations]
+    results = {}
     if "nnls" in names or "ml_nnls" in names:
-        nnls = nnls_estimate_batch(op, Sigma, observations)
-        for res, result in zip(results, nnls):
-            res["nnls"] = result
-    runs = []  # (results dict, estimator name, W, visiting order, start) of each ML run
-    for res, W, rng_perm in zip(results, observations, perm_streams):
-        perm = rng_perm.permutation(op.num_users)
-        for name in ("ml", "ml_nnls"):
-            if name in names:
-                runs.append((res, name, W, perm, res["nnls"].z if name == "ml_nnls" else np.zeros(op.num_users)))
-    Ws, perms, z0s = ([run[k] for run in runs] for k in (2, 3, 4))
-    traces = ml_coordinate_descent_batch(op, Sigma, Ws, perms, z0s, cfg.while_iterations)
-    for (res, name, *_), trace in zip(runs, traces):
-        res[name] = trace
-    return [{name: res[name] for name in names} for res in results]
+        results["nnls"] = nnls_estimate_batch(op, Sigma, observations)
+    ml, n = [name for name in ("ml", "ml_nnls") if name in names], len(observations)
+    z0s = [z for name in ml for z in (np.zeros((n, op.num_users)) if name == "ml" else [r.z for r in results["nnls"]])]
+    perms = [rng.permutation(op.num_users) for rng in perm_streams] * len(ml)
+    traces = ml_coordinate_descent_batch(op, Sigma, list(observations) * len(ml), perms, z0s, cfg.while_iterations)
+    results.update((name, traces[k * n:(k + 1) * n]) for k, name in enumerate(ml))
+    return {name: results[name] for name in names}
 
 
 def _emit(cfg: ExperimentConfig, header, rows) -> str:
@@ -177,8 +169,8 @@ def run_figure_a(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
         [stream(cfg.seed, "figure-a", order, "perm") for order in orders],
     )
     rows = [
-        (order, verified.report(order).tau_prime, *(float(np.linalg.norm(x - r.z)) for r in res.values()))
-        for order, x, res in zip(orders, xs, results)
+        (order, verified.report(order).tau_prime, *(float(np.linalg.norm(x - res[i].z)) for res in results.values()))
+        for i, (order, x) in enumerate(zip(orders, xs))
     ]
     return _emit(cfg, ["S", "tau_prime", "err_nnls", "err_ml", "err_ml_nnls"], rows)
 
@@ -235,7 +227,7 @@ def _panel_share(cfg, verified, name, pairs) -> list:
     fadings, observations = zip(*(observe(cfg, op, Sigma, point, trial) for point, trial in pairs))
     streams = [stream(cfg.seed, name.replace("_", "-"), point, trial, "perm") for point, trial in pairs]
     results = _run_estimators(op, Sigma, observations, names, cfg, streams)
-    return [[statistic(float(np.linalg.norm(f.x - res[n].z))) for n in names] for f, res in zip(fadings, results)]
+    return [[statistic(float(np.linalg.norm(f.x - results[n][i].z))) for n in names] for i, f in enumerate(fadings)]
 
 
 def _panel(cfg, verified, name, grid, header) -> str:

@@ -60,6 +60,12 @@ class TestStreams:
             assert np.array_equal(SAMPLERS[name](np.int64(seed)), bits)
             assert np.array_equal(SAMPLERS[name](np.random.default_rng(seed)), bits)
 
+    def test_generator_seed_spawns_a_child_on_every_call(self):
+        g = np.random.default_rng(3)
+        first, second = stream(g), stream(g)
+        assert first is not g and second is not g
+        assert not np.array_equal(first.standard_normal(5), second.standard_normal(5))
+
     def test_numpy_integer_seed(self):
         assert np.array_equal(stream(np.int64(5), "x").standard_normal(5), stream(5, "x").standard_normal(5))
 

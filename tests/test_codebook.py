@@ -119,8 +119,11 @@ class TestCodebookCsv:
             ("m,n,re,im\n1,1,one,0\n", ", line 2: expected m,n,re,im numbers"),
             ("m,n,re,im\n1,1,1\n", ", line 2: expected m,n,re,im numbers"),
             ("m,n,re,im\n", ": no entries"),
+            ("m,n,re,im\n1,1,nan,0\n", ": columns must be a finite complex array of shape (*, *), got a non-finite entry"),
+            ("m,n,re,im\n1,1,1,inf\n", ": columns must be a finite complex array of shape (*, *), got a non-finite entry"),
+            ("m,n,re,im\n1,1,1,0\n1,2,0,0\n", ": codebook columns must all be nonzero"),
         ],
-        ids=["missing", "repeated", "zero-index", "header", "not-a-number", "short-row", "header-only"],
+        ids=["missing", "repeated", "zero-index", "header", "not-a-number", "short-row", "header-only", "nan", "inf", "zero-column"],
     )
     def test_rejects_malformed_file(self, tmp_path, body, message):
         path = tmp_path / "codebook.csv"

@@ -1,5 +1,6 @@
 """Experiment harness: configs, panel runs, bounds table and the CLI."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -242,6 +243,12 @@ class TestConfig:
         path = tmp_path / "out.cfg"
         path.write_text("out_dir = results\n")
         with pytest.raises(InvalidInput, match="unknown configuration key 'out_dir'"):
+            parse_config(path)
+
+    def test_parse_rejects_a_key_set_twice(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("trials_fig_b = 5\nM = 4\ntrials_fig_b = 7\n")
+        with pytest.raises(InvalidInput, match=r"twice.cfg:3: 'trials_fig_b' is set again; line 1 first set it"):
             parse_config(path)
 
     def test_parse_rejects_bad_value(self, tmp_path):
@@ -496,15 +503,45 @@ class TestPublishedBatchSizes:
             streams = [stream(cfg.seed, "figure-b", *pairs[i], "perm") for i in rows]
             return experiments._run_estimators(op, Sigma, [observations[i] for i in rows], ("nnls", "ml", "ml_nnls"), cfg, streams)
 
-        alone = {i: run([i])[0] for i in self.ROWS}
+        alone = {i: run([i]) for i in self.ROWS}
         for T in (1, 600, 1600):
             _, W, _ = estimators._boundary(op, Sigma, observations[:T])
             _, _, z = estimators._boundary(op, Sigma, observations[:T], np.ones((T, op.num_users)))
             assert W.flags.c_contiguous and z.flags.c_contiguous
             batch = run(range(T))
             for i in (i for i in self.ROWS if i < T):
-                for name, result in batch[i].items():
-                    assert same_fields(result, alone[i][name]), (T, i, name)
+                for name, results in batch.items():
+                    assert same_fields(results[i], alone[i][name][0]), (T, i, name)
+
+
+ESTIMATORS = ("nnls", "ml", "ml_nnls")
+
+
+class TestRunEstimators:
+    @pytest.mark.parametrize("names", [names for k in (1, 2, 3) for names in itertools.combinations(ESTIMATORS, k)], ids="-".join)
+    def test_every_subset_matches_the_full_run(self, default_config, verified, monkeypatch, names):
+        op = MeasurementOperator(verified.codebook)
+        Sigma = experiments._noise_covariance(default_config)
+        observe = experiments._PANELS["figure_b"][2]
+        pairs = [(default_config.s_values[trial % len(default_config.s_values)], trial) for trial in range(6)]
+        observations = [observe(default_config, op, Sigma, S, trial)[1] for S, trial in pairs]
+
+        def run(names):
+            streams = [stream(default_config.seed, "figure-b", *pair, "perm") for pair in pairs]
+            return experiments._run_estimators(op, Sigma, observations, names, default_config, streams)
+
+        full = run(ESTIMATORS)
+        calls = []
+        for batch in ("nnls_estimate_batch", "ml_coordinate_descent_batch"):
+            real = getattr(experiments, batch)
+            monkeypatch.setattr(experiments, batch, lambda *args, real=real, batch=batch: calls.append(batch) or real(*args))
+        results = run(names)
+        assert tuple(results) == names
+        for name in names:
+            assert len(results[name]) == len(observations)
+            assert all(same_fields(result, other) for result, other in zip(results[name], full[name])), name
+        assert calls.count("nnls_estimate_batch") == ("nnls" in names or "ml_nnls" in names)
+        assert calls.count("ml_coordinate_descent_batch") == 1
 
 
 class TestGolden:
@@ -832,9 +869,10 @@ class TestCli:
 
 
 def _tiny_with(config_file, tmp_path, key, value) -> str:
-    """Path of a copy of the tiny config file whose last line sets ``key = value``."""
+    """Path of a copy of the tiny config file whose last line sets ``key = value`` in place of its own line."""
+    lines = [line for line in Path(config_file).read_text().splitlines() if line.split("=")[0].strip() != key]
     path = tmp_path / f"{key}.cfg"
-    path.write_text(Path(config_file).read_text() + f"{key} = {value}\n")
+    path.write_text("".join(f"{line}\n" for line in [*lines, f"{key} = {value}"]))
     return str(path)
 
 
