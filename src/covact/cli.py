@@ -94,9 +94,10 @@ def _cmd_tau(args, cfg) -> list:
 
 def _cmd_estimate(args, cfg) -> list:
     _check_count("--antennas", args.antennas, low=0)
+    sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
+    _check_count("--sparsity", sparsity, high=cfg.N)
     op = MeasurementOperator(_build_codebook(cfg))
     Sigma = _noise_covariance(cfg)
-    sparsity = cfg.skc_order if args.sparsity is None else args.sparsity
     fading, W = _observe(cfg, op, Sigma, sparsity, args.antennas, "estimate")
     name = "ml_nnls" if args.estimator == "ml" and args.init_nnls else args.estimator
     result = _run_estimators(op, Sigma, [W], (name,), cfg, [stream(cfg.seed, "estimate", "perm")])[name][0]

@@ -178,4 +178,7 @@ def parse_config(path) -> ExperimentConfig:
             overrides[key] = _converter(getattr(defaults, key))(value)
         except ValueError:
             raise InvalidInput(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
-    return replace(defaults, **overrides)
+    try:
+        return replace(defaults, **overrides)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None

@@ -34,7 +34,7 @@ from numpy.linalg import _umath_linalg
 
 from .codebook import MeasurementOperator, _vectorize
 from .config import _check_count, _check_real, _checked_array, _write_csv
-from .errors import InvalidInput, NotConverged, NotPositiveDefinite, StepRejected
+from .errors import InvalidInput, NotConverged, StepRejected
 from .hermitian import HermitianMatrix, HpdMatrix, _hermitian_part, _ht, _require_hpd, as_hpd
 
 # Sweeps between from-scratch recomputations of the tracked ML inverse, and
@@ -264,15 +264,11 @@ def nnls_estimate_batch(op: MeasurementOperator, Sigma, Ws) -> list[NnlsResult]:
 
 
 def _cholesky(Z, ids):
-    """Cholesky factors of stacked Z; NotPositiveDefinite names the first failing trial."""
+    """Cholesky factors of stacked Z; on failure, HpdMatrix's rule (_require_hpd) names the first trial failing it, else it re-raises."""
     try:
         return np.linalg.cholesky(Z)
     except np.linalg.LinAlgError:
-        for i, Zi in zip(ids, Z):
-            try:
-                np.linalg.cholesky(Zi)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(f"trial {i}: matrix is not positive definite") from None
+        _require_hpd(Z, [f"trial {i}: " for i in ids])
         raise
 
 

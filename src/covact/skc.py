@@ -243,12 +243,12 @@ def _fista_bounds(G, patterns, margin, prune):
     without ``prune``, which keeps every pattern.  A pool of up to _BLOCK
     patterns iterates as one array, each row with its own step count and
     momentum, by FISTA on min w^T Q_M w - 2 sum(w) over w >= 0,
-    Q_M = diag(s) M diag(s) for the minorant (M, a), from the centre of the
-    simplex at its best multiple.  Every _CHUNK steps a row takes the larger
-    of its bound so far and the _iterate_bounds bound of Q_M at
-    u = w / sum(w) less a, moves to u / f_M, f_M = u^T Q_M u, unless
-    f_M <= 0, and leaves once that bound exceeds the incumbent plus
-    ``margin`` (pruned) or before a check past _MAX_ITERS (kept).
+    Q_M = diag(s) M diag(s) for the minorant (M, a), from w = 0.  Every
+    _CHUNK steps a row takes the larger of its bound so far and the
+    _iterate_bounds bound of Q_M at u = w / sum(w) less a, moves to u / f_M,
+    f_M = u^T Q_M u, unless f_M <= 0, and leaves once that bound exceeds the
+    incumbent plus ``margin`` (pruned) or before a check past _MAX_ITERS
+    (kept).
     """
     n = G.shape[0]
     M, allowance = _minorant(G)
@@ -263,9 +263,7 @@ def _fista_bounds(G, patterns, margin, prune):
             signs = np.ones((m := len(fresh), n))
             rows = np.repeat(np.arange(m), [len(J) for J in fresh])
             signs[rows, np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=rows.size)] = -1.0
-            start = np.full((m, n), 1.0 / n)
-            f = _iterate_bounds(M, signs, start, margin)[0]
-            start /= np.where(f > 0, f, 1.0)[:, None]
+            start = np.zeros((m, n))
             added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), np.full(m, -np.inf), signs, start, start)
             idx, steps, lower, s, w, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, s, w, y), added))
             count += m
@@ -362,8 +360,7 @@ def _heuristic_candidates(B, G, orders):
     (S, "skc-heuristic"), _HEURISTIC_STARTS in all.  The starts of every
     order iterate as the rows of one array, each row projected with its own
     S.  A start stops once a step moves it by at most 1e-14, or projects to
-    zero (it then keeps its last iterate); a start that itself projects to
-    zero is dropped.
+    zero (it then keeps its last iterate).
     """
     n = G.shape[0]
     lam_max = float(np.linalg.eigvalsh(G)[-1])
@@ -381,8 +378,7 @@ def _heuristic_candidates(B, G, orders):
             starts.append(v)
 
     owner, sparsity = np.repeat(np.arange(len(orders)), _HEURISTIC_STARTS), np.repeat(orders, _HEURISTIC_STARTS)
-    V, nonzero = _project_sparse(np.array(starts).reshape(-1, n), sparsity)
-    V, owner, sparsity = V[nonzero], owner[nonzero], sparsity[nonzero]
+    V = _project_sparse(np.array(starts).reshape(-1, n), sparsity)[0]
     live = np.arange(len(V))
     for _ in range(_HEURISTIC_ITERS):
         X = V[live]

@@ -951,12 +951,12 @@ class TestBatchedMl:
 
     def test_cholesky_names_the_first_failing_trial(self):
         Z = np.stack([np.eye(2), np.diag([1.0, -1.0]), -np.eye(2)])
-        with pytest.raises(NotPositiveDefinite, match="trial 9: matrix is not positive definite"):
+        with pytest.raises(NotPositiveDefinite, match=r"trial 9: smallest eigenvalue -1\.000e\+00 is below the HPD tolerance 1\.000e-12"):
             estimators._cholesky(Z, np.array([5, 9, 11]))
 
     def test_cholesky_failure_no_trial_reproduces_is_raised_as_is(self, monkeypatch):
-        # A stacked failure that every single-trial factorization passes
-        # cannot be put on a trial: it propagates unchanged.
+        # A stacked failure on trials that all pass HpdMatrix's rule cannot
+        # be put on a trial: it propagates unchanged.
         cholesky = np.linalg.cholesky
 
         def stacked_fails(a):

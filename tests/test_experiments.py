@@ -257,6 +257,23 @@ class TestConfig:
         with pytest.raises(InvalidInput, match=r"bad.cfg:2: bad value 'four' for 'M'"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("skc_order = 20", "skc_order must be an integer of at least 1 and at most 16, got 20"),
+            ("tau_method = fast", "tau_method must be 'exact' or 'heuristic'"),
+            ("k_grid = 250, 0", "k_grid entry must be an integer of at least 1, got 0"),
+        ],
+        ids=["skc_order", "tau_method", "k_grid"],
+    )
+    def test_parse_names_the_file_of_a_value_the_config_rejects(self, tmp_path, line, message):
+        # A value that parses but fails ExperimentConfig's checks names the file too.
+        path = tmp_path / "checked.cfg"
+        path.write_text(f"N = 17\n{line}\n")
+        with pytest.raises(InvalidInput) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_metadata_lines_cover_fields(self):
         lines = ExperimentConfig().metadata_lines()
         assert any(line.startswith("# seed = ") for line in lines)
@@ -789,6 +806,13 @@ class TestCli:
         code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", "nnls", "--antennas", "-5"])
         assert code == 1
         assert capsys.readouterr().err == "error: --antennas must be an integer of at least 0, got -5\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sparsity", ["0", "40"])
+    def test_sparsity_out_of_range_names_its_flag(self, tmp_path, config_file_tiny, capsys, sparsity):
+        code = main(["--config", config_file_tiny, "--out", str(tmp_path), "estimate", "nnls", "--sparsity", sparsity])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --sparsity must be an integer of at least 1 and at most 6, got {sparsity}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [["codebook", "build", "--order", "3"], ["estimate", "nnls", "--init-nnls"]])

@@ -278,7 +278,7 @@ class TestBoundAndPrune:
 
     def test_published_search_work(self, qp_calls, monkeypatch, verified):
         # The exact solves of the published codebook's searches are fixed work:
-        # 48 for the curve and 22 for the heuristic of orders 1-8.  A pruning
+        # 50 for the curve and 22 for the heuristic of orders 1-8.  A pruning
         # regression that multiplies them without moving a bit fails here.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         stacked = MeasurementOperator(verified.codebook).stacked_real()
@@ -453,6 +453,27 @@ class TestStackedHeuristic:
         projected, nonzero = skc._project_sparse(V, S)
         assert np.array_equal(nonzero, nrm > 0)
         assert np.array_equal(projected, clipped / np.where(nrm > 0, nrm, 1.0)[:, None])
+
+    @given(
+        st.tuples(st.integers(1, 8), st.integers(1, 20)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1e6, 1e6))),
+                arrays(np.intp, shape[0], elements=st.integers(0, shape[1] - 1)),
+                arrays(np.float64, shape[0], elements=st.floats(-1e6, 1e6).filter(bool)),
+            )
+        )
+    )
+    def test_maps_every_nonzero_row_to_a_nonzero_row(self, case):
+        # Why _heuristic_candidates keeps every start: for each S in 1..n, a
+        # nonzero finite row keeps its positive entries or else its most
+        # negative one, so it never projects to zero.
+        V, column, pivot = case
+        V[np.arange(V.shape[0]), column] = pivot
+        for S in range(1, V.shape[1] + 1):
+            projected, nonzero = skc._project_sparse(V, np.full(V.shape[0], S))
+            assert nonzero.all()
+            assert ((projected < 0).sum(axis=1) <= S).all()
+            np.testing.assert_allclose(np.abs(projected).sum(axis=1), 1.0, rtol=1e-12)
 
     CASES = (
         [pytest.param(lambda seed=seed: build_gaussian_codebook(2, 4, seed).columns, id=f"2x4-seed{seed}") for seed in range(3)]

@@ -83,10 +83,13 @@ def executable_lines(path):
     return {line: (owner.get(line, "<module>"), text[line - 1].strip()) for line in sorted(lines - docstrings)}
 
 
-def main():
-    sys.path.insert(0, str(ROOT / "src"))
-    files = {str(path): path.stem for path in sorted(PACKAGE.glob("*.py"))}
-    ran = {name: set() for name in files}
+def traced(run):
+    """run() under a line tracer on every frame of a src/covact module (``sys.settrace`` and ``threading.settrace``).
+
+    Returns run's result and {module path: set of lines that ran}.
+    """
+    files = {str(path) for path in PACKAGE.glob("*.py")}
+    ran = {filename: set() for filename in files}
     tracers = {}
 
     def tracer_for(filename):
@@ -108,28 +111,38 @@ def main():
     def trace(frame, event, arg):
         return tracer_for(frame.f_code.co_filename)
 
-    import pytest
-
-    os.chdir(ROOT)
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", "tests"])
+        return run(), ran
     finally:
         sys.settrace(None)
         threading.settrace(None)
 
-    missed, unused = [], Counter(ALLOWED)
-    for filename, module in files.items():
+
+def unrun_lines(ran):
+    """(module, line, function, text) of every executable line that ``ran`` (from traced) does not hold, by module and line."""
+    for filename in sorted(ran):
+        module = Path(filename).stem
         for line, (function, text) in executable_lines(Path(filename)).items():
-            if line in ran[filename]:
-                continue
-            key = (module, function, text)
-            if unused[key] > 0:
-                unused[key] -= 1
-                print(f"allowed {module}:{line} {function}: {text}")
-            else:
-                missed.append(f"{module}:{line} {function}: {text}")
+            if line not in ran[filename]:
+                yield module, line, function, text
+
+
+def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest
+
+    os.chdir(ROOT)
+    status, ran = traced(lambda: pytest.main(["-q", "--continue-on-collection-errors", "tests"]))
+    missed, unused = [], Counter(ALLOWED)
+    for module, line, function, text in unrun_lines(ran):
+        key = (module, function, text)
+        if unused[key] > 0:
+            unused[key] -= 1
+            print(f"allowed {module}:{line} {function}: {text}")
+        else:
+            missed.append(f"{module}:{line} {function}: {text}")
     stale = sorted(unused.elements())
     for line in missed:
         print(f"MISSED {line}")
