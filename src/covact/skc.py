@@ -9,8 +9,8 @@ flipping the signs of the J columns turns each piece into the probability
 simplex, on which the squared objective is a convex quadratic.
 
 The exact method bounds every sign pattern with |J| <= S by accelerated
-projected gradient (FISTA, at most 200 steps, over a refilled pool of
-patterns of one size) on its nonnegative form min w^T Q w - 2 sum(w) over
+projected gradient (FISTA, at most 200 steps checked every 10, over a refilled
+pool of patterns of one size) on its nonnegative form min w^T Q w - 2 sum(w) over
 w >= 0, which the simplex minimizer over its value solves (Bomze 1998), so
 no step projects onto the simplex.  FISTA runs on a spectral minorant M of
 G = B^T B that keeps the eigenvalues below lam_max / 8 and lowers the
@@ -26,8 +26,8 @@ own, in worker processes where the process may use more CPUs, and the
 sizes are folded in order: the bits do not depend on the number of
 processes.  The heuristic bounds only the sign patterns that multi-start
 projected gradient reaches, those of every order in one pool that prunes
-none, and solves each order's in the same way from an incumbent of inf,
-so its value is an upper bound on the constant (its lower_bound is 0).
+none and is checked every 25 steps, and solves each order's the same way
+from an incumbent of inf: its value upper-bounds the constant (lower_bound 0).
 
 The constant is positive exactly when the operator has the signed kernel
 condition of order S, and the minimizing pair (z', x') is the adversarial
@@ -57,8 +57,13 @@ SKC_ZERO_TOL = 1e-6
 # Bound-and-prune: FISTA runs a pool of up to _BLOCK sign patterns, checks a
 # pattern's bounds every _CHUNK of its iterations and stops it before a check
 # past _MAX_ITERS; an exact solve stops after _QP_MAX_ITERS active-set steps.
-_BLOCK = 512
-_CHUNK = 25
+# Patterns prune gradually (43% of the published size-8 ones by step 10, 95% by
+# step 50), so a pruning pool checks every 10 steps; a pool that prunes nothing
+# only raises its bounds at a check, and checks every _KEEP_CHUNK steps.  _BLOCK
+# is no power of two: at 512 a pool's rows lie 4 KiB apart, in the same L1 sets.
+_BLOCK = 480
+_CHUNK = 10
+_KEEP_CHUNK = 25
 _MAX_ITERS = 200
 _QP_MAX_ITERS = 400
 # FISTA momentum weight (t_k - 1) / t_(k+1) of iteration k, from t_0 = 1.
@@ -211,7 +216,7 @@ def _iterate_bounds(G, s, u, margin):
     f by ``margin`` toward the weaker side; as Q is positive semidefinite,
     it is never below 0.
     """
-    qu = s * ((s * u) @ G)
+    qu = s * (G @ (s * u).T).T  # as G is symmetric; a pool's transposed columns keep their layout
     f = np.einsum("ij,ij->i", u, qu)
     m = qu.min(axis=1)
     return f, np.maximum(2.0 * m - f, np.maximum(m - margin, 0.0) ** 2 / (f + margin))
@@ -241,56 +246,58 @@ def _fista_bounds(G, patterns, margin, prune):
     Returns each kept pattern's (bound, sign row s), keyed by its index, and
     the incumbent: the smallest value u^T Q u any iterate reached, or inf
     without ``prune``, which keeps every pattern.  A pool of up to _BLOCK
-    patterns iterates as one array, each row with its own step count and
-    momentum, by FISTA on min w^T Q_M w - 2 sum(w) over w >= 0,
-    Q_M = diag(s) M diag(s) for the minorant (M, a), from w = 0.  Every
-    _CHUNK steps a row takes the larger of its bound so far and the
+    patterns iterates as the columns of one array, each with its own step
+    count and momentum, by FISTA on min w^T Q_M w - 2 sum(w) over w >= 0,
+    Q_M = diag(s) M diag(s) for the minorant (M, a), from w = 0, in the
+    coordinates v = s * w, where a step is one product with I - M / lam and a
+    clip to the orthant of s.  Every _CHUNK steps (_KEEP_CHUNK without
+    ``prune``) a pattern takes the larger of its bound so far and the
     _iterate_bounds bound of Q_M at u = w / sum(w) less a, moves to u / f_M,
-    f_M = u^T Q_M u, unless f_M <= 0, and leaves once that bound exceeds the
-    incumbent plus ``margin`` (pruned) or before a check past _MAX_ITERS
-    (kept).
+    f_M = u^T Q_M u, unless f_M <= 0, and leaves its column to the next
+    pattern once that bound exceeds the incumbent plus ``margin`` (pruned)
+    or before a check past _MAX_ITERS (kept).
     """
     n = G.shape[0]
     M, allowance = _minorant(G)
-    # Step length 1 / (2 lam) on the gradient 2 Q_M y - 2; lam is the largest eigenvalue of M.
-    M_step = M / (lam := max(float(np.linalg.eigvalsh(M)[-1]), 1e-30))
-    patterns, count, kept, incumbent = iter(patterns), 0, {}, math.inf
-    idx = steps = np.empty(0, dtype=np.intp)
-    lower = np.empty(0)
-    s = w = y = np.empty((0, n))
-    while (fresh := list(itertools.islice(patterns, _BLOCK - idx.size))) or idx.size:
+    # Step length 1 / (2 lam) on the gradient 2 Q_M y - 2, lam the largest eigenvalue of M, folded into P = I - M / lam.
+    P = np.eye(n) - M / (lam := max(float(np.linalg.eigvalsh(M)[-1]), 1e-30))
+    chunk, patterns, count, kept, incumbent = (_CHUNK if prune else _KEEP_CHUNK), iter(patterns), 0, {}, math.inf
+    # One column per pattern: its sign row s, v = s * w, y in the same signs, index, step count and bound.  The next
+    # patterns fill the free columns in place; once the patterns run out, the columns left free are dropped.
+    X, live = np.empty((3 * n + 3, _BLOCK)), np.zeros(_BLOCK, dtype=bool)
+    while (fresh := list(itertools.islice(patterns, (slots := np.flatnonzero(~live)).size))) or live.any():
         if fresh:
-            signs = np.ones((m := len(fresh), n))
-            rows = np.repeat(np.arange(m), [len(J) for J in fresh])
-            signs[rows, np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=rows.size)] = -1.0
-            start = np.zeros((m, n))
-            added = (np.arange(count, count + m), np.zeros(m, dtype=np.intp), np.full(m, -np.inf), signs, start, start)
-            idx, steps, lower, s, w, y = (np.concatenate(pair) for pair in zip((idx, steps, lower, s, w, y), added))
-            count += m
-        # w_next = max(y - s * ((s * y) @ M_step) + 1 / lam, 0), y = w_next + k * (w_next - w), in two swapped buffers.
-        sy, step = np.empty_like(y), np.empty_like(y)
-        for k in _MOMENTUM[steps + np.arange(_CHUNK)[:, None], None]:
-            np.matmul(np.multiply(s, y, out=sy), M_step, out=step)
-            np.subtract(y, np.multiply(s, step, out=step), out=step)
-            np.maximum(np.add(step, 1.0 / lam, out=step), 0.0, out=step)
-            np.add(step, np.multiply(k, np.subtract(step, w, out=w), out=w), out=y)
-            w, step = step, w
-        steps += _CHUNK
-        # Read each row at u = w / sum(w) (a row at w = 0 at the centre of the simplex) and move
+            added = np.concatenate((np.ones((n, m := len(fresh))), np.zeros((2 * n + 3, m))))
+            cols = np.repeat(np.arange(m), [len(J) for J in fresh])
+            added[np.fromiter(itertools.chain.from_iterable(fresh), dtype=np.intp, count=cols.size), cols] = -1.0
+            added[3 * n], added[3 * n + 2] = np.arange(count, count + m), -np.inf
+            X[:, slots[:m]], live[slots[:m]], count = added, True, count + m
+        if len(fresh) < slots.size:
+            X, live = X.compress(live, axis=1), live[live]
+        s, v, y, (idx, steps, lower) = X[:n], X[n : 2 * n], X[2 * n : 3 * n], X[3 * n :]
+        # v_next = P @ y + s / lam clipped to the orthant of s, y = v_next + k * (v_next - v), in two swapped buffers.
+        shift, low, high, step = s / lam, np.where(s < 0, -np.inf, 0.0), np.where(s < 0, 0.0, np.inf), np.empty_like(v)
+        for k in _MOMENTUM[steps.astype(np.intp) + np.arange(chunk)[:, None]]:
+            np.add(np.matmul(P, y, out=step), shift, out=step)
+            np.minimum(np.maximum(step, low, out=step), high, out=step)
+            np.add(step, np.multiply(k, np.subtract(step, v, out=v), out=v), out=y)
+            v, step = step, v
+        steps += chunk
+        # Read each pattern at u = w / sum(w) (one at w = 0 at the centre of the simplex) and move
         # it to u / f_M, the best multiple of u, unless sum(w) f_M <= 0.
-        total = w.sum(axis=1, keepdims=True)
-        u = np.divide(w, total, out=np.full_like(w, 1.0 / n), where=total > 0)
-        f, bound = _iterate_bounds(M, s, u, margin)
-        ray = total * f[:, None]
+        total = np.einsum("ij,ij->j", s, v)
+        su = np.divide(v, total, out=s / n, where=total > 0)
+        f, bound = _iterate_bounds(M, s.T, (s * su).T, margin)
+        ray = total * f
         ray[ray <= 0] = 1.0
-        w, y = w / ray, y / ray
-        lower = np.maximum(lower, bound - allowance)
+        np.divide(v, ray, out=X[n : 2 * n])
+        y /= ray
+        np.maximum(lower, bound - allowance, out=lower)
         if prune:
-            incumbent = min(incumbent, float(np.einsum("ij,ij->i", u, s * ((s * u) @ G)).min()))
+            incumbent = min(incumbent, float(np.einsum("ij,ij->j", su, G @ su).min()))
         unpruned = lower <= incumbent + margin
-        live = unpruned & (steps + _CHUNK <= _MAX_ITERS)
-        kept.update((int(idx[i]), (lower[i], s[i].copy())) for i in np.flatnonzero(unpruned & ~live))
-        idx, steps, lower, s, w, y = (a[live] for a in (idx, steps, lower, s, w, y))
+        live = unpruned & (steps + chunk <= _MAX_ITERS)
+        kept.update((int(idx[i]), (lower[i], s[:, i].copy())) for i in np.flatnonzero(unpruned & ~live))
     return kept, incumbent
 
 
@@ -379,14 +386,16 @@ def _heuristic_candidates(B, G, orders):
 
     owner, sparsity = np.repeat(np.arange(len(orders)), _HEURISTIC_STARTS), np.repeat(orders, _HEURISTIC_STARTS)
     V = _project_sparse(np.array(starts).reshape(-1, n), sparsity)[0]
-    live = np.arange(len(V))
+    live, X, S = np.arange(len(V)), V, sparsity
     for _ in range(_HEURISTIC_ITERS):
-        X = V[live]
-        X_new, nonzero = _project_sparse(X - step * 2.0 * (X @ G), sparsity[live])
-        V[live[nonzero]] = X_new[nonzero]
-        live = live[nonzero & (np.abs(X_new - X).max(axis=1) > 1e-14)]
-        if not live.size:
+        X_new, nonzero = _project_sparse(X - step * 2.0 * (X @ G), S)
+        if not (moving := nonzero & (np.abs(X_new - X).max(axis=1) > 1e-14)).all():
+            # Some starts stop: write the live rows back to V, a row projected to zero at its last iterate.
+            V[live] = np.where(nonzero[:, None], X_new, X)
+            live, X_new, S = live[moving], X_new[moving], S[moving]
+        if not (X := X_new).size:
             break
+    V[live] = X
     negative = V < 0
     return [sorted({(), *(tuple(np.flatnonzero(v).tolist()) for v in negative[owner == k])}) for k in range(len(orders))]
 

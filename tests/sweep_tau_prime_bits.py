@@ -8,15 +8,15 @@ Two sweeps over Gaussian codebooks, each printing its counts:
   ``tau_prime_heuristic`` call, with the FISTA pool size ``skc._BLOCK`` set
   to 512, 60 and 16, must equal that of a call for the order alone at the
   default pool size.  5x24 at orders 1-12 (seeds 0-3) has 512-524
-  candidates, so at seeds 0-2 its one call refills the default pool.  The
-  heuristic's pool prunes no row, so every candidate runs to the step cap
-  and each order is solved on its own from an incumbent of inf: the orders
-  that share a fill and where the pool refills cannot move a bit, and this
-  sweep checks that they do not.
+  candidates, so at every seed its one call refills the default pool of
+  480.  The heuristic's pool prunes no row, so every candidate runs to the
+  step cap and each order is solved on its own from an incumbent of inf:
+  the orders that share a fill and where the pool refills cannot move a
+  bit, and this sweep checks that they do not.
 - Exact: for seeds 0-11, the first draw of 4x17 at order 8 and of 3x10 and
   5x20 at order 6, the ``as_text()`` reports of ``tau_prime_curve`` with
-  (``skc._CHUNK``, ``skc._BLOCK``) set to (10, 64) and (50, 1024) must equal
-  those at the default (25, 512).
+  (``skc._CHUNK``, ``skc._BLOCK``) set to (25, 64) and (50, 1024) must equal
+  those at the default (10, 480).
 
 The SHA-256 of every ``as_text()`` report the sweeps compute, in the order
 they compute them, is pinned as REPORTS_SHA256, so a change to the search
@@ -87,7 +87,7 @@ def main():
         for draw in (0, 1)
     ]
     refill = [(5, 24, seed, 0, list(range(1, 13)), (DEFAULT_SCHEDULE[1],)) for seed in range(4)]
-    exact = [(M, N, seed, max_order, ((10, 64), (50, 1024))) for seed in range(12) for M, N, max_order in ((4, 17, 8), (3, 10, 6), (5, 20, 6))]
+    exact = [(M, N, seed, max_order, ((25, 64), (50, 1024))) for seed in range(12) for M, N, max_order in ((4, 17, 8), (3, 10, 6), (5, 20, 6))]
     failed = False
     for label, check, cases in (
         ("heuristic sweep", heuristic_mismatches, heuristic),

@@ -277,13 +277,25 @@ class TestBoundAndPrune:
         assert 0 < len(qp_calls) < patterns / 10
 
     def test_published_search_work(self, qp_calls, monkeypatch, verified):
-        # The exact solves of the published codebook's searches are fixed work:
-        # 50 for the curve and 22 for the heuristic of orders 1-8.  A pruning
-        # regression that multiplies them without moving a bit fails here.
+        # The exact solves and the bound checks of the published codebook's
+        # searches are fixed work: the curve makes 39 solves and bounds 133,772
+        # pool rows, and the heuristic of orders 1-8 makes 22 solves.  A pruning
+        # regression that multiplies the solves, or a check schedule whose checks
+        # cost more than the steps they save (checks every 5 steps bound
+        # 203,475 rows; the bound leaves a 20% margin), fails here without
+        # moving a bit.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         stacked = MeasurementOperator(verified.codebook).stacked_real()
+        rows, iterate_bounds = [], skc._iterate_bounds
+
+        def counted(M, s, u, margin):
+            rows.append(len(s))
+            return iterate_bounds(M, s, u, margin)
+
+        monkeypatch.setattr(skc, "_iterate_bounds", counted)
         tau_prime_curve(stacked, 8)
         assert 0 < len(qp_calls) < 74
+        assert 0 < sum(rows) < 160_000
         qp_calls.clear()
         skc.tau_prime_heuristic(stacked, range(1, 9))
         assert 0 < len(qp_calls) < 28
@@ -295,9 +307,9 @@ class TestBoundAndPrune:
             report = verified.report(order)
             assert report.lower_bound >= 0.999 * report.tau_prime
 
-    @pytest.mark.parametrize("chunk, block", [(10, 64), (50, 1024)])
+    @pytest.mark.parametrize("chunk, block", [(25, 64), (50, 1024)])
     def test_curve_does_not_depend_on_the_bounding_schedule(self, monkeypatch, verified, chunk, block):
-        # Checks every 10 steps in pools of 64, or every 50 in pools of 1024,
+        # Checks every 25 steps in pools of 64, or every 50 in pools of 1024,
         # prune other patterns at other times; the reports keep their bits.
         stacked = MeasurementOperator(verified.codebook).stacked_real()
         monkeypatch.setattr(skc, "_CHUNK", chunk)
