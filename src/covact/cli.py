@@ -122,9 +122,11 @@ def _broken_rules(kind: str, text: str, cfg, verified) -> list:
         for row in rows:
             order = int(row[header.index("S")])
             if kind == "a":
-                end, value = verified.report(order).accepted_end()
-                if order <= cfg.skc_order and value <= SKC_POSITIVE_TOL:
-                    failures.append(f"{end} at S={order} is {value:.3e}, not above {SKC_POSITIVE_TOL}")
+                report = verified.report(order)
+                if order <= cfg.skc_order and report.method == "heuristic":
+                    failures.append(f"tau_prime at S={order} is uncertified: tau_method = heuristic gives an upper bound")
+                elif order <= cfg.skc_order and report.lower_bound <= SKC_POSITIVE_TOL:
+                    failures.append(f"lower_bound at S={order} is {report.lower_bound:.3e}, not above {SKC_POSITIVE_TOL}")
                 tau = row[header.index("tau_prime")]
                 if order > cfg.skc_order and tau >= SKC_ZERO_TOL:
                     failures.append(f"tau_prime at S={order} is {tau:.3e}, not below {SKC_ZERO_TOL}")

@@ -40,6 +40,15 @@ def nth_prime(k: int) -> int:
     return _sieve(110_000)[k - 1]
 
 
+def _nonzero_columns(name: str, values, dtype, rule: str) -> np.ndarray:
+    """values as a read-only finite matrix copy, or InvalidInput(rule) if a column has norm 0."""
+    arr = _checked_array(name, values, dtype, (None, None), copy=True)
+    if np.any(np.linalg.norm(arr, axis=0) == 0.0):
+        raise InvalidInput(rule)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Pilot matrix with columns a_n; every column must be nonzero."""
@@ -47,12 +56,7 @@ class Codebook:
     columns: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_array("columns", self.columns, complex, (None, None), copy=True)
-        norms = np.linalg.norm(arr, axis=0)
-        if np.any(norms == 0.0):
-            raise InvalidInput("codebook columns must all be nonzero")
-        arr.setflags(write=False)
-        object.__setattr__(self, "columns", arr)
+        object.__setattr__(self, "columns", _nonzero_columns("columns", self.columns, complex, "codebook columns must all be nonzero"))
 
     @property
     def pilot_len(self) -> int:
@@ -110,9 +114,8 @@ class StackedRealMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_array("values", self.values, float, (None, None), copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        rule = "stacked columns must all be nonzero: a zero column is a zero pilot, or one whose squared norm underflows"
+        object.__setattr__(self, "values", _nonzero_columns("values", self.values, float, rule))
 
     @property
     def num_users(self) -> int:
@@ -148,7 +151,7 @@ class MeasurementOperator:
         return (A * z[..., None, :]) @ A.conj().T
 
     def adjoint(self, H) -> np.ndarray:
-        """Adjoint map: component n is Re(a_n^H H a_n).
+        """Adjoint map: component n is Re(a_n^H H a_n), computed as B^T vec(H) for the stacked B.
 
         Satisfies <apply_raw(z), H>_F == <z, adjoint(H)> for all real z, which
         makes it the gradient backbone of the least-squares objective.
@@ -158,16 +161,12 @@ class MeasurementOperator:
             raise InvalidInput(
                 f"expected a {self.pilot_len} x {self.pilot_len} matrix, got dim {herm.dim}"
             )
-        A = self.codebook.columns
-        return np.einsum("mn,mk,kn->n", A.conj(), herm.values, A).real
+        return self.stacked_real().values.T @ _vectorize(herm.values)
 
     def stacked_real(self) -> StackedRealMatrix:
-        """Real vectorization of the operator as a read-only 2M^2 x N matrix."""
+        """Real vectorization of the operator as a read-only 2M^2 x N matrix: column n is vectorize_hermitian(a_n a_n^H)."""
         A = self.codebook.columns
-        M, N = A.shape
-        rank_ones = np.einsum("mn,kn->mkn", A, A.conj())
-        flat = rank_ones.reshape(M * M, N, order="F")
-        return StackedRealMatrix(values=np.vstack([flat.real, flat.imag]))
+        return StackedRealMatrix(_vectorize(np.einsum("mn,kn->nmk", A, A.conj())).T)
 
 
 def vectorize_hermitian(H, M: int) -> np.ndarray:

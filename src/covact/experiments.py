@@ -272,19 +272,22 @@ def run_bounds_table(cfg: ExperimentConfig, verified: VerifiedCodebook) -> str:
     robustness constant is the verified codebook's value at that order, beta
     and eta follow the configured defaults, and the Bernstein constant is
     the configured placeholder (the thresholds are structural, not absolute).
+    A heuristic certificate, whose tau' only bounds the constant from
+    above, raises InvalidInput: the radii and thresholds need a lower bound.
     """
+    order = cfg.skc_order
+    if (report := verified.report(order)).method == "heuristic":
+        raise InvalidInput("the bound table needs a certified tau' (tau_method = exact); tau_method = heuristic gives an upper bound")
     op = MeasurementOperator(verified.codebook)
     Sigma = _noise_covariance(cfg)
-    order = cfg.skc_order
     X = _observe(cfg, op, Sigma, order, 0, "bounds")[1].values
     lam = np.linalg.eigvalsh(X)
-    tau = verified.report(order).tau_prime
     inputs = BoundInputs(
         lambda_min=float(lam[0]),
         lambda_max=float(lam[-1]),
         beta=cfg.beta_fraction * float(lam[0]),
         eta=cfg.eta,
-        tau=tau,
+        tau=report.tau_prime,
         dim=cfg.M,
         p=cfg.target_p,
         c=cfg.bernstein_c,

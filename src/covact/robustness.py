@@ -114,6 +114,8 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
     ``nnls`` uses the robustness constant directly; ``ml`` goes through the
     skc radius and is floored at the dimension (the sample covariance must
     have full rank).  Both scale with the unspecified Bernstein constant c.
+    Raises InvalidInput when eps is so small that the square of its radius,
+    tau * eps for ``nnls`` and the skc radius for ``ml``, underflows to 0.
     """
     if estimator not in ("nnls", "ml"):
         raise InvalidInput(f"unknown estimator {estimator!r}")
@@ -123,19 +125,13 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
     if estimator == "nnls":
         if inputs.tau <= 0:
             raise InvalidInput("the nnls threshold needs a positive robustness constant")
-        tau_eps = inputs.tau * eps
-        return lead * max(
-            512.0 * M**2 * s**2 / (9.0 * tau_eps**2),
-            16.0 * math.sqrt(2.0) * M * s / (3.0 * tau_eps),
-        )
-    delta = delta_radius("skc", eps, inputs, tup)
-    return max(
-        float(M),
-        lead * max(
-            128.0 * M**2 * s**2 / (9.0 * delta**2),
-            8.0 * math.sqrt(2.0) * M * s / (3.0 * delta),
-        ),
-    )
+        quad, lin, radius = 512.0, 16.0, inputs.tau * eps
+    else:
+        quad, lin, radius = 128.0, 8.0, delta_radius("skc", eps, inputs, tup)
+    if radius**2 == 0.0:
+        raise InvalidInput(f"eps = {eps!r} is too small: the {estimator} threshold's radius squared underflows to 0")
+    count = lead * max(quad * M**2 * s**2 / (9.0 * radius**2), lin * math.sqrt(2.0) * M * s / (3.0 * radius))
+    return count if estimator == "nnls" else max(float(M), count)
 
 
 def empirical_concentration(SigmaPrime, K: int, xi: float, trials: int, seed) -> float:

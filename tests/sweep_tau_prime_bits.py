@@ -13,16 +13,20 @@ Two sweeps over Gaussian codebooks, each printing its counts:
   step cap and each order is solved on its own from an incumbent of inf:
   the orders that share a fill and where the pool refills cannot move a
   bit, and this sweep checks that they do not.
-- Exact: for seeds 0-11, the first draw of 4x17 at order 8 and of 3x10 and
-  5x20 at order 6, the ``as_text()`` reports of ``tau_prime_curve`` with
+- Schedules: for seeds 0-11, the first draw of 4x17 at order 8 and of 3x10
+  and 5x20 at order 6, the ``as_text()`` reports of ``tau_prime_curve`` with
   (``skc._CHUNK``, ``skc._BLOCK``) set to (25, 64) and (50, 1024) must equal
-  those at the default (10, 480).
+  those at the default (10, 480).  In the same two settings the heuristic
+  pool's check interval ``skc._KEEP_CHUNK`` is 10 and 50, and the reports of
+  ``tau_prime_heuristic(stacked, range(1, 9))`` must equal those at the
+  default interval of 25.
 
 The SHA-256 of every ``as_text()`` report the sweeps compute, in the order
 they compute them, is pinned as REPORTS_SHA256, so a change to the search
-that moved every schedule alike would still be caught.  The digest was
-recorded before the patterns were bounded on a spectral minorant of G,
-and before a pattern left the pool only when pruned or at the step cap:
+that moved every schedule alike would still be caught; the heuristic
+reports of the schedule sweep came after the digest and are compared, not
+hashed.  The digest was recorded before the patterns were bounded on a
+spectral minorant of G, and before a pattern left the pool only when pruned or at the step cap:
 like the schedules, these only decide which farther patterns are also
 solved, and move no bit.  Exits 1 on any mismatch or on another
 digest, and prints the time taken, under two minutes on one CPU.
@@ -35,7 +39,7 @@ import time
 from covact import MeasurementOperator, build_gaussian_codebook, skc
 from covact.channel import stream
 
-DEFAULT_SCHEDULE = (skc._CHUNK, skc._BLOCK)
+DEFAULT_SCHEDULE = (skc._CHUNK, skc._BLOCK, skc._KEEP_CHUNK)
 REPORTS_SHA256 = "1c81453e70b7284b6d03ccfb8be986774898f2093d36f05643c49a2c1cd33c52"
 REPORTS = hashlib.sha256()
 
@@ -61,21 +65,25 @@ def heuristic_mismatches(M, N, seed, draw, orders, blocks):
         skc._BLOCK = block
         together = texts(skc.tau_prime_heuristic(stacked, orders))
         bad += [(f"draw {draw}, block {block}", order) for order, a, b in zip(orders, single, together) if a != b]
-    skc._CHUNK, skc._BLOCK = DEFAULT_SCHEDULE
+    skc._CHUNK, skc._BLOCK, skc._KEEP_CHUNK = DEFAULT_SCHEDULE
     return len(orders) * len(blocks), bad
 
 
-def exact_mismatches(M, N, seed, max_order, schedules):
-    """Reports compared and the (setting, order) pairs whose curve report differs from the default schedule's."""
+def schedule_mismatches(M, N, seed, max_order, schedules):
+    """Reports compared and the (setting, method, order) triples whose report differs from the default schedule's."""
     stacked = stacked_draw(M, N, seed, 0)
     default = texts(skc.tau_prime_curve(stacked, max_order))
+    heuristic = [report.as_text() for report in skc.tau_prime_heuristic(stacked, range(1, 9))]
     bad = []
     for schedule in schedules:
-        skc._CHUNK, skc._BLOCK = schedule
+        skc._CHUNK, skc._BLOCK, skc._KEEP_CHUNK = schedule
         curve = texts(skc.tau_prime_curve(stacked, max_order))
-        bad += [("chunk %d, block %d" % schedule, order) for order, (a, b) in enumerate(zip(default, curve), start=1) if a != b]
-    skc._CHUNK, skc._BLOCK = DEFAULT_SCHEDULE
-    return max_order * (1 + len(schedules)), bad
+        together = [report.as_text() for report in skc.tau_prime_heuristic(stacked, range(1, 9))]
+        setting = "chunk %d, block %d, keep chunk %d" % schedule
+        bad += [(setting, "exact", order) for order, (a, b) in enumerate(zip(default, curve), start=1) if a != b]
+        bad += [(setting, "heuristic", order) for order, (a, b) in enumerate(zip(heuristic, together), start=1) if a != b]
+    skc._CHUNK, skc._BLOCK, skc._KEEP_CHUNK = DEFAULT_SCHEDULE
+    return (max_order + len(heuristic)) * (1 + len(schedules)), bad
 
 
 def main():
@@ -87,12 +95,12 @@ def main():
         for draw in (0, 1)
     ]
     refill = [(5, 24, seed, 0, list(range(1, 13)), (DEFAULT_SCHEDULE[1],)) for seed in range(4)]
-    exact = [(M, N, seed, max_order, ((25, 64), (50, 1024))) for seed in range(12) for M, N, max_order in ((4, 17, 8), (3, 10, 6), (5, 20, 6))]
+    schedules = [(M, N, seed, max_order, ((25, 64, 10), (50, 1024, 50))) for seed in range(12) for M, N, max_order in ((4, 17, 8), (3, 10, 6), (5, 20, 6))]
     failed = False
     for label, check, cases in (
         ("heuristic sweep", heuristic_mismatches, heuristic),
         ("heuristic 5x24 refill", heuristic_mismatches, refill),
-        ("exact curve schedules", exact_mismatches, exact),
+        ("exact curve and heuristic schedules", schedule_mismatches, schedules),
     ):
         compared, bad = 0, []
         for case in cases:
@@ -101,7 +109,7 @@ def main():
             bad += [(f"{case[0]}x{case[1]}", case[2], *where) for where in wrong]
         print(f"{label}: {compared} reports, {len(bad)} mismatches")
         for where in bad:
-            print("  mismatch (shape, seed, setting, order):", where)
+            print("  mismatch (shape, seed, setting, [method,] order):", where)
         failed |= bool(bad)
     digest = REPORTS.hexdigest()
     print(f"reports digest {digest}: {'pinned' if digest == REPORTS_SHA256 else 'differs from the pinned ' + REPORTS_SHA256}")

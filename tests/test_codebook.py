@@ -206,6 +206,22 @@ class TestStackedReal:
         with pytest.raises(InvalidInput):
             StackedRealMatrix(values)
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((8, 3)), [[1.0, 0.0], [2.0, 0.0]]],
+        ids=["all-zero", "one-zero-column"],
+    )
+    def test_rejects_a_zero_column(self, values):
+        # As a codebook does; an all-zero stacking would reach tau' as a 0/0.
+        with pytest.raises(InvalidInput, match="stacked columns must all be nonzero: a zero column is a zero pilot"):
+            StackedRealMatrix(values)
+
+    def test_rejects_a_pilot_whose_squared_norm_underflows(self):
+        # The codebook accepts the pilot of norm 1e-90; its rank-one column, of norm 1e-180, reads 0.
+        op = MeasurementOperator(Codebook(np.array([[1e-90 + 0j, 1.0]])))
+        with pytest.raises(InvalidInput, match="squared norm underflows"):
+            op.stacked_real()
+
     def test_single_real_column(self):
         op = MeasurementOperator(Codebook(np.array([[1.0 + 0j]])))
         stacked = op.stacked_real()

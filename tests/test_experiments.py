@@ -597,6 +597,12 @@ class TestBoundsTable:
         deltas = np.array([[row[idx[n]] for n in ("delta_nice", "delta_c", "delta_tld", "delta_skc")] for row in rows])
         assert deltas.max() <= max(row[idx["delta_nice"]] for row in rows) + 1e-12
 
+    def test_refuses_a_heuristic_certificate(self, tiny_config):
+        # Its tau' is an upper bound; the radii and thresholds need a lower one.
+        found = verified_codebook(replace(tiny_config, tau_method="heuristic"))
+        with pytest.raises(InvalidInput, match="the bound table needs a certified tau' \\(tau_method = exact\\)"):
+            run_bounds_table(tiny_config, found)
+
     def test_skc_halves_with_eps_in_linear_regime(self, tiny_config, tiny_verified):
         text = run_bounds_table(tiny_config, tiny_verified)
         _, header, rows = parse_csv(text)
@@ -642,11 +648,14 @@ class TestBrokenRules:
         "kind, text, ends, failures",
         [
             (
+                # A heuristic tau' only bounds the constant from above, so no
+                # order through skc_order passes on it, however large.
                 "a",
                 "S,tau_prime,err_nnls,err_ml,err_ml_nnls\n1,0.5,0,1,0\n2,1e-4,0.002,1,0\n3,0.5,1,1,1\n",
                 [(0.5, 0.0, "heuristic"), (1e-4, 0.0, "heuristic"), (0.5, 0.0, "heuristic")],
                 [
-                    "tau_prime at S=2 is 1.000e-04, not above 0.001",
+                    "tau_prime at S=1 is uncertified: tau_method = heuristic gives an upper bound",
+                    "tau_prime at S=2 is uncertified: tau_method = heuristic gives an upper bound",
                     "err_nnls at S=2 exceeds 1e-3",
                     "tau_prime at S=3 is 5.000e-01, not below 1e-06",
                 ],
@@ -795,6 +804,24 @@ class TestCli:
             "ASSERT FAIL: figure_c: the log-log slope against rho > 0 needs at least two grid values, got 1\n"
             "ASSERT FAIL: figure_d: the R^2 against K needs at least two grid values, got 1\n"
         )
+
+    def test_heuristic_config_fails_the_bound_table_and_panel_a_rule(self, tmp_path, config_file_tiny, capsys):
+        cfg = _tiny_with(config_file_tiny, tmp_path, "tau_method", "heuristic")
+        assert main(["--config", cfg, "--out", str(tmp_path), "experiment", "bounds"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the bound table needs a certified tau' (tau_method = exact); tau_method = heuristic gives an upper bound\n"
+        )
+        assert not (tmp_path / "bounds.csv").exists()
+        assert main(["--config", cfg, "--out", str(tmp_path), "--assert", "experiment", "a"]) == 2
+        assert capsys.readouterr().err == (
+            "ASSERT FAIL: figure_a: tau_prime at S=1 is uncertified: tau_method = heuristic gives an upper bound\n"
+        )
+
+    def test_an_eps_whose_squared_radius_underflows_is_an_error(self, tmp_path, config_file_tiny, capsys):
+        cfg = _tiny_with(config_file_tiny, tmp_path, "bounds_eps_grid", "1e-300, 1e-6")
+        assert main(["--config", cfg, "--out", str(tmp_path), "experiment", "bounds"]) == 1
+        assert capsys.readouterr().err == "error: eps = 1e-300 is too small: the nnls threshold's radius squared underflows to 0\n"
+        assert not (tmp_path / "bounds.csv").exists()
 
     @pytest.mark.parametrize("kind", ["gaussian", "deterministic"])
     def test_codebook_build_matches_golden(self, tmp_path, config_file_tiny, kind):

@@ -164,6 +164,12 @@ class TestAntennaCounts:
         with pytest.raises(InvalidInput, match="eps"):
             k0_antennas(estimator, math.nan, inputs, tld)
 
+    @pytest.mark.parametrize("estimator", ["nnls", "ml"])
+    def test_rejects_an_eps_whose_squared_radius_underflows(self, inputs, tld, estimator):
+        # (tau * eps)**2 and the skc radius squared read 0, so the threshold would divide by 0.
+        with pytest.raises(InvalidInput, match=f"eps = 1e-300 is too small: the {estimator} threshold's radius squared underflows"):
+            k0_antennas(estimator, 1e-300, inputs, tld)
+
     def test_rejects_an_unknown_estimator(self, inputs, tld):
         with pytest.raises(InvalidInput, match="unknown estimator 'ml_nnls'"):
             k0_antennas("ml_nnls", 0.1, inputs, tld)

@@ -307,14 +307,18 @@ class TestBoundAndPrune:
             report = verified.report(order)
             assert report.lower_bound >= 0.999 * report.tau_prime
 
-    @pytest.mark.parametrize("chunk, block", [(25, 64), (50, 1024)])
-    def test_curve_does_not_depend_on_the_bounding_schedule(self, monkeypatch, verified, chunk, block):
+    @pytest.mark.parametrize("chunk, block, keep_chunk", [(25, 64, 10), (50, 1024, 50)], ids=["25-64", "50-1024"])
+    def test_curve_does_not_depend_on_the_bounding_schedule(self, monkeypatch, verified, chunk, block, keep_chunk):
         # Checks every 25 steps in pools of 64, or every 50 in pools of 1024,
         # prune other patterns at other times; the reports keep their bits.
+        # So do the heuristic's, whose pool is checked every keep_chunk steps.
         stacked = MeasurementOperator(verified.codebook).stacked_real()
+        heuristic = [r.as_text() for r in skc.tau_prime_heuristic(stacked, range(1, 9))]
         monkeypatch.setattr(skc, "_CHUNK", chunk)
         monkeypatch.setattr(skc, "_BLOCK", block)
+        monkeypatch.setattr(skc, "_KEEP_CHUNK", keep_chunk)
         assert [r.as_text() for r in tau_prime_curve(stacked, 8)] == [r.as_text() for r in verified.reports]
+        assert [r.as_text() for r in skc.tau_prime_heuristic(stacked, range(1, 9))] == heuristic
 
     @pytest.mark.parametrize("M,N,max_order,seed", CASES)
     def test_bracket_comes_from_the_exact_solves(self, monkeypatch, M, N, max_order, seed):
