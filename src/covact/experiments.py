@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,15 +37,26 @@ from .skc import SKC_POSITIVE_TOL, SKC_ZERO_TOL, SkcReport, adversarial_fading, 
 
 @dataclass(frozen=True, eq=False)
 class VerifiedCodebook:
-    """A Gaussian codebook whose signed-kernel order has been certified."""
+    """A Gaussian codebook whose signed-kernel order has been certified.
+
+    ``_known`` holds the report of each order 1..skc_order + 1, or None for an
+    order the search did not need; ``seconds`` times the search only.
+    """
 
     codebook: Codebook
-    reports: tuple
+    _known: tuple
     draws_used: int
     seconds: float = 0.0
 
+    @cached_property
+    def reports(self) -> tuple:
+        """Every order's report; the first read computes the missing orders' heuristic reports in one stacked call."""
+        missing = [s for s, report in enumerate(self._known, start=1) if report is None]
+        filled = iter(tau_prime_heuristic(MeasurementOperator(self.codebook).stacked_real(), missing) if missing else ())
+        return tuple(next(filled) if report is None else report for report in self._known)
+
     def report(self, order: int) -> SkcReport:
-        return self.reports[order - 1]
+        return self._known[order - 1] or self.reports[order - 1]
 
 
 def _kernel_vector(B):
@@ -87,8 +99,10 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
     ``tau_method="exact"``, the heuristic's ``tau_prime``, an upper bound on
     the constant, otherwise.  Hopeless draws are rejected early by a
     kernel sign screen and a heuristic upper bound on the constant before
-    the configured (possibly exact) computation runs.  Raises SetupFailed
-    after ``max_codebook_draws`` attempts.
+    the configured (possibly exact) computation runs.  A heuristic search
+    computes only the two orders its acceptance reads; the certificate
+    computes the orders below the configured one when its reports are first
+    read.  Raises SetupFailed after ``max_codebook_draws`` attempts.
     """
     order = cfg.skc_order
     started = time.perf_counter()
@@ -102,16 +116,10 @@ def verified_codebook(cfg: ExperimentConfig) -> VerifiedCodebook:
             continue
         if cfg.tau_method == "exact":
             reports = tau_prime_curve(stacked, order + 1)
-        else:  # the screen is already the heuristic's report at ``order``
-            reports = tau_prime_heuristic(stacked, [s for s in range(1, order + 2) if s != order])
-            reports.insert(order - 1, screen)
+        else:  # the screen is the heuristic's report at ``order``; the orders below it wait for a read
+            reports = [None] * (order - 1) + [screen, *tau_prime_heuristic(stacked, [order + 1])]
         if reports[order - 1].accepted_end()[1] > SKC_POSITIVE_TOL and reports[order].tau_prime < SKC_ZERO_TOL:
-            return VerifiedCodebook(
-                codebook=cb,
-                reports=tuple(reports),
-                draws_used=draw + 1,
-                seconds=time.perf_counter() - started,
-            )
+            return VerifiedCodebook(cb, tuple(reports), draw + 1, time.perf_counter() - started)
     raise SetupFailed(
         f"no codebook with signed-kernel order exactly {order} in {cfg.max_codebook_draws} draws"
     )

@@ -115,7 +115,8 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
     skc radius and is floored at the dimension (the sample covariance must
     have full rank).  Both scale with the unspecified Bernstein constant c.
     Raises InvalidInput when eps is so small that the square of its radius,
-    tau * eps for ``nnls`` and the skc radius for ``ml``, underflows to 0.
+    tau * eps for ``nnls`` and the skc radius for ``ml``, underflows to 0; a
+    square that overflows counts as inf, so the linear term decides.
     """
     if estimator not in ("nnls", "ml"):
         raise InvalidInput(f"unknown estimator {estimator!r}")
@@ -128,9 +129,13 @@ def k0_antennas(estimator: str, eps: float, inputs: BoundInputs, tup: PenaltyTup
         quad, lin, radius = 512.0, 16.0, inputs.tau * eps
     else:
         quad, lin, radius = 128.0, 8.0, delta_radius("skc", eps, inputs, tup)
-    if radius**2 == 0.0:
+    try:
+        square = radius**2
+    except OverflowError:  # float ** raises where * gives inf; the quadratic term is then 0
+        square = math.inf
+    if square == 0.0:
         raise InvalidInput(f"eps = {eps!r} is too small: the {estimator} threshold's radius squared underflows to 0")
-    count = lead * max(quad * M**2 * s**2 / (9.0 * radius**2), lin * math.sqrt(2.0) * M * s / (3.0 * radius))
+    count = lead * max(quad * M**2 * s**2 / (9.0 * square), lin * math.sqrt(2.0) * M * s / (3.0 * radius))
     return count if estimator == "nnls" else max(float(M), count)
 
 

@@ -294,15 +294,38 @@ class TestHeuristicSearch:
             assert np.array_equal(report.witness_z, single.witness_z)
             assert np.array_equal(report.witness_x, single.witness_x)
 
-    def test_reports_match_golden(self, default_config):
+    def test_reports_match_golden(self, default_config, stacked_calls):
         # draws_used and every report at 17 digits for seeds 0-9, recorded
         # while each order's heuristic still ran as its own tau_prime call.
-        text = "\n".join(
-            f"seed = {seed}\ndraws_used = {found.draws_used}\n" + "".join(r.as_text() for r in found.reports)
-            for seed in range(10)
-            for found in [verified_codebook(replace(default_config, seed=seed, tau_method="heuristic"))]
-        )
-        assert text == (GOLDEN / "heuristic_search.txt").read_text()
+        # The first read of the reports computes orders 1-6 in one stacked
+        # call; a second read computes nothing.
+        texts = []
+        for seed in range(10):
+            found = verified_codebook(replace(default_config, seed=seed, tau_method="heuristic"))
+            searched = len(stacked_calls)
+            texts.append(f"seed = {seed}\ndraws_used = {found.draws_used}\n" + "".join(r.as_text() for r in found.reports))
+            assert found.reports is found.reports
+            assert stacked_calls[searched:] == [[1, 2, 3, 4, 5, 6]]
+        assert "\n".join(texts) == (GOLDEN / "heuristic_search.txt").read_text()
+
+    def test_panels_b_to_d_and_the_bound_table_compute_no_missing_order(self, tiny_config, stacked_calls, monkeypatch):
+        # They read the codebook, and the bound table the report at
+        # skc_order, so orders 1-2 of this order-3 certificate stay uncomputed.
+        cfg = replace(tiny_config, M=3, N=10, skc_order=3, tau_method="heuristic")
+        found = verified_codebook(cfg)
+        del stacked_calls[:]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # a worker's call would not be seen
+        for run in (run_figure_b, run_figure_c, run_figure_d):
+            run(cfg, found)
+        with pytest.raises(InvalidInput, match="needs a certified tau'"):
+            run_bounds_table(cfg, found)
+        assert stacked_calls == []
+        assert [r.order for r in found.reports] == [1, 2, 3, 4]
+        assert stacked_calls == [[1, 2]]
+
+    def test_an_exact_certificate_computes_nothing_when_read(self, verified, stacked_calls):
+        assert [verified.report(order) for order in range(1, 9)] == list(verified.reports)
+        assert stacked_calls == []
 
     def test_exact_search_accepts_only_a_certified_bound(self, default_config, verified, monkeypatch):
         # A tolerance inside the published draw's bracket at order 7: the exact
@@ -320,23 +343,29 @@ class TestHeuristicSearch:
         assert np.array_equal(found.codebook.columns, verified.codebook.columns)
 
     def test_computes_each_order_once_per_draw(self, default_config, monkeypatch):
-        # The heuristic screen's report at skc_order is reused in the accepted
-        # draw's curve; the other orders come from one stacked call.
+        # A draw's search computes the orders its acceptance reads: the
+        # heuristic screen at skc_order, reused as the certificate's report,
+        # and one stacked call at skc_order + 1.  The first read of the
+        # reports computes the other orders in one more stacked call.
         calls, real, real_stacked = [], experiments.tau_prime, experiments.tau_prime_heuristic
 
         def counted(stacked, order, method="exact"):
-            calls.append((stacked, order))  # keeps each stacked alive, so ids stay distinct
+            calls.append((stacked, [order]))  # keeps each stacked alive, so ids stay distinct
             return real(stacked, order, method=method)
 
         def counted_stacked(stacked, orders):
-            calls.extend((stacked, order) for order in orders)
+            calls.append((stacked, list(orders)))
             return real_stacked(stacked, orders)
 
         monkeypatch.setattr(experiments, "tau_prime", counted)
         monkeypatch.setattr(experiments, "tau_prime_heuristic", counted_stacked)
         found = verified_codebook(replace(default_config, tau_method="heuristic"))
-        assert len({(id(stacked), order) for stacked, order in calls}) == len(calls)
-        assert sum(order != default_config.skc_order for _, order in calls) == len(found.reports) - 1
+        search = [orders for _, orders in calls]
+        assert search[-2:] == [[7], [8]] and set(map(tuple, search)) == {(7,), (8,)}
+        assert len(found.reports) == 8
+        assert [orders for _, orders in calls[len(search):]] == [[1, 2, 3, 4, 5, 6]]
+        pairs = [(id(stacked), order) for stacked, orders in calls for order in orders]
+        assert len(set(pairs)) == len(pairs)
 
     def test_worker_processes_give_the_serial_reports(self, default_config, monkeypatch):
         cfg = replace(default_config, tau_method="heuristic")
@@ -805,6 +834,19 @@ class TestCli:
             "ASSERT FAIL: figure_d: the R^2 against K needs at least two grid values, got 1\n"
         )
 
+    @pytest.mark.parametrize(
+        "case, settings",
+        [("figure_a_heuristic", {}), ("figure_a_heuristic_order3", {"M": 3, "N": 10, "skc_order": 3})],
+    )
+    def test_heuristic_figure_a_matches_golden(self, tmp_path, config_file_tiny, case, settings):
+        # Recorded while a heuristic search still computed every order; at
+        # order 3, orders 1-2 are computed when panel a reads them.
+        cfg = _tiny_with(config_file_tiny, tmp_path, "tau_method", "heuristic")
+        for key, value in settings.items():
+            cfg = _tiny_with(cfg, tmp_path, key, value)
+        assert main(["--config", cfg, "--out", str(tmp_path), "experiment", "a"]) == 0
+        assert (tmp_path / "figure_a.csv").read_bytes() == (GOLDEN / "cli" / case / "figure_a.csv").read_bytes()
+
     def test_heuristic_config_fails_the_bound_table_and_panel_a_rule(self, tmp_path, config_file_tiny, capsys):
         cfg = _tiny_with(config_file_tiny, tmp_path, "tau_method", "heuristic")
         assert main(["--config", cfg, "--out", str(tmp_path), "experiment", "bounds"]) == 1
@@ -816,6 +858,19 @@ class TestCli:
         assert capsys.readouterr().err == (
             "ASSERT FAIL: figure_a: tau_prime at S=1 is uncertified: tau_method = heuristic gives an upper bound\n"
         )
+
+    def test_an_eps_whose_squared_radius_overflows_gets_the_linear_threshold(self, tmp_path, config_file_tiny):
+        # The square of tau * 1e200 overflows: it counts as inf, the quadratic
+        # term as 0, and the other rows keep their bytes.
+        texts = {}
+        for grid in ("1e200, 1e-6", "1e-6"):
+            cfg = _tiny_with(config_file_tiny, tmp_path, "bounds_eps_grid", grid)
+            assert main(["--config", cfg, "--out", str(tmp_path), "experiment", "bounds"]) == 0
+            texts[grid] = (tmp_path / "bounds.csv").read_text()
+        _, header, rows = parse_csv(texts["1e200, 1e-6"])
+        assert rows[0][0] == 1e200 and all(map(math.isfinite, rows[0]))
+        assert rows[0][header.index("k0_ml")] >= 2  # M
+        assert texts["1e200, 1e-6"].splitlines()[-1] == texts["1e-6"].splitlines()[-1]
 
     def test_an_eps_whose_squared_radius_underflows_is_an_error(self, tmp_path, config_file_tiny, capsys):
         cfg = _tiny_with(config_file_tiny, tmp_path, "bounds_eps_grid", "1e-300, 1e-6")
@@ -925,6 +980,14 @@ def _tiny_with(config_file, tmp_path, key, value) -> str:
     path = tmp_path / f"{key}.cfg"
     path.write_text("".join(f"{line}\n" for line in [*lines, f"{key} = {value}"]))
     return str(path)
+
+
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """The orders of each experiments.tau_prime_heuristic call, one entry per call."""
+    calls, real = [], experiments.tau_prime_heuristic
+    monkeypatch.setattr(experiments, "tau_prime_heuristic", lambda stacked, orders: calls.append(list(orders)) or real(stacked, orders))
+    return calls
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from covact import (
 )
 from covact import skc
 from covact.channel import stream
-from covact.experiments import _kernel_vector
+from covact.experiments import _kernel_vector, verified_codebook
 from covact.skc import SKC_ZERO_TOL, _pattern_minimum, _simplex_qp, _split_witness
 
 
@@ -299,6 +299,13 @@ class TestBoundAndPrune:
         qp_calls.clear()
         skc.tau_prime_heuristic(stacked, range(1, 9))
         assert 0 < len(qp_calls) < 28
+
+    def test_published_heuristic_search_work(self, qp_calls, default_config):
+        # The heuristic search of the published codebook solves only the
+        # candidates of the orders its acceptance reads, 7 and 8: 8 solves over
+        # its 4 draws.  A search that also computed orders 1-6 would make 23.
+        verified_codebook(dataclasses.replace(default_config, tau_method="heuristic"))
+        assert 0 < len(qp_calls) <= 12
 
     def test_verified_bracket_is_tight(self, verified):
         for report in verified.reports:
